@@ -23,6 +23,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .bell import BellLabel, EntangledMatching, ParticleId, Party, total_parity
+from .seeding import session_rng
 
 __all__ = [
     "NoiseModel",
@@ -276,9 +277,10 @@ def run_honest(
 
     Both parties' outcome lists are identical in the noiseless case, the
     verdict is Accept, and the coin is the XOR of the outcome parities.
+    Without `rng` the session draws from `session_rng(config.seed)`.
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = session_rng(config.seed)
     n = config.n_pairs
     matching = EntangledMatching(
         initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n)

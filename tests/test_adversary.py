@@ -261,9 +261,17 @@ class TestExperiments:
             assert hi == pytest.approx(ref.high, abs=1e-12)
 
     def test_wilson_brackets_estimate(self):
-        for successes, trials in [(0, 5), (5, 5), (3, 17), (99, 100)]:
-            lo, hi = wilson_interval(successes, trials)
-            assert lo <= successes / trials <= hi
+        for trials in range(1, 301):
+            for successes in range(trials + 1):
+                lo, hi = wilson_interval(successes, trials)
+                assert lo <= successes / trials <= hi
+
+    def test_wilson_pins_edges_for_every_trial_count(self):
+        for trials in range(1, 10_001):
+            lo, hi = wilson_interval(0, trials)
+            assert lo == 0.0 and 0.0 < hi < 1.0
+            lo, hi = wilson_interval(trials, trials)
+            assert 0.0 < lo < 1.0 and hi == 1.0
 
     def test_report_reproducible_and_consistent(self):
         config = SessionConfig(2, seed=77)

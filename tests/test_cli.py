@@ -155,6 +155,23 @@ class TestCheat:
         mc = next(r for r in body["rows"] if r["model"] == "monte-carlo")
         assert 0.35 < mc["value"] < 0.65  # lying never forces the coin
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n-pairs", "11", "--trials", "5000", "--seed", "1"],
+         ["--n-pairs", "32", "--trials", "2000", "--seed", "1"],  # no successes
+         ["--n-pairs", "1", "--trials", "10"]],  # all successes
+        ids=["n11-design-point", "n32-none-pass", "n1-all-pass"],
+    )
+    def test_interval_brackets_estimate(self, capsys, argv):
+        code, out, err = _run_inproc(["cheat", *argv, "--format", "json"], capsys)
+        assert code == 0, err
+        mc = next(r for r in json.loads(out)["rows"] if r["model"] == "monte-carlo")
+        assert mc["ci_low"] <= mc["value"] <= mc["ci_high"]
+        if mc["value"] == 0.0:
+            assert mc["ci_low"] == 0.0
+        if mc["value"] == 1.0:
+            assert mc["ci_high"] == 1.0
+
     def test_flip_choices_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cheat", "--flip", "W"])

@@ -27,6 +27,7 @@ from qct.protocol import (
     run_honest,
     toss_from_outcomes,
 )
+from qct.seeding import session_rng
 
 
 class TestSequence:
@@ -163,6 +164,15 @@ class TestHonestRun:
         b = run_honest(SessionConfig(3, seed=5))
         assert a.alice_outcomes == b.alice_outcomes
         assert a.messages[2].sequence == b.messages[2].sequence
+
+    def test_default_stream_is_session_rng(self):
+        for seed in (-1, 0, 7, 2**64 + 7):
+            default = run_honest(SessionConfig(3, seed=seed))
+            explicit = run_honest(SessionConfig(3, seed=seed), session_rng(seed))
+            assert default.messages == explicit.messages
+            assert default.alice_outcomes == explicit.alice_outcomes
+        negative = run_honest(SessionConfig(3, seed=-1))
+        assert negative.verdict is Verdict.ACCEPT
 
     def test_coin_equals_parity_lemma_over_both_parties(self):
         # 2N source pairs are all Phi+ (total parity 0), so the XOR over all
