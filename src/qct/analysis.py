@@ -17,7 +17,12 @@ implemented side by side.
 
 `pass_prob_closed_form` is the reference curve (5/8)**(N-1) itself.
 Robustness: readout noise gamma per measurement must keep the honest abort
-rate below the cheat pass probability, i.e. 1 - gamma**N <= P(N).
+rate below the cheat pass probability. `robustness_ok` and `min_gamma`
+budget the one-sided abort rate 1 - gamma**N <= P(N): only one party's N
+records are noisy. The simulator (`protocol.NoiseModel`) corrupts both
+parties' records, each onto one of three wrong labels, so a simulated honest
+session aborts at the larger two-sided rate 1 - (gamma**2 + (1-gamma)**2/3)**N;
+the bounds here do not describe that model.
 """
 
 from __future__ import annotations
@@ -115,14 +120,22 @@ class RobustnessQuery:
 
 
 def robustness_ok(query: RobustnessQuery, rel_tol: float = 1e-12) -> bool:
-    """True iff 1 - gamma**N <= (5/8)**(N-1), with ulp-scale slack."""
+    """True iff 1 - gamma**N <= (5/8)**(N-1), with ulp-scale slack.
+
+    1 - gamma**N is the abort rate when one party's records are noisy; the
+    simulator's two-sided noise aborts more often (see the module notes).
+    """
     shortfall = 1.0 - query.gamma**query.n_pairs
     p = pass_prob_closed_form(query.n_pairs)
     return shortfall <= p or math.isclose(shortfall, p, rel_tol=rel_tol)
 
 
 def min_gamma(n: int, p_threshold: float) -> float:
-    """Smallest per-measurement survival rate keeping 1 - gamma**n <= p."""
+    """Smallest per-measurement survival rate keeping 1 - gamma**n <= p.
+
+    One-sided noise model (see the module notes): under the simulator's
+    two-sided noise this gamma gives a larger abort rate than p.
+    """
     _require_n(n)
     if not 0.0 < p_threshold < 1.0:
         raise ValueError("p_threshold must lie in (0, 1)")

@@ -7,6 +7,10 @@ measurement that joins two different pairs (entanglement swapping) leaves the
 two spectator particles in the state ``b1 ^ b2 ^ outcome``.  Both facts are
 certified against a dense statevector simulation in the test suite; the
 engine itself never touches amplitudes.
+
+`swap_outcomes` is the batched form of one swap: it draws the outcomes and
+residuals of many independent swaps of the same two pairs in one array
+pass, from the same draws `EntangledMatching.measure_pair` would consume.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "SelfMeasurementError",
     "apply_pauli",
     "parity",
+    "swap_outcomes",
     "total_parity",
 ]
 
@@ -124,6 +129,22 @@ def total_parity(outcomes: Iterable[BellLabel]) -> int:
     for label in outcomes:
         acc ^= label.parity
     return acc
+
+
+def swap_outcomes(
+    b1: BellLabel, b2: BellLabel, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes and spectator residuals (label values) of `size`
+    independent entanglement swaps between a pair in `b1` and one in `b2`.
+
+    Consumes `rng` exactly as `size` successive non-partner
+    `EntangledMatching.measure_pair` calls, each on a fresh matching of the
+    two pairs, and returns their outcomes and the residual labels
+    ``b1 ^ b2 ^ outcome``.
+    """
+    # the default int64 dtype of measure_pair's rng.integers(4): same stream
+    outcomes = rng.integers(4, size=size)
+    return outcomes, outcomes ^ (b1.value ^ b2.value)
 
 
 class Party(str, Enum):

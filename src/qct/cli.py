@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from . import analysis
 from .adversary import Strategy, run_cheat_experiment
 from .bell import PauliLabel
 from .crosscheck import run_all
+from .oracle import MAX_QUBITS
 from .protocol import (
     CoinAnnouncement,
     Message,
@@ -283,7 +285,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `qct` parser, built on first use and shared by later `main` calls
+    (parsing keeps no state between calls; seeds resolve at run time)."""
     parser = argparse.ArgumentParser(
         prog="qct",
         description="Two-party quantum coin tossing over entanglement swapping: "
@@ -325,10 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="engine-vs-oracle equivalence suite")
     common(verify)
     verify.add_argument("--samples", type=int, default=100_000,
-                        help="samples for the TV distribution check")
+                        help="samples for the TV distribution check (at least 1)")
     verify.add_argument("--sequences", type=int, default=1000,
-                        help="random maximal schedules per pair count")
-    verify.add_argument("--max-pairs", type=int, default=4)
+                        help="random maximal schedules per pair count (at least 1)")
+    verify.add_argument("--max-pairs", type=int, default=4,
+                        help=f"largest pair count in the schedules (1..{MAX_QUBITS // 2})")
     verify.add_argument("--inject-fault", action="store_true",
                         help="negative control: corrupt the swap rule on purpose "
                         "and confirm the suite fails")

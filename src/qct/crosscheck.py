@@ -8,6 +8,12 @@ sampled distributions (total-variation distance), and confirm parity
 conservation on random maximal measurement schedules in engine and oracle
 alike. `run_all` powers the `verify` CLI subcommand.
 
+The sampled-distribution check draws through the batched samplers
+`bell.swap_outcomes` and `oracle.bell_sample`, which the tests replay
+against `EntangledMatching.measure_pair` and `oracle.bell_measure_collapse`
+on identical draws. The residual and parity-conservation checks run
+through those scalar reference paths themselves.
+
 The residual-rule check accepts a fault injection that corrupts the
 engine's answer on purpose; it must then fail, proving the suite can catch
 a wrong XOR rule.
@@ -26,16 +32,22 @@ from .bell import (
     Party,
     PauliLabel,
     apply_pauli,
+    swap_outcomes,
     total_parity,
 )
 from .oracle import (
-    QuantumState,
+    MAX_QUBITS,
     apply_pauli_gate,
     bell_distribution,
     bell_measure_collapse,
+    bell_sample,
     prepare_pairs,
 )
 from .seeding import session_rng
+
+# Draws per batched sampler call in the sampled swap check: memory stays
+# flat in the sample count.
+SAMPLE_CHUNK = 8192
 
 __all__ = [
     "CheckResult",
@@ -156,32 +168,35 @@ def _tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
+def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Engine and oracle outcome counts of `samples` swaps on a Psi- (x)
+    Phi- input, drawn SAMPLE_CHUNK at a time from streams seed, seed + 1."""
+    b1, b2 = BellLabel.PSI_MINUS, BellLabel.PHI_MINUS
+    base = prepare_pairs([b1, b2])
+    rng_engine, rng_oracle = session_rng(seed), session_rng(seed + 1)
+    engine_counts = np.zeros(4, dtype=np.int64)
+    oracle_counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, samples - start)
+        engine_counts += np.bincount(swap_outcomes(b1, b2, rng_engine, size)[0], minlength=4)
+        oracle_counts += np.bincount(bell_sample(base, 1, 2, rng_oracle, size), minlength=4)
+    return engine_counts, oracle_counts
+
+
 def check_swap_distribution_sampled(
     samples: int = 100_000, seed: int = 20_26, threshold: float = 0.02
 ) -> CheckResult:
     """Sampled swap outcomes: engine vs oracle vs exact, TV below threshold.
 
-    Engine samples are cheap; oracle samples exercise the full collapse
-    path on a Psi- (x) Phi- input (any labels work - outcomes are uniform).
+    Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
+    outcomes are uniform) in batches: the engine through `swap_outcomes`,
+    the oracle through `bell_sample`. Each consumes its stream as `samples`
+    scalar `measure_pair` or `bell_measure_collapse` calls would, so the
+    counts are those of the scalar loops.
     """
-    rng_engine = session_rng(seed)
-    rng_oracle = session_rng(seed + 1)
-    b1, b2 = BellLabel.PSI_MINUS, BellLabel.PHI_MINUS
-
-    engine_counts = np.zeros(4)
-    u1 = ParticleId(Party.ALICE, 1)
-    u2 = ParticleId(Party.ALICE, 2)
-    v1 = ParticleId(Party.ALICE, 3)
-    v2 = ParticleId(Party.ALICE, 4)
-    for _ in range(samples):
-        matching = EntangledMatching([(u1, u2, b1), (v1, v2, b2)])
-        engine_counts[matching.measure_pair(u2, v1, rng_engine).value] += 1
-
-    oracle_counts = np.zeros(4)
-    base = prepare_pairs([b1, b2])
-    for _ in range(samples):
-        outcome, _ = bell_measure_collapse(base, 1, 2, rng_oracle)
-        oracle_counts[outcome.value] += 1
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1 (got {samples})")
+    engine_counts, oracle_counts = _sampled_swap_counts(samples, seed)
 
     exact = np.full(4, samples / 4.0)
     tvs = {
@@ -196,6 +211,13 @@ def check_swap_distribution_sampled(
     )
 
 
+def _require_schedules(max_pairs: int, sequences: int) -> None:
+    if not 1 <= max_pairs <= MAX_QUBITS // 2:
+        raise ValueError(f"max_pairs must lie in 1..{MAX_QUBITS // 2} (got {max_pairs})")
+    if sequences < 1:
+        raise ValueError(f"sequences must be at least 1 (got {sequences})")
+
+
 def _random_labels(rng: np.random.Generator, n: int) -> list[BellLabel]:
     return [BellLabel(int(x)) for x in rng.integers(4, size=n)]
 
@@ -205,6 +227,7 @@ def check_parity_conservation_engine(
 ) -> CheckResult:
     """Random maximal measurement schedules on random labels: the XOR of
     outcome parities must equal the XOR of initial parities, exactly."""
+    _require_schedules(max_pairs, sequences)
     rng = session_rng(seed)
     checked = 0
     for n in range(1, max_pairs + 1):
@@ -245,6 +268,7 @@ def check_parity_conservation_oracle(
 ) -> CheckResult:
     """Same conservation law on the statevector: measure random disjoint
     qubit pairs to exhaustion; sampled branch outcomes must satisfy it."""
+    _require_schedules(max_pairs, sequences)
     rng = session_rng(seed)
     checked = 0
     for n in range(1, max_pairs + 1):

@@ -7,6 +7,12 @@ collapses the state. No label bookkeeping happens here - everything is
 amplitudes, so agreement with the symbolic engine is a real check, not a
 tautology.
 
+`bell_measure_collapse` samples one outcome and returns the collapsed
+state; `bell_sample` draws many outcomes of the same measurement on one
+state from a single Born distribution. Both map a uniform draw to an
+outcome through `_outcomes_of`, so `bell_sample(state, q1, q2, rng, k)`
+returns exactly the outcomes of k successive collapses of `state`.
+
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
 """
@@ -25,6 +31,7 @@ __all__ = [
     "prepare_pairs",
     "bell_distribution",
     "bell_measure_collapse",
+    "bell_sample",
     "apply_pauli_gate",
     "bell_vector",
 ]
@@ -103,15 +110,27 @@ def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     return tensor.reshape(4, -1)
 
 
+def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bell-basis coefficients (4, rest) and their Born probabilities."""
+    coeffs = _BELL_MATRIX.conj() @ _pair_view(state, q1, q2)
+    return coeffs, np.sum(np.abs(coeffs) ** 2, axis=1).real
+
+
+def _outcomes_of(probs: np.ndarray, uniforms):
+    """Outcome index for each uniform in [0, 1): the first index whose
+    cumulative probability exceeds ``u * total``, so a zero-probability
+    branch is never chosen."""
+    cumulative = np.cumsum(probs)
+    return np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
+
+
 def bell_distribution(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     """Exact Born probabilities of the four Bell outcomes on (q1, q2).
 
     Returns an array indexed by BellLabel value; entries sum to 1 within
     numerical precision.
     """
-    view = _pair_view(state, q1, q2)
-    coeffs = _BELL_MATRIX.conj() @ view
-    return np.sum(np.abs(coeffs) ** 2, axis=1).real
+    return _born(state, q1, q2)[1]
 
 
 def bell_measure_collapse(
@@ -124,17 +143,26 @@ def bell_measure_collapse(
     those qubits reproduce the outcome.
     """
     n = state.qubit_count
-    view = _pair_view(state, q1, q2)
-    coeffs = _BELL_MATRIX.conj() @ view
-    probs = np.sum(np.abs(coeffs) ** 2, axis=1).real
-    cumulative = np.cumsum(probs)
-    draw = rng.random() * cumulative[-1]
-    outcome = BellLabel(int(np.searchsorted(cumulative, draw, side="right")))
+    coeffs, probs = _born(state, q1, q2)
+    outcome = BellLabel(int(_outcomes_of(probs, rng.random())))
     p = probs[outcome.value]
     projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value]) / np.sqrt(p)
     tensor = projected.reshape([2, 2] + [2] * (n - 2))
     tensor = np.moveaxis(tensor, (0, 1), (q1, q2))
     return outcome, QuantumState(tensor.reshape(-1), n)
+
+
+def bell_sample(
+    state: QuantumState, q1: int, q2: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Outcomes (BellLabel values) of `size` independent Bell measurements
+    on (q1, q2) of `state`, each on a fresh copy.
+
+    Consumes `rng` exactly as `size` successive `bell_measure_collapse`
+    calls on `state` would and returns the same outcomes, from one Born
+    distribution and one array of `size` uniforms.
+    """
+    return _outcomes_of(bell_distribution(state, q1, q2), rng.random(size))
 
 
 def apply_pauli_gate(state: QuantumState, pauli: PauliLabel, qubit: int) -> QuantumState:

@@ -6,10 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from qct import cli
 from qct.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 _SENDERS = ["alice", "bob", "alice", "bob", "alice", "alice"]
 _PHASES = [
@@ -241,6 +245,37 @@ class TestVerify:
         assert len(body["checks"]) == 6
         assert all(c["passed"] for c in body["checks"])
 
+    @pytest.mark.parametrize(
+        "extra, golden, want_code",
+        [([], "verify_seed2026.json", 0),
+         (["--inject-fault"], "verify_seed2026_fault.json", 3)],
+        ids=["clean", "fault"],
+    )
+    def test_default_output_pinned(self, capsys, extra, golden, want_code):
+        # bytes of the scalar collapse-loop implementation at its defaults;
+        # the batched samplers draw the same stream, so nothing may move
+        code, out, _ = _run_inproc(["verify", "--seed", "2026", "--format", "json", *extra],
+                                   capsys)
+        assert code == want_code
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--samples", "0"], "samples must be at least 1"),
+         (["--samples", "-5"], "samples must be at least 1"),
+         (["--sequences", "0"], "sequences must be at least 1"),
+         (["--sequences", "-1"], "sequences must be at least 1"),
+         (["--max-pairs", "0"], "max_pairs must lie in 1..8"),
+         (["--max-pairs", "9"], "max_pairs must lie in 1..8")],
+        ids=["samples-0", "samples-neg", "sequences-0", "sequences-neg",
+             "max-pairs-0", "max-pairs-9"],
+    )
+    def test_vacuous_or_invalid_sizes_exit_two(self, capsys, argv, message):
+        code, out, err = _run_inproc(["verify", "--seed", "0", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message} (got {argv[1]})\n"
+
 
 class TestSeedResolution:
     def test_env_fallback(self, capsys, monkeypatch):
@@ -316,6 +351,26 @@ def test_byte_identical_across_processes(argv, tmp_path):
     assert files[0] == files[1]
     if argv[0] != "toss":  # toss writes the transcript, not the table, to --out
         assert files[0].decode() == outs[0]
+
+
+def test_parser_built_lazily_and_reused(capsys, monkeypatch):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qct.cli; print(qct.cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "0\n", proc.stderr  # importing builds nothing
+    runs = [
+        (["toss", "--n-pairs", "3", "--format", "json"], "5"),
+        (["cheat", "--n-pairs", "2", "--trials", "200", "--format", "csv"], "9"),
+        (["toss", "--n-pairs", "2", "--format", "csv"], "5"),
+    ]
+    for argv, seed in runs:
+        monkeypatch.setenv("QCT_SEED", seed)
+        code, out, _ = _run_inproc(argv, capsys)
+        fresh = _run_subprocess(argv, {"QCT_SEED": seed})
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_module_entry_point_help():

@@ -200,6 +200,21 @@ class TestHonestRun:
         sigma = (expected_reject * (1 - expected_reject) / runs) ** 0.5
         assert abs(rate - expected_reject) < 4 * sigma
 
+    def test_abort_rate_is_two_sided_not_analysis_bound(self):
+        # analysis.robustness_ok / min_gamma budget the one-sided rate
+        # 1 - gamma^N; the simulator corrupts both parties' records, so an
+        # honest session aborts at 1 - (gamma^2 + (1-gamma)^2/3)^N instead
+        gamma, n, runs = 0.9, 4, 10_000
+        two_sided = 1.0 - (gamma**2 + (1.0 - gamma) ** 2 / 3.0) ** n  # ~0.562
+        one_sided = 1.0 - gamma**n  # ~0.344
+        rng = np.random.default_rng(2026)
+        config = SessionConfig(n, noise=NoiseModel(gamma))
+        aborts = sum(run_honest(config, rng).verdict is Verdict.REJECT for _ in range(runs))
+        rate = aborts / runs
+        sigma = (two_sided * (1 - two_sided) / runs) ** 0.5
+        assert abs(rate - two_sided) < 5 * sigma
+        assert abs(rate - one_sided) > 5 * sigma
+
     def test_rejected_run_has_no_coin(self):
         rng = np.random.default_rng(4)
         config = SessionConfig(4, noise=NoiseModel(0.3))
