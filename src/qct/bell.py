@@ -11,6 +11,9 @@ engine itself never touches amplitudes.
 `swap_outcomes` is the batched form of one swap: it draws the outcomes and
 residuals of many independent swaps of the same two pairs in one array
 pass, from the same draws `EntangledMatching.measure_pair` would consume.
+`schedule_outcomes` is the batched form of a whole measurement schedule: a
+frame of one ``partner``/``label`` int row per schedule, where one Bell
+measurement is fancy indexing plus XOR across every row at once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "SelfMeasurementError",
     "apply_pauli",
     "parity",
+    "schedule_outcomes",
     "swap_outcomes",
     "total_parity",
 ]
@@ -144,7 +148,58 @@ def swap_outcomes(
     """
     # the default int64 dtype of measure_pair's rng.integers(4): same stream
     outcomes = rng.integers(4, size=size)
-    return outcomes, outcomes ^ (b1.value ^ b2.value)
+    return outcomes, _residual(b1.value, b2.value, outcomes)
+
+
+def _residual(b1, b2, outcome):
+    """Spectator label after swapping pairs in b1 and b2 with `outcome`."""
+    return b1 ^ b2 ^ outcome
+
+
+def schedule_outcomes(
+    labels: np.ndarray, order: np.ndarray, swap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of many measurement schedules, run on int arrays at once.
+
+    Row r starts from pairs ``(2i, 2i + 1)`` labelled ``labels[r, i]`` and
+    Bell-measures particles ``order[r, 2k]`` and ``order[r, 2k + 1]`` at
+    step k. As in `EntangledMatching.measure_pair`, partners return their
+    edge label and consume no draw, while non-partners return ``swap[r, k]``
+    and rewire the two spectators into an edge labelled
+    ``b1 ^ b2 ^ outcome``. After every step, on every row, it checks the
+    invariant of `EntangledMatching.conservation_ok`.
+
+    Returns the outcome label values, shape ``(rows, steps)``, and per row
+    whether the invariant held after every step.
+    """
+    rows, n = labels.shape
+    steps = order.shape[1] // 2
+    if order.shape != (rows, 2 * steps) or swap.shape[0] != rows or steps > n:
+        raise ValueError("labels, order and swap disagree in shape")
+    index = np.arange(2 * n)
+    row = np.arange(rows)[:, None]
+    partner = np.broadcast_to(index ^ 1, (rows, 2 * n)).copy()
+    label = np.repeat(labels, 2, axis=1)
+    initial = np.bitwise_xor.reduce(labels, axis=1)
+    history = np.zeros(rows, dtype=labels.dtype)
+    outcomes = np.empty((rows, steps), dtype=labels.dtype)
+    conserved = np.ones(rows, dtype=bool)
+    for k in range(steps):
+        u, v = order[:, 2 * k : 2 * k + 1], order[:, 2 * k + 1 : 2 * k + 2]
+        pu, pv = partner[row, u], partner[row, v]
+        b1, b2 = label[row, u], label[row, v]
+        outcome = np.where(pu == v, b1, swap[:, k : k + 1])
+        # on partner rows the spectators are v and u themselves, zeroed below
+        partner[row, pu], partner[row, pv] = pv, pu
+        label[row, pu] = label[row, pv] = _residual(b1, b2, outcome)
+        # measured particles keep label 0: no schedule measures them again
+        label[row, u] = label[row, v] = 0
+        outcomes[:, k] = outcome[:, 0]
+        history ^= outcomes[:, k]
+        # each live edge once: at its lower end
+        live = np.bitwise_xor.reduce(np.where(partner > index, label, 0), axis=1)
+        conserved &= (live ^ history) == initial
+    return outcomes, conserved
 
 
 class Party(str, Enum):

@@ -9,10 +9,21 @@ conservation on random maximal measurement schedules in engine and oracle
 alike. `run_all` powers the `verify` CLI subcommand.
 
 The sampled-distribution check draws through the batched samplers
-`bell.swap_outcomes` and `oracle.bell_sample`, which the tests replay
-against `EntangledMatching.measure_pair` and `oracle.bell_measure_collapse`
-on identical draws. The residual and parity-conservation checks run
-through those scalar reference paths themselves.
+`bell.swap_outcomes` and `oracle.bell_sample`, and the parity-conservation
+checks run their schedules through the batched kernels
+`bell.schedule_outcomes` and `oracle.schedule_outcomes`; the tests replay
+all four against `EntangledMatching.measure_pair` and
+`oracle.bell_measure_collapse` on identical draws. The residual check runs
+through `bell_measure_collapse` itself.
+
+Stream contract of the parity checks: each draws from ``session_rng(seed)``,
+pair count n = 1, 2, ... in turn, in chunks of S schedules (ENGINE_CHUNK
+for the engine; ORACLE_CHUNK_AMPLITUDES // 4**n, at least 1, for the
+oracle). Per chunk it draws the labels, ``(S, n)`` int8; then the
+schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
+consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
+int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
+random permutation read in pairs is a uniform random maximal schedule.
 
 The residual-rule check accepts a fault injection that corrupts the
 engine's answer on purpose; it must then fail, proving the suite can catch
@@ -27,14 +38,11 @@ import numpy as np
 
 from .bell import (
     BellLabel,
-    EntangledMatching,
-    ParticleId,
-    Party,
     PauliLabel,
     apply_pauli,
     swap_outcomes,
-    total_parity,
 )
+from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
     apply_pauli_gate,
@@ -43,11 +51,15 @@ from .oracle import (
     bell_sample,
     prepare_pairs,
 )
+from .oracle import schedule_outcomes as oracle_schedule_outcomes
 from .seeding import session_rng
 
-# Draws per batched sampler call in the sampled swap check: memory stays
-# flat in the sample count.
+# Draws per batched sampler call in the sampled swap check, schedules per
+# engine kernel call and amplitudes per oracle kernel call in the parity
+# checks: memory stays flat in the sample and schedule counts.
 SAMPLE_CHUNK = 8192
+ENGINE_CHUNK = 1024
+ORACLE_CHUNK_AMPLITUDES = 2048
 
 __all__ = [
     "CheckResult",
@@ -218,48 +230,71 @@ def _require_schedules(max_pairs: int, sequences: int) -> None:
         raise ValueError(f"sequences must be at least 1 (got {sequences})")
 
 
-def _random_labels(rng: np.random.Generator, n: int) -> list[BellLabel]:
-    return [BellLabel(int(x)) for x in rng.integers(4, size=n)]
+def _parity(values: np.ndarray) -> np.ndarray:
+    """hi XOR lo of label values, elementwise."""
+    return (values ^ (values >> 1)) & 1
+
+
+def _schedule_check(
+    name: str,
+    max_pairs: int,
+    sequences: int,
+    seed: int,
+    chunk_rows,
+    run,
+) -> CheckResult | None:
+    """Draw ``chunk_rows(n)`` schedules at a time per pair count n, as the
+    module's stream contract says, and run each chunk through
+    ``run(rng, labels, order) -> (outcomes, conserved)``, which draws what
+    its kernel needs next. The first failing schedule's result, or None if
+    every schedule conserves parity."""
+    _require_schedules(max_pairs, sequences)
+    rng = session_rng(seed)
+    for n in range(1, max_pairs + 1):
+        rows = chunk_rows(n)
+        for start in range(0, sequences, rows):
+            size = min(rows, sequences - start)
+            labels = rng.integers(4, size=(size, n), dtype=np.int8)
+            order = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (size, 1)), axis=1)
+            order = np.sort(order.reshape(size, n, 2), axis=2).reshape(size, 2 * n)
+            outcomes, conserved = run(rng, labels, order)
+            same = _parity(np.bitwise_xor.reduce(outcomes, axis=1)) == _parity(
+                np.bitwise_xor.reduce(labels, axis=1)
+            )
+            failed = np.flatnonzero(~(conserved & same))
+            if failed.size:
+                r = failed[0]
+                if not conserved[r]:
+                    return CheckResult(name, False, f"invariant broke at n={n}")
+                row = [BellLabel(int(x)) for x in labels[r]]
+                return CheckResult(name, False, f"parity mismatch at n={n}: {row}")
+    return None
 
 
 def check_parity_conservation_engine(
     max_pairs: int = 4, sequences: int = 1000, seed: int = 20_26
 ) -> CheckResult:
     """Random maximal measurement schedules on random labels: the XOR of
-    outcome parities must equal the XOR of initial parities, exactly."""
-    _require_schedules(max_pairs, sequences)
-    rng = session_rng(seed)
-    checked = 0
-    for n in range(1, max_pairs + 1):
-        for _ in range(sequences):
-            labels = _random_labels(rng, n)
-            particles = [ParticleId(Party.ALICE, i) for i in range(1, 2 * n + 1)]
-            matching = EntangledMatching(
-                [(particles[2 * i], particles[2 * i + 1], labels[i]) for i in range(n)]
-            )
-            initial = total_parity(labels)
-            live = list(particles)
-            outcomes = []
-            while live:
-                i, j = sorted(rng.choice(len(live), size=2, replace=False))
-                u, v = live[i], live[j]
-                outcomes.append(matching.measure_pair(u, v, rng))
-                del live[j], live[i]
-                if not matching.conservation_ok():
-                    return CheckResult(
-                        "parity-conservation-engine", False, f"invariant broke at n={n}"
-                    )
-            if total_parity(outcomes) != initial:
-                return CheckResult(
-                    "parity-conservation-engine",
-                    False,
-                    f"parity mismatch at n={n}: {labels}",
-                )
-            checked += 1
-    return CheckResult(
+    outcome parities must equal the XOR of initial parities, exactly.
+
+    Runs `bell.schedule_outcomes` ENGINE_CHUNK schedules at a time; each
+    chunk's swap outcomes, ``(S, n)`` int8, follow its schedules in the
+    stream. The kernel also checks the matching's conservation invariant
+    after every step of every schedule.
+    """
+
+    def run(rng, labels, order):
+        return engine_schedule_outcomes(
+            labels, order, rng.integers(4, size=labels.shape, dtype=np.int8)
+        )
+
+    failure = _schedule_check(
+        "parity-conservation-engine", max_pairs, sequences, seed, lambda n: ENGINE_CHUNK, run
+    )
+    return failure or CheckResult(
         "parity-conservation-engine",
         True,
-        f"{checked} random maximal schedules up to {max_pairs} pairs, exact",
+        f"{max_pairs * sequences} random maximal schedules up to {max_pairs} pairs, exact",
     )
 
 
@@ -267,34 +302,30 @@ def check_parity_conservation_oracle(
     max_pairs: int = 4, sequences: int = 250, seed: int = 20_26
 ) -> CheckResult:
     """Same conservation law on the statevector: measure random disjoint
-    qubit pairs to exhaustion; sampled branch outcomes must satisfy it."""
-    _require_schedules(max_pairs, sequences)
-    rng = session_rng(seed)
-    checked = 0
-    for n in range(1, max_pairs + 1):
-        for _ in range(sequences):
-            labels = _random_labels(rng, n)
-            state = prepare_pairs(labels)
-            initial = total_parity(labels)
-            live = list(range(2 * n))
-            outcomes = []
-            while live:
-                i, j = sorted(rng.choice(len(live), size=2, replace=False))
-                q1, q2 = live[i], live[j]
-                outcome, state = bell_measure_collapse(state, q1, q2, rng)
-                outcomes.append(outcome)
-                del live[j], live[i]
-            if total_parity(outcomes) != initial:
-                return CheckResult(
-                    "parity-conservation-oracle",
-                    False,
-                    f"parity mismatch at n={n}: {labels}",
-                )
-            checked += 1
-    return CheckResult(
+    qubit pairs to exhaustion; sampled branch outcomes must satisfy it.
+
+    Runs `oracle.schedule_outcomes` on chunks of about
+    ORACLE_CHUNK_AMPLITUDES amplitudes (at least one schedule); each
+    chunk's collapse uniforms, ``(S, n)`` float64, follow its schedules in
+    the stream.
+    """
+
+    def run(rng, labels, order):
+        outcomes, _ = oracle_schedule_outcomes(labels, order, rng.random(labels.shape))
+        return outcomes, np.ones(len(labels), dtype=bool)
+
+    failure = _schedule_check(
+        "parity-conservation-oracle",
+        max_pairs,
+        sequences,
+        seed,
+        lambda n: max(1, ORACLE_CHUNK_AMPLITUDES >> (2 * n)),
+        run,
+    )
+    return failure or CheckResult(
         "parity-conservation-oracle",
         True,
-        f"{checked} random maximal schedules up to {max_pairs} pairs, exact per branch",
+        f"{max_pairs * sequences} random maximal schedules up to {max_pairs} pairs, exact per branch",
     )
 
 

@@ -12,6 +12,9 @@ state; `bell_sample` draws many outcomes of the same measurement on one
 state from a single Born distribution. Both map a uniform draw to an
 outcome through `_outcomes_of`, so `bell_sample(state, q1, q2, rng, k)`
 returns exactly the outcomes of k successive collapses of `state`.
+`schedule_outcomes` runs whole measurement schedules on a batch of
+product states, one gathered collapse per step for every row, with the
+same outcome rule and the same normalisation check as a `QuantumState`.
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -32,6 +35,7 @@ __all__ = [
     "bell_distribution",
     "bell_measure_collapse",
     "bell_sample",
+    "schedule_outcomes",
     "apply_pauli_gate",
     "bell_vector",
 ]
@@ -65,6 +69,15 @@ def bell_vector(label: BellLabel) -> np.ndarray:
     return _BELL_MATRIX[label.value].copy()
 
 
+def _require_normalized(amplitudes: np.ndarray) -> None:
+    """Raise unless every row (last axis) has |psi|^2 within 1e-9 of 1; a
+    NaN norm fails too."""
+    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True)
+    bad = ~(np.abs(norms - 1.0) <= 1e-9)
+    if bad.any():
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(norms[bad][0])}")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Immutable n-qubit statevector with 2**n amplitudes."""
@@ -77,9 +90,7 @@ class QuantumState:
             raise ValueError(f"qubit_count must be in 1..{MAX_QUBITS}")
         if self.amplitudes.shape != (2**self.qubit_count,):
             raise ValueError("amplitude vector has the wrong length")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
+        _require_normalized(self.amplitudes)
 
     def probability_of(self, basis_index: int) -> float:
         return float(np.abs(self.amplitudes[basis_index]) ** 2)
@@ -116,11 +127,22 @@ def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray
     return coeffs, np.sum(np.abs(coeffs) ** 2, axis=1).real
 
 
+# Born probabilities at or below this are rounding residue of an exact zero
+# (an amplitude of a few ulps gives ~1e-33), not a branch that can occur.
+_RESIDUE = 1e-12
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Cumulative Born probabilities along the last axis, with rounding
+    residue counted as zero."""
+    return np.cumsum(np.where(probs > _RESIDUE, probs, 0.0), axis=-1)
+
+
 def _outcomes_of(probs: np.ndarray, uniforms):
     """Outcome index for each uniform in [0, 1): the first index whose
     cumulative probability exceeds ``u * total``, so a zero-probability
-    branch is never chosen."""
-    cumulative = np.cumsum(probs)
+    branch is never chosen, not even at u = 0."""
+    cumulative = _cumulative(probs)
     return np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
 
 
@@ -163,6 +185,66 @@ def bell_sample(
     distribution and one array of `size` uniforms.
     """
     return _outcomes_of(bell_distribution(state, q1, q2), rng.random(size))
+
+
+def _pair_indices(qubits: int, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Basis indices of each row's (q1, q2) view: ``[r, 2a + b, j]`` is the
+    index with qubit q1 = a, qubit q2 = b and the other qubits spelling j
+    in order, as `_pair_view` lays them out."""
+    bit1 = qubits - 1 - q1.astype(np.intp)[:, None]
+    bit2 = qubits - 1 - q2.astype(np.intp)[:, None]
+    low, high = np.minimum(bit1, bit2), np.maximum(bit1, bit2)
+    rest = np.arange(2 ** (qubits - 2))[None, :]
+    # open a zero bit at `low`, then one at `high`
+    rest = ((rest >> low) << (low + 1)) | (rest & ((1 << low) - 1))
+    rest = ((rest >> high) << (high + 1)) | (rest & ((1 << high) - 1))
+    pair = np.arange(4)[None, :, None]
+    return rest[:, None, :] | ((pair >> 1) << bit1[:, :, None]) | ((pair & 1) << bit2[:, :, None])
+
+
+def schedule_outcomes(
+    labels: np.ndarray, order: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes of many measurement schedules on the statevector, batched.
+
+    Row r starts from ``prepare_pairs(labels[r])`` and Bell-measures qubits
+    ``order[r, 2k]`` and ``order[r, 2k + 1]`` at step k, collapsing on the
+    outcome picked by ``uniforms[r, k]``. Each step makes one gather of
+    every row's pair view and agrees with `bell_measure_collapse` on the
+    same uniform: the same Born probabilities, the same `_outcomes_of`
+    rule (a zero-probability branch is never chosen) and the same
+    normalisation check on every row.
+
+    Returns the outcome label values, shape ``(rows, steps)``, and the
+    collapsed amplitudes, shape ``(rows, 4**n)``.
+    """
+    rows, n = labels.shape
+    steps = order.shape[1] // 2
+    if order.shape != (rows, 2 * steps) or uniforms.shape[0] != rows or steps > n:
+        raise ValueError("labels, order and uniforms disagree in shape")
+    if 2 * n > MAX_QUBITS:
+        raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
+    amps = np.ones((rows, 1), dtype=np.complex128)
+    for i in range(n):  # np.kron's outer product, row by row
+        amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
+    _require_normalized(amps)
+    row = np.arange(rows)
+    outcomes = np.empty((rows, steps), dtype=labels.dtype)
+    for k in range(steps):
+        where = _pair_indices(2 * n, order[:, 2 * k], order[:, 2 * k + 1])
+        coeffs = _BELL_MATRIX.conj() @ amps[row[:, None, None], where]
+        probs = np.sum(np.abs(coeffs) ** 2, axis=2).real
+        cumulative = _cumulative(probs)
+        # searchsorted(side="right") of each row, as in _outcomes_of
+        outcome = np.sum(cumulative <= uniforms[:, k : k + 1] * cumulative[:, -1:], axis=1)
+        p = probs[row, outcome]
+        projected = (
+            _BELL_MATRIX[outcome][:, :, None] * coeffs[row, outcome][:, None, :]
+        ) / np.sqrt(p)[:, None, None]
+        amps[row[:, None, None], where] = projected
+        _require_normalized(amps)
+        outcomes[:, k] = outcome
+    return outcomes, amps
 
 
 def apply_pauli_gate(state: QuantumState, pauli: PauliLabel, qubit: int) -> QuantumState:

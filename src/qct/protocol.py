@@ -91,11 +91,17 @@ class Sequence:
     """Transmission order: order[slot - 1] = 1-based pair index in that slot."""
 
     order: tuple[int, ...]
+    # _slots[pair - 1] = slot of pair: the inverse permutation, for O(1) slot_of
+    _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.order)
         if n == 0 or sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
+        slots = [0] * n
+        for slot, pair in enumerate(self.order, start=1):
+            slots[pair - 1] = slot
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -106,7 +112,9 @@ class Sequence:
 
     def slot_of(self, pair: int) -> int:
         """1-based slot in which `pair` travels."""
-        return self.order.index(pair) + 1
+        if not 1 <= pair <= len(self._slots):
+            raise ValueError(f"pair {pair} is not in 1..{len(self._slots)}")
+        return self._slots[pair - 1]
 
     @classmethod
     def identity(cls, n: int) -> "Sequence":

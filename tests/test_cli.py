@@ -253,11 +253,18 @@ class TestVerify:
     )
     def test_default_output_pinned(self, capsys, extra, golden, want_code):
         # bytes of the scalar collapse-loop implementation at its defaults;
-        # the batched samplers draw the same stream, so nothing may move
+        # the batched samplers draw the same stream and pass details do not
+        # depend on the draws, so nothing may move
         code, out, _ = _run_inproc(["verify", "--seed", "2026", "--format", "json", *extra],
                                    capsys)
         assert code == want_code
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_sixteen_qubit_schedules_exit_zero(self, capsys):
+        code, out, _ = _run_inproc(["verify", "--seed", "0", "--samples", "20000",
+                                    "--max-pairs", "8", "--sequences", "4"], capsys)
+        assert code == 0
+        assert "PASS parity-conservation-oracle: 8 random maximal schedules up to 8 pairs" in out
 
     @pytest.mark.parametrize(
         "argv, message",

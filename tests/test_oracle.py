@@ -10,6 +10,7 @@ from qct.oracle import (
     apply_pauli_gate,
     bell_distribution,
     bell_measure_collapse,
+    bell_sample,
     bell_vector,
     prepare_pairs,
 )
@@ -48,6 +49,8 @@ class TestPreparation:
             QuantumState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), 2)
         with pytest.raises(ValueError):
             QuantumState(np.zeros(3, dtype=complex), 2)
+        with pytest.raises(ValueError, match="nan"):
+            QuantumState(np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex), 2)
 
 
 class TestDistribution:
@@ -108,6 +111,21 @@ class TestCollapse:
         for _ in range(500):
             outcome, _ = bell_measure_collapse(state, 0, 1, rng)
             assert outcome is BellLabel.PHI_MINUS
+
+    @pytest.mark.parametrize("first", list(BellLabel))
+    @pytest.mark.parametrize("second", list(BellLabel))
+    def test_rounding_residue_never_sampled_at_zero_uniform(self, first, second):
+        # Phi- (x) Phi+ gives Phi+ a Born probability of ~1e-33 on the first
+        # pair, not 0; a uniform of exactly 0.0 must still land on the pair's
+        # own label, on either pair, through both samplers
+        class ZeroRng:
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        state = prepare_pairs([first, second])
+        for (q1, q2), label in (((0, 1), first), ((2, 3), second)):
+            assert bell_measure_collapse(state, q1, q2, ZeroRng())[0] is label
+            assert bell_sample(state, q1, q2, ZeroRng(), 3).tolist() == [label.value] * 3
 
 
 class TestResidualRuleCertification:

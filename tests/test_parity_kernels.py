@@ -1,0 +1,304 @@
+"""Batched parity-conservation kernels replayed against their scalar references.
+
+`bell.schedule_outcomes` must return exactly the outcomes of
+`EntangledMatching.measure_pair` fed the same swap draws, with
+`conservation_ok()` true after every step, and `oracle.schedule_outcomes`
+exactly the outcomes of successive `bell_measure_collapse` calls fed the
+same uniforms, with the same collapsed amplitudes. The parity checks in
+`crosscheck` must draw their documented stream, give the same verdict at
+every chunk boundary, stay bounded in memory and catch a broken kernel.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qct import bell, crosscheck, oracle
+from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
+from qct.crosscheck import (
+    ENGINE_CHUNK,
+    ORACLE_CHUNK_AMPLITUDES,
+    CheckResult,
+    check_parity_conservation_engine,
+    check_parity_conservation_oracle,
+)
+from qct.oracle import bell_measure_collapse, prepare_pairs
+from qct.seeding import session_rng
+
+
+class StepRng:
+    """Serves one recorded draw to one scalar measurement and records
+    whether it was asked for."""
+
+    def __init__(self, value):
+        self.value, self.used = value, False
+
+    def integers(self, high):
+        assert high == 4 and not self.used
+        self.used = True
+        return int(self.value)
+
+    def random(self):
+        assert not self.used
+        self.used = True
+        return float(self.value)
+
+
+def schedules(rng, rows, n, partner_first=False):
+    """Labels and schedules as the parity checks draw them; with
+    partner_first every schedule opens on one of the initial pairs."""
+    labels = rng.integers(4, size=(rows, n), dtype=np.int8)
+    order = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (rows, 1)), axis=1)
+    if partner_first:
+        first = 2 * rng.integers(n, size=rows)
+        order = np.array([
+            [f, f + 1, *(q for q in row if q not in (f, f + 1))]
+            for f, row in zip(first, order)
+        ], dtype=np.int8)
+    order = np.sort(order.reshape(rows, n, 2), axis=2).reshape(rows, 2 * n)
+    return labels, order
+
+
+def matching_outcomes(labels, order, swap):
+    """Outcomes of `measure_pair` on each row, checking the invariant after
+    every step and that only swaps consume a draw."""
+    rows, n = labels.shape
+    particles = [ParticleId(Party.ALICE, i) for i in range(1, 2 * n + 1)]
+    outcomes = np.empty((rows, order.shape[1] // 2), dtype=np.int8)
+    for r in range(rows):
+        matching = EntangledMatching(
+            [(particles[2 * i], particles[2 * i + 1], BellLabel(int(labels[r, i])))
+             for i in range(n)]
+        )
+        for k in range(outcomes.shape[1]):
+            u, v = particles[order[r, 2 * k]], particles[order[r, 2 * k + 1]]
+            partners = matching.partner_of(u) == v
+            rng = StepRng(swap[r, k])
+            outcomes[r, k] = matching.measure_pair(u, v, rng).value
+            assert rng.used is not partners
+            assert matching.conservation_ok()
+    return outcomes
+
+
+def collapse_outcomes(labels, order, uniforms):
+    """Outcomes and final amplitudes of successive `bell_measure_collapse`
+    calls on each row, one recorded uniform per call."""
+    outcomes = np.empty((len(labels), order.shape[1] // 2), dtype=np.int8)
+    states = []
+    for r in range(len(labels)):
+        state = prepare_pairs([BellLabel(int(x)) for x in labels[r]])
+        for k in range(outcomes.shape[1]):
+            rng = StepRng(uniforms[r, k])
+            outcome, state = bell_measure_collapse(
+                state, int(order[r, 2 * k]), int(order[r, 2 * k + 1]), rng
+            )
+            assert rng.used
+            outcomes[r, k] = outcome.value
+        states.append(state.amplitudes)
+    return outcomes, np.array(states)
+
+
+def edge_uniforms(rng, shape):
+    """Uniforms with the ends of [0, 1) mixed in, where a loose outcome rule
+    would pick a zero-probability branch."""
+    uniforms = rng.random(shape)
+    uniforms[rng.random(shape) < 0.2] = 0.0
+    uniforms[rng.random(shape) < 0.2] = np.nextafter(1.0, 0.0)
+    return uniforms
+
+
+class TestEngineKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 30), st.booleans(), st.integers(0, 2**32))
+    def test_replays_measure_pair(self, n, rows, partner_first, seed):
+        rng = np.random.default_rng(seed)
+        labels, order = schedules(rng, rows, n, partner_first)
+        swap = rng.integers(4, size=(rows, n), dtype=np.int8)
+        outcomes, conserved = bell.schedule_outcomes(labels, order, swap)
+        assert conserved.all()
+        assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
+
+    def test_partner_schedules_return_the_labels(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(4, size=(50, 6), dtype=np.int8)
+        order = np.tile(np.arange(12, dtype=np.int8), (50, 1))
+        swap = rng.integers(4, size=(50, 6), dtype=np.int8)
+        outcomes, conserved = bell.schedule_outcomes(labels, order, swap)
+        assert conserved.all()
+        assert outcomes.tolist() == labels.tolist()
+
+    def test_shape_mismatch(self):
+        labels = np.zeros((2, 2), dtype=np.int8)
+        with pytest.raises(ValueError):
+            bell.schedule_outcomes(labels, np.zeros((3, 4), dtype=np.int8), labels)
+
+
+class TestOracleKernel:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5), st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+    def test_replays_collapse(self, n, rows, partner_first, seed):
+        rng = np.random.default_rng(seed)
+        labels, order = schedules(rng, rows, n, partner_first)
+        uniforms = edge_uniforms(rng, (rows, n))
+        # every prefix of the schedule: the amplitudes agree after each step
+        for steps in range(1, n + 1):
+            outcomes, amps = oracle.schedule_outcomes(labels, order[:, : 2 * steps], uniforms)
+            want, states = collapse_outcomes(labels, order[:, : 2 * steps], uniforms)
+            assert outcomes.tolist() == want.tolist()
+            assert np.allclose(amps, states, rtol=0.0, atol=1e-12)
+
+    def test_partner_first_never_leaves_the_label(self):
+        # the first measurement is a point mass on the pair's label: the
+        # other branches have probability zero and must never be drawn
+        rng = np.random.default_rng(11)
+        labels, order = schedules(rng, 200, 3, partner_first=True)
+        uniforms = edge_uniforms(rng, (200, 3))
+        outcomes, _ = oracle.schedule_outcomes(labels, order, uniforms)
+        first = order[:, 0] // 2
+        assert outcomes[:, 0].tolist() == labels[np.arange(200), first].tolist()
+        assert outcomes.tolist() == collapse_outcomes(labels, order, uniforms)[0].tolist()
+
+    def test_normalisation_checked_on_every_row_after_every_step(self, monkeypatch):
+        amps = np.full((3, 4), 0.5, dtype=complex)
+        oracle._require_normalized(amps)
+        for bad in (0.6, np.nan):
+            amps[1, 0] = bad
+            with pytest.raises(ValueError, match="state is not normalized"):
+                oracle._require_normalized(amps)
+        checked = []
+        monkeypatch.setattr(oracle, "_require_normalized", checked.append)
+        rng = np.random.default_rng(2)
+        labels, order = schedules(rng, 5, 3)
+        oracle.schedule_outcomes(labels, order, rng.random((5, 3)))
+        # the prepared batch, then the batch after each of the three steps
+        assert [a.shape for a in checked] == [(5, 64)] * 4
+
+
+def check_stream(seed, max_pairs, sequences, chunk_rows, draw):
+    """A parity check's draws, chunk by chunk, read as the stream contract
+    says; `draw(rng, shape)` gives the kernel's own draws."""
+    rng = session_rng(seed)
+    for n in range(1, max_pairs + 1):
+        for start in range(0, sequences, chunk_rows(n)):
+            rows = min(chunk_rows(n), sequences - start)
+            labels, order = schedules(rng, rows, n)
+            yield labels, order, draw(rng, (rows, n))
+
+
+def engine_stream(seed, max_pairs, sequences):
+    return check_stream(seed, max_pairs, sequences, lambda n: ENGINE_CHUNK,
+                        lambda rng, shape: rng.integers(4, size=shape, dtype=np.int8))
+
+
+def oracle_stream(seed, max_pairs, sequences, amplitudes):
+    return check_stream(seed, max_pairs, sequences, lambda n: max(1, amplitudes >> (2 * n)),
+                        lambda rng, shape: rng.random(shape))
+
+
+def recording(monkeypatch, name):
+    """Wrap the kernel crosscheck calls under `name`, recording its inputs."""
+    calls = []
+    kernel = getattr(crosscheck, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(crosscheck, name, wrapped)
+    return calls
+
+
+def assert_same_draws(calls, stream):
+    stream = list(stream)
+    assert len(calls) == len(stream)
+    for got, want in zip(calls, stream):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sequences", [ENGINE_CHUNK - 1, ENGINE_CHUNK, ENGINE_CHUNK + 1])
+def test_engine_check_chunks(monkeypatch, sequences):
+    calls = recording(monkeypatch, "engine_schedule_outcomes")
+    result = check_parity_conservation_engine(max_pairs=3, sequences=sequences, seed=9)
+    assert result == CheckResult(
+        "parity-conservation-engine",
+        True,
+        f"{3 * sequences} random maximal schedules up to 3 pairs, exact",
+    )
+    assert_same_draws(calls, engine_stream(9, 3, sequences))
+    for labels, order, swap in calls:
+        outcomes, _ = bell.schedule_outcomes(labels, order, swap)
+        assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
+
+
+# 64 amplitudes give chunks of 16, 4 and 1 schedules at n = 1, 2, 3
+@pytest.mark.parametrize("amplitudes", [64, ORACLE_CHUNK_AMPLITUDES])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_oracle_check_chunks(monkeypatch, amplitudes, offset):
+    monkeypatch.setattr(crosscheck, "ORACLE_CHUNK_AMPLITUDES", amplitudes)
+    max_pairs = 3 if amplitudes == 64 else 1
+    sequences = (amplitudes >> 2) + offset
+    calls = recording(monkeypatch, "oracle_schedule_outcomes")
+    result = check_parity_conservation_oracle(max_pairs=max_pairs, sequences=sequences, seed=9)
+    assert result == CheckResult(
+        "parity-conservation-oracle",
+        True,
+        f"{max_pairs * sequences} random maximal schedules up to {max_pairs} pairs, "
+        "exact per branch",
+    )
+    assert_same_draws(calls, oracle_stream(9, max_pairs, sequences, amplitudes))
+    for labels, order, uniforms in calls:
+        outcomes, _ = oracle.schedule_outcomes(labels, order, uniforms)
+        assert outcomes.tolist() == collapse_outcomes(labels, order, uniforms)[0].tolist()
+
+
+class TestNegativeControls:
+    # a flip by 3 keeps every parity, so only the per-step invariant sees it
+    @pytest.mark.parametrize("flip", [1, 2, 3])
+    def test_wrong_residual_breaks_the_engine_check(self, monkeypatch, flip):
+        monkeypatch.setattr(bell, "_residual", lambda b1, b2, outcome: b1 ^ b2 ^ outcome ^ flip)
+        result = check_parity_conservation_engine(max_pairs=3, sequences=50)
+        # n = 1 has no swaps, so the first broken schedule has two pairs
+        assert result == CheckResult("parity-conservation-engine", False, "invariant broke at n=2")
+
+    def test_wrong_outcome_mapping_breaks_the_oracle_check(self, monkeypatch):
+        kernel = crosscheck.oracle_schedule_outcomes
+
+        def psi_swapped(*args):  # reports Psi+ as Psi- and back
+            outcomes, amps = kernel(*args)
+            return outcomes ^ (outcomes >> 1), amps
+
+        monkeypatch.setattr(crosscheck, "oracle_schedule_outcomes", psi_swapped)
+        result = check_parity_conservation_oracle(max_pairs=3, sequences=50)
+        # at n = 1 the outcome is the label: the first Psi label fails
+        labels = next(oracle_stream(20_26, 1, 50, ORACLE_CHUNK_AMPLITUDES))[0][:, 0]
+        first = BellLabel(int(labels[labels >= 2][0]))
+        assert result == CheckResult(
+            "parity-conservation-oracle", False, f"parity mismatch at n=1: [{first!r}]"
+        )
+
+
+def traced_peak(call):
+    """The call's result and the peak of traced allocations during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_check_memory_bounded_at_sixteen_qubits():
+    # one 16-qubit state is 1 MiB of amplitudes; a batch of the 250 oracle
+    # schedules the CLI's default --sequences 1000 gives would need ~250 MB
+    result, peak = traced_peak(lambda: check_parity_conservation_oracle(max_pairs=8, sequences=2))
+    assert result.passed
+    assert peak < 8 * 2**20
+
+
+def test_engine_check_memory_flat_in_schedules():
+    _, small = traced_peak(lambda: check_parity_conservation_engine(sequences=1_000))
+    _, large = traced_peak(lambda: check_parity_conservation_engine(sequences=100_000))
+    assert large <= 2 * small

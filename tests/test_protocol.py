@@ -45,6 +45,17 @@ class TestSequence:
         assert seq.slot_of(2) == 1
         assert seq.slot_of(1) == 3
 
+    def test_slot_of_rejects_pairs_outside_range(self):
+        seq = Sequence((2, 3, 1))
+        for pair in (0, 4, -1):
+            with pytest.raises(ValueError, match="not in 1..3"):
+                seq.slot_of(pair)
+
+    def test_inverse_kept_out_of_repr_and_equality(self):
+        assert repr(Sequence((2, 1))) == "Sequence(order=(2, 1))"
+        assert Sequence((2, 1)) == Sequence((2, 1)) != Sequence((1, 2))
+        assert hash(Sequence((2, 1))) == hash(Sequence((2, 1)))
+
     @given(st.permutations(list(range(1, 7))))
     def test_roundtrip(self, perm):
         seq = Sequence(tuple(perm))
