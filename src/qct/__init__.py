@@ -8,6 +8,8 @@ probability and noise-robustness results, and `qct.crosscheck` / `qct.cli`
 wire everything into a verifiable command-line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bell import (
     BellLabel,
     EntangledMatching,
@@ -55,42 +57,8 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
+# The names imported above, each stated once, plus the version.
 __all__ = [
-    "BellLabel",
-    "PauliLabel",
-    "Party",
-    "ParticleId",
-    "EntangledMatching",
-    "apply_pauli",
-    "parity",
-    "total_parity",
-    "NoiseModel",
-    "SessionConfig",
-    "SessionTranscript",
-    "Sequence",
-    "Verdict",
-    "alice_verify",
-    "apply_noise",
-    "run_honest",
-    "toss_from_outcomes",
-    "Strategy",
-    "StrategyKind",
-    "CycleStructure",
-    "ExperimentReport",
-    "cycle_structure",
-    "best_guess_results",
-    "run_reflect_attack",
-    "run_fake_sequence_attack",
-    "run_cheat_experiment",
-    "estimate_pass_probability",
-    "BiasTarget",
-    "RobustnessQuery",
-    "pass_prob_closed_form",
-    "pass_prob_composition_sum",
-    "pass_prob_permutation_model",
-    "min_gamma",
-    "min_pairs_for_threshold",
-    "min_pairs_for_bias",
-    "robustness_ok",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bell import BellLabel, EntangledMatching, Party, PauliLabel
+from .bell import BELL_LABELS, BellLabel, EntangledMatching, Party, PauliLabel
 from .protocol import (
     CoinAnnouncement,
     ParticleBatch,
@@ -43,10 +43,9 @@ from .protocol import (
     Verdict,
     VerdictAnnouncement,
     alice_verify,
-    apply_noise,
-    even_particle,
+    halves,
     initial_edges,
-    odd_particle,
+    measure_records,
     random_sequence,
     toss_from_outcomes,
 )
@@ -153,18 +152,19 @@ def cycle_structure(true_seq: Sequence, claimed_seq: Sequence) -> CycleStructure
     n = len(true_seq)
     if len(claimed_seq) != n:
         raise ValueError("sequences must have equal length")
-    tau = {m: true_seq.pair_at(claimed_seq.slot_of(m)) for m in range(1, n + 1)}
-    seen: set[int] = set()
+    order, slot_of = true_seq.order, claimed_seq.slot_of
+    tau = [0] + [order[slot_of(m) - 1] for m in range(1, n + 1)]  # tau[m] = tau(m)
+    seen = [False] * (n + 1)
     cycles: list[tuple[int, ...]] = []
     for start in range(1, n + 1):
-        if start in seen:
+        if seen[start]:
             continue
         cycle = [start]
-        seen.add(start)
+        seen[start] = True
         nxt = tau[start]
         while nxt != start:
             cycle.append(nxt)
-            seen.add(nxt)
+            seen[nxt] = True
             nxt = tau[nxt]
         cycles.append(tuple(cycle))
     return CycleStructure(tuple(cycles))
@@ -184,16 +184,15 @@ def best_guess_results(
     per-cycle match probability at 4**(1 - length); a fixed point is
     guessed exactly.
     """
-    guess: dict[int, BellLabel] = {}
+    guess = [BellLabel.PHI_PLUS] * cycles.total  # guess[m - 1] for pair m
     for cycle in cycles.cycles:
-        target = targets.get(cycle[0], BellLabel.PHI_PLUS) if targets else BellLabel.PHI_PLUS
-        acc = target.value
+        acc = int(targets.get(cycle[0], BellLabel.PHI_PLUS)) if targets else 0
         for m in cycle[1:]:
             lab = int(rng.integers(4))
             acc ^= lab
-            guess[m] = BellLabel(lab)
-        guess[cycle[0]] = BellLabel(acc)
-    return [guess[m] for m in range(1, cycles.total + 1)]
+            guess[m - 1] = BELL_LABELS[lab]
+        guess[cycle[0] - 1] = BELL_LABELS[acc]
+    return guess
 
 
 class ReflectRun(NamedTuple):
@@ -223,64 +222,51 @@ def run_reflect_attack(
     the flip is what set the total parity - i.e. always.
     """
     n = config.n_pairs
+    odd, even = halves(Party.ALICE, n)
     matching = EntangledMatching(initial_edges(Party.ALICE, n))
 
     alice_seq = random_sequence(n, rng)
     return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
 
     # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
-    arrived = Sequence(tuple(alice_seq.pair_at(int(r) + 1) for r in return_order))
+    arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
     claimed = Sequence.identity(n)
 
+    returned = tuple([odd[m - 1] for m in arrived.order])  # returned[s - 1] in return slot s
     if flip is not PauliLabel.I:
-        matching.apply_pauli(odd_particle(Party.ALICE, arrived.pair_at(1)), flip)
+        matching.apply_pauli(returned[0], flip)
 
     transcript = SessionTranscript(config)
     if record_transcript:
         transcript.append(
-            ParticleBatch(
-                Party.ALICE,
-                tuple(odd_particle(Party.ALICE, alice_seq.pair_at(t)) for t in range(1, n + 1)),
-            )
+            ParticleBatch(Party.ALICE, tuple([odd[m - 1] for m in alice_seq.order]))
         )
-        transcript.append(
-            ParticleBatch(
-                Party.BOB,
-                tuple(odd_particle(Party.ALICE, arrived.pair_at(s)) for s in range(1, n + 1)),
-            )
-        )
+        transcript.append(ParticleBatch(Party.BOB, returned))
         transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
 
     # Alice measures her kept half of pair m against return slot m.
-    alice_results = []
-    for m in range(1, n + 1):
-        outcome = matching.measure_pair(
-            even_particle(Party.ALICE, m),
-            odd_particle(Party.ALICE, arrived.pair_at(m)),
-            rng,
-        )
-        alice_results.append(apply_noise(outcome, config.noise, rng))
+    alice_results = measure_records(matching, even, returned, config.noise, rng)
 
     # Bob now knows tau = arrived o claimed^-1 and fabricates his results.
     cycles = cycle_structure(arrived, claimed)
     targets = None
     if flip is not PauliLabel.I:
-        flipped_pair = arrived.pair_at(1)
+        flipped_pair = arrived.order[0]
         for cycle in cycles.cycles:
             if flipped_pair in cycle:
-                targets = {cycle[0]: BellLabel(flip.value)}
+                targets = {cycle[0]: BELL_LABELS[flip]}
                 break
-    bob_announced = best_guess_results(cycles, rng, targets)
+    bob_announced = tuple(best_guess_results(cycles, rng, targets))
 
     verdict = alice_verify(alice_results, bob_announced)
     coin = toss_from_outcomes(alice_results)
     passed = verdict is Verdict.ACCEPT
 
-    transcript.alice_outcomes = tuple(alice_results)
-    transcript.bob_outcomes = tuple(bob_announced)
+    transcript.alice_outcomes = alice_results
+    transcript.bob_outcomes = bob_announced
     transcript.verdict = verdict
     if record_transcript:
-        transcript.append(ResultsAnnouncement(Party.BOB, tuple(bob_announced)))
+        transcript.append(ResultsAnnouncement(Party.BOB, bob_announced))
         transcript.append(VerdictAnnouncement(Party.ALICE, verdict))
     if passed:
         transcript.coin = coin
@@ -304,29 +290,18 @@ def run_fake_sequence_attack(
     if desired not in (0, 1):
         raise ValueError("desired coin must be 0 or 1")
     n = config.n_pairs
-    matching = EntangledMatching(
-        initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n)
-    )
+    alice_odd, alice_even = halves(Party.ALICE, n)
+    bob_odd, bob_even = halves(Party.BOB, n)
+    matching = EntangledMatching(initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n))
     transcript = SessionTranscript(config)
 
     alice_seq = random_sequence(n, rng)
-    transcript.append(
-        ParticleBatch(
-            Party.ALICE,
-            tuple(odd_particle(Party.ALICE, alice_seq.pair_at(t)) for t in range(1, n + 1)),
-        )
-    )
-    transcript.append(
-        ParticleBatch(Party.BOB, tuple(odd_particle(Party.BOB, m) for m in range(1, n + 1)))
-    )
+    sent = tuple([alice_odd[m - 1] for m in alice_seq.order])  # sent[t - 1] travels in slot t
+    transcript.append(ParticleBatch(Party.ALICE, sent))
+    transcript.append(ParticleBatch(Party.BOB, bob_odd))
 
     # Alice measures before announcing anything.
-    alice_results = []
-    for m in range(1, n + 1):
-        outcome = matching.measure_pair(
-            even_particle(Party.ALICE, m), odd_particle(Party.BOB, m), rng
-        )
-        alice_results.append(apply_noise(outcome, config.noise, rng))
+    alice_results = measure_records(matching, alice_even, bob_odd, config.noise, rng)
     alice_coin = toss_from_outcomes(alice_results)
 
     announced_seq = alice_seq
@@ -340,20 +315,13 @@ def run_fake_sequence_attack(
 
     # Bob trusts the announcement: his kept half of pair m goes against the
     # slot claimed to carry Alice's pair m.
-    bob_results = []
-    for m in range(1, n + 1):
-        slot = announced_seq.slot_of(m)
-        outcome = matching.measure_pair(
-            even_particle(Party.BOB, m),
-            odd_particle(Party.ALICE, alice_seq.pair_at(slot)),
-            rng,
-        )
-        bob_results.append(apply_noise(outcome, config.noise, rng))
+    claimed = [sent[announced_seq.slot_of(m) - 1] for m in range(1, n + 1)]
+    bob_results = measure_records(matching, bob_even, claimed, config.noise, rng)
     bob_coin = toss_from_outcomes(bob_results)
 
-    transcript.alice_outcomes = tuple(alice_results)
-    transcript.bob_outcomes = tuple(bob_results)
-    transcript.append(ResultsAnnouncement(Party.BOB, tuple(bob_results)))
+    transcript.alice_outcomes = alice_results
+    transcript.bob_outcomes = bob_results
+    transcript.append(ResultsAnnouncement(Party.BOB, bob_results))
     # A cheating Alice has nothing to gain from aborting her own attack.
     transcript.verdict = Verdict.ACCEPT
     transcript.append(VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT))

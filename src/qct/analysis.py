@@ -172,5 +172,9 @@ def min_pairs_for_bias(target: BiasTarget) -> int:
     A coin-forcing strategy mixed with honest play wins its preferred value
     with probability at most 1/2 + P/2 once it must survive the results
     check with probability P, so P <= 2*xi suffices for a bias of xi.
+
+    The bound holds against the two modelled attacks (reflection and fake
+    sequence) only, not against every cheater: ideal quantum coin tossing
+    is impossible (Lo & Chau, quant-ph/9711065).
     """
     return min_pairs_for_threshold(2.0 * target.xi)

@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "BELL_LABELS",
     "BellLabel",
     "PauliLabel",
     "Party",
@@ -114,6 +115,12 @@ class PauliLabel(IntEnum):
         return ((self.value >> 1) ^ self.value) & 1
 
 
+# BELL_LABELS[v] is the BellLabel of value v. The engine keeps plain int
+# values and hands out these singletons at its edge.
+BELL_LABELS: tuple[BellLabel, ...] = tuple(BellLabel)
+_PARITY = (0, 1, 1, 0)  # _PARITY[v] = hi XOR lo of label value v
+
+
 def apply_pauli(label: BellLabel, pauli: PauliLabel) -> BellLabel:
     """Label of (pauli on one particle) applied to a pair in `label`.
 
@@ -131,7 +138,7 @@ def total_parity(outcomes: Iterable[BellLabel]) -> int:
     """XOR of the parities of `outcomes`; 0 for an empty collection."""
     acc = 0
     for label in outcomes:
-        acc ^= label.parity
+        acc ^= _PARITY[label]
     return acc
 
 
@@ -260,18 +267,33 @@ class EntangledMatching:
     different edges draws a uniform outcome and rewires the two spectators
     into a fresh edge labelled ``b1 ^ b2 ^ outcome``.
 
+    Edges carry plain int label values; `label_of`, `measure_pair` and
+    `history` hand out the `BellLabel` members.
+
     The XOR of all live edge labels and all recorded outcomes is invariant
     under both operations, which is the conservation law behind the whole
     protocol; `conservation_ok()` checks it in O(edges).
     """
 
     def __init__(self, edges: Iterable[tuple[ParticleId, ParticleId, BellLabel]] = ()):
-        self._edges: dict[ParticleId, tuple[ParticleId, BellLabel]] = {}
+        # particle -> (partner, label value); validated as it is filled
+        table: dict[ParticleId, tuple[ParticleId, int]] = {}
+        initial = 0
+        for u, v, label in edges:
+            if u == v:
+                raise SelfMeasurementError(f"cannot pair {u} with itself")
+            value = int(label)
+            if u in table:
+                raise MatchingError(f"particle {u} already in the matching")
+            table[u] = (v, value)
+            if v in table:
+                raise MatchingError(f"particle {v} already in the matching")
+            table[v] = (u, value)
+            initial ^= value
+        self._edges = table
         self._consumed: set[ParticleId] = set()
         self.history: list[tuple[tuple[ParticleId, ParticleId], BellLabel]] = []
-        self.initial_xor = 0
-        for u, v, label in edges:
-            self.add_pair(u, v, label)
+        self.initial_xor = initial
 
     def add_pair(self, u: ParticleId, v: ParticleId, label: BellLabel) -> None:
         if u == v:
@@ -279,9 +301,10 @@ class EntangledMatching:
         for p in (u, v):
             if p in self._edges or p in self._consumed:
                 raise MatchingError(f"particle {p} already in the matching")
-        self._edges[u] = (v, label)
-        self._edges[v] = (u, label)
-        self.initial_xor ^= label.value
+        value = int(label)
+        self._edges[u] = (v, value)
+        self._edges[v] = (u, value)
+        self.initial_xor ^= value
 
     # -- queries ---------------------------------------------------------
 
@@ -295,15 +318,15 @@ class EntangledMatching:
         return self._require_live(u)[0]
 
     def label_of(self, u: ParticleId) -> BellLabel:
-        return self._require_live(u)[1]
+        return BELL_LABELS[self._require_live(u)[1]]
 
     def live_xor(self) -> int:
         """XOR of the labels of all live edges (each edge counted once)."""
         acc = 0
         seen: set[ParticleId] = set()
-        for u, (v, lab) in self._edges.items():
+        for u, (v, value) in self._edges.items():
             if u not in seen:
-                acc ^= lab.value
+                acc ^= value
                 seen.add(u)
                 seen.add(v)
         return acc
@@ -318,7 +341,7 @@ class EntangledMatching:
         """True iff XOR(live labels) ^ XOR(outcomes) equals the initial XOR."""
         return (self.live_xor() ^ self.history_xor()) == self.initial_xor
 
-    def _require_live(self, u: ParticleId) -> tuple[ParticleId, BellLabel]:
+    def _require_live(self, u: ParticleId) -> tuple[ParticleId, int]:
         entry = self._edges.get(u)
         if entry is None:
             if u in self._consumed:
@@ -330,13 +353,11 @@ class EntangledMatching:
 
     def apply_pauli(self, u: ParticleId, pauli: PauliLabel) -> None:
         """Flip the edge containing `u` by `pauli` (single-particle action)."""
-        if pauli is PauliLabel.I:
-            self._require_live(u)
-            return
-        v, label = self._require_live(u)
-        flipped = apply_pauli(label, pauli)
-        self._edges[u] = (v, flipped)
-        self._edges[v] = (u, flipped)
+        v, value = self._require_live(u)
+        if pauli is not PauliLabel.I:
+            flipped = value ^ int(pauli)
+            self._edges[u] = (v, flipped)
+            self._edges[v] = (u, flipped)
 
     def measure_pair(
         self, u: ParticleId, v: ParticleId, rng: np.random.Generator | None = None
@@ -350,20 +371,23 @@ class EntangledMatching:
         """
         if u == v:
             raise SelfMeasurementError(f"cannot measure {u} against itself")
-        pu, b1 = self._require_live(u)
+        # one lookup per particle; _require_live only raises for a dead one
+        edges = self._edges
+        pu, b1 = edges.get(u) or self._require_live(u)
         if pu == v:
             outcome = b1
-            del self._edges[u], self._edges[v]
+            del edges[u], edges[v]
         else:
-            pv, b2 = self._require_live(v)
+            pv, b2 = edges.get(v) or self._require_live(v)
             if rng is None:
                 raise ValueError("rng is required when measuring non-partners")
-            outcome = BellLabel(int(rng.integers(4)))
-            residual = BellLabel(b1.value ^ b2.value ^ outcome.value)
-            del self._edges[u], self._edges[v]
-            self._edges[pu] = (pv, residual)
-            self._edges[pv] = (pu, residual)
+            outcome = int(rng.integers(4))
+            residual = b1 ^ b2 ^ outcome
+            del edges[u], edges[v]
+            edges[pu] = (pv, residual)
+            edges[pv] = (pu, residual)
         self._consumed.add(u)
         self._consumed.add(v)
-        self.history.append(((u, v), outcome))
-        return outcome
+        label = BELL_LABELS[outcome]
+        self.history.append(((u, v), label))
+        return label

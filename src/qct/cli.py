@@ -132,7 +132,8 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _noise(gamma: float) -> NoiseModel | None:
-    return None if gamma >= 1.0 else NoiseModel(gamma)
+    """No noise at exactly 1; NoiseModel rejects anything outside (0, 1]."""
+    return None if gamma == 1.0 else NoiseModel(gamma)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -219,6 +220,8 @@ def cmd_cheat(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
     seed = _resolve_seed(args.seed)
     rows: list[dict[str, Any]] = []
     for n in range(1, args.n_pairs + 1):
@@ -297,23 +300,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, trials_default: int | None = None) -> None:
-        p.add_argument("--n-pairs", type=int, default=4, help="pairs per party (default 4)")
+    def common(p: argparse.ArgumentParser, n_pairs: bool, gamma: bool) -> None:
+        """Options shared by the commands, --n-pairs and --gamma where read."""
+        if n_pairs:
+            p.add_argument("--n-pairs", type=int, default=4, help="pairs per party (default 4)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: QCT_SEED env var, else 0)")
-        p.add_argument("--gamma", type=float, default=1.0,
-                       help="per-measurement readout survival rate (default 1 = noiseless)")
+        if gamma:
+            p.add_argument("--gamma", type=float, default=1.0,
+                           help="per-measurement readout survival rate in (0, 1] "
+                           "(default 1 = noiseless)")
         p.add_argument("--format", choices=_FORMATS, default="text")
         p.add_argument("--out", default=None, help="also write the output to this path")
-        if trials_default is not None:
-            p.add_argument("--trials", type=int, default=trials_default)
 
     toss = sub.add_parser("toss", help="run one honest session")
-    common(toss)
+    common(toss, n_pairs=True, gamma=True)
     toss.set_defaults(func=cmd_toss)
 
     cheat = sub.add_parser("cheat", help="Monte Carlo evaluation of a cheating strategy")
-    common(cheat, trials_default=10_000)
+    common(cheat, n_pairs=True, gamma=True)
+    cheat.add_argument("--trials", type=int, default=10_000)
     cheat.add_argument("--strategy", choices=("reflect", "fake-seq"), default="reflect")
     cheat.add_argument("--flip", choices=tuple(p.name for p in PauliLabel), default="I",
                        help="Pauli flip for the reflect strategy (forces coin = flip parity)")
@@ -322,13 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cheat.set_defaults(func=cmd_cheat)
 
     analyze = sub.add_parser("analyze", help="tabulate analytical models for N = 1..n-pairs")
-    common(analyze)
+    common(analyze, n_pairs=True, gamma=False)
     analyze.add_argument("--p-threshold", type=float, default=0.01,
                          help="pass-probability bound used for the min-gamma column")
     analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="engine-vs-oracle equivalence suite")
-    common(verify)
+    common(verify, n_pairs=False, gamma=False)
     verify.add_argument("--samples", type=int, default=100_000,
                         help="samples for the TV distribution check (at least 1)")
     verify.add_argument("--sequences", type=int, default=1000,

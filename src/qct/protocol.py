@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence as TypingSequence, Union
 
 import numpy as np
 
-from .bell import BellLabel, EntangledMatching, ParticleId, Party, total_parity
+from .bell import BELL_LABELS, BellLabel, EntangledMatching, ParticleId, Party, total_parity
 from .seeding import session_rng
 
 __all__ = [
@@ -45,9 +45,9 @@ __all__ = [
     "toss_from_outcomes",
     "alice_verify",
     "apply_noise",
+    "halves",
     "initial_edges",
-    "odd_particle",
-    "even_particle",
+    "measure_records",
 ]
 
 
@@ -96,11 +96,15 @@ class Sequence:
 
     def __post_init__(self) -> None:
         n = len(self.order)
-        if n == 0 or sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.order}")
+        pairs = range(1, n + 1)
         slots = [0] * n
         for slot, pair in enumerate(self.order, start=1):
+            if pair not in pairs:
+                break
             slots[pair - 1] = slot
+        # only n distinct pairs of 1..n fill every slot: a repeat leaves one empty
+        if not slots or 0 in slots:
+            raise ValueError(f"not a permutation of 1..{n}: {self.order}")
         object.__setattr__(self, "_slots", tuple(slots))
 
     def __len__(self) -> int:
@@ -122,7 +126,7 @@ class Sequence:
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
-    return Sequence(tuple(int(x) + 1 for x in rng.permutation(n)))
+    return Sequence(tuple([x + 1 for x in rng.permutation(n).tolist()]))
 
 
 @dataclass(frozen=True)
@@ -171,16 +175,18 @@ Message = Union[
     CoinAnnouncement,
 ]
 
-# Fixed phase order; measurements happen between phases 2 and 3 but are not
-# messages. The coin announcement is absent when Alice aborts.
-_PHASES: tuple[tuple[type, Party | None], ...] = (
-    (ParticleBatch, Party.ALICE),
-    (ParticleBatch, Party.BOB),
-    (SequenceAnnouncement, Party.ALICE),
-    (ResultsAnnouncement, Party.BOB),
-    (VerdictAnnouncement, Party.ALICE),
-    (CoinAnnouncement, None),
-)
+# Fixed phase order, as (message type, sender) -> phase index; measurements
+# happen between phases 2 and 3 but are not messages. The coin announcement
+# comes from either party, and is absent when Alice aborts.
+_PHASE_OF: dict[tuple[type, Party], int] = {
+    (ParticleBatch, Party.ALICE): 0,
+    (ParticleBatch, Party.BOB): 1,
+    (SequenceAnnouncement, Party.ALICE): 2,
+    (ResultsAnnouncement, Party.BOB): 3,
+    (VerdictAnnouncement, Party.ALICE): 4,
+    (CoinAnnouncement, Party.ALICE): 5,
+    (CoinAnnouncement, Party.BOB): 5,
+}
 
 PHASE_NAMES = (
     "alice-particles",
@@ -193,10 +199,10 @@ PHASE_NAMES = (
 
 
 def phase_of(message: Message) -> int:
-    for idx, (mtype, sender) in enumerate(_PHASES):
-        if isinstance(message, mtype) and (sender is None or message.sender is sender):
-            return idx
-    raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
+    phase = _PHASE_OF.get((type(message), getattr(message, "sender", None)))
+    if phase is None:
+        raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
+    return phase
 
 
 @dataclass
@@ -216,7 +222,7 @@ class SessionTranscript:
         if phase != expected:
             raise ProtocolOrderError(
                 f"phase {PHASE_NAMES[phase]} out of order: expected "
-                f"{PHASE_NAMES[expected] if expected < len(_PHASES) else 'nothing further'}"
+                f"{PHASE_NAMES[expected] if expected < len(PHASE_NAMES) else 'nothing further'}"
             )
         self.messages.append(message)
 
@@ -255,27 +261,38 @@ def apply_noise(
     replaced by a uniformly chosen different label."""
     if noise is None or noise.gamma >= 1.0 or rng.random() < noise.gamma:
         return outcome
-    return BellLabel(outcome.value ^ int(rng.integers(1, 4)))
+    return BELL_LABELS[int(outcome) ^ int(rng.integers(1, 4))]
 
 
 @lru_cache(maxsize=None)
-def odd_particle(party: Party, pair: int) -> ParticleId:
-    return ParticleId(party, 2 * pair - 1)
+def halves(party: Party, n_pairs: int) -> tuple[tuple[ParticleId, ...], tuple[ParticleId, ...]]:
+    """The party's odd (travelling) and even (kept) halves of its pairs;
+    pair m's halves sit at index m - 1."""
+    pairs = range(1, n_pairs + 1)
+    return (tuple([ParticleId(party, 2 * m - 1) for m in pairs]),
+            tuple([ParticleId(party, 2 * m) for m in pairs]))
 
 
 @lru_cache(maxsize=None)
-def even_particle(party: Party, pair: int) -> ParticleId:
-    return ParticleId(party, 2 * pair)
-
-
 def initial_edges(
     party: Party, n_pairs: int, label: BellLabel = BellLabel.PHI_PLUS
-) -> list[tuple[ParticleId, ParticleId, BellLabel]]:
+) -> tuple[tuple[ParticleId, ParticleId, BellLabel], ...]:
     """The party's n_pairs source pairs: (odd half, even half, label)."""
-    return [
-        (odd_particle(party, m), even_particle(party, m), label)
-        for m in range(1, n_pairs + 1)
-    ]
+    odd, even = halves(party, n_pairs)
+    return tuple([(u, v, label) for u, v in zip(odd, even)])
+
+
+def measure_records(
+    matching: EntangledMatching,
+    kept: TypingSequence[ParticleId],
+    received: TypingSequence[ParticleId],
+    noise: NoiseModel | None,
+    rng: np.random.Generator,
+) -> tuple[BellLabel, ...]:
+    """Bell-measure kept[i] against received[i] in turn; each outcome is
+    recorded through `apply_noise` before the next measurement."""
+    measure = matching.measure_pair
+    return tuple([apply_noise(measure(u, v, rng), noise, rng) for u, v in zip(kept, received)])
 
 
 def run_honest(
@@ -290,45 +307,28 @@ def run_honest(
     if rng is None:
         rng = session_rng(config.seed)
     n = config.n_pairs
-    matching = EntangledMatching(
-        initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n)
-    )
+    alice_odd, alice_even = halves(Party.ALICE, n)
+    bob_odd, bob_even = halves(Party.BOB, n)
+    matching = EntangledMatching(initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n))
     transcript = SessionTranscript(config)
 
     alice_seq = random_sequence(n, rng)
     transcript.append(
-        ParticleBatch(
-            Party.ALICE,
-            tuple(odd_particle(Party.ALICE, alice_seq.pair_at(t)) for t in range(1, n + 1)),
-        )
+        ParticleBatch(Party.ALICE, tuple([alice_odd[m - 1] for m in alice_seq.order]))
     )
-    transcript.append(
-        ParticleBatch(
-            Party.BOB, tuple(odd_particle(Party.BOB, m) for m in range(1, n + 1))
-        )
-    )
+    transcript.append(ParticleBatch(Party.BOB, bob_odd))
     transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
 
     # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
-    # ships in pair order, so slot m is his pair m).
-    alice_results = []
-    for m in range(1, n + 1):
-        outcome = matching.measure_pair(
-            even_particle(Party.ALICE, m), odd_particle(Party.BOB, m), rng
-        )
-        alice_results.append(apply_noise(outcome, config.noise, rng))
-    # Bob: his kept half of pair m against Alice's odd half of pair m,
-    # located through the announced sequence.
-    bob_results = []
-    for m in range(1, n + 1):
-        outcome = matching.measure_pair(
-            even_particle(Party.BOB, m), odd_particle(Party.ALICE, m), rng
-        )
-        bob_results.append(apply_noise(outcome, config.noise, rng))
+    # ships in pair order, so slot m is his pair m). Bob: his kept half of
+    # pair m against Alice's odd half of pair m, located through the
+    # announced sequence.
+    alice_results = measure_records(matching, alice_even, bob_odd, config.noise, rng)
+    bob_results = measure_records(matching, bob_even, alice_odd, config.noise, rng)
 
-    transcript.alice_outcomes = tuple(alice_results)
-    transcript.bob_outcomes = tuple(bob_results)
-    transcript.append(ResultsAnnouncement(Party.BOB, tuple(bob_results)))
+    transcript.alice_outcomes = alice_results
+    transcript.bob_outcomes = bob_results
+    transcript.append(ResultsAnnouncement(Party.BOB, bob_results))
 
     verdict = alice_verify(alice_results, bob_results)
     transcript.verdict = verdict

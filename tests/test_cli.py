@@ -319,6 +319,44 @@ class TestErrors:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["toss", "--gamma", "1.5"],
+         ["toss", "--gamma", "inf"],
+         ["cheat", "--gamma", "2", "--trials", "10"]],
+        ids=["1.5", "inf", "cheat-2"],
+    )
+    def test_gamma_above_one_exits_two(self, capsys, argv):
+        # an error, not a noiseless run
+        code, out, err = _run_inproc(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: gamma must lie in (0, 1]\n"
+
+    def test_gamma_one_is_noiseless(self, capsys):
+        noiseless = _run_inproc(["toss", "--n-pairs", "6", "--seed", "3"], capsys)
+        assert _run_inproc(["toss", "--n-pairs", "6", "--seed", "3", "--gamma", "1.0"],
+                           capsys) == noiseless
+        assert noiseless[0] == 0
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_analyze_without_pairs_exits_two(self, capsys, n):
+        code, out, err = _run_inproc(["analyze", "--n-pairs", n], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_pairs must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n-pairs", "7"], ["verify", "--gamma", "5"], ["analyze", "--gamma", "0.5"]],
+        ids=["verify-n-pairs", "verify-gamma", "analyze-gamma"],
+    )
+    def test_options_a_command_does_not_read_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["toss", "--bogus"])

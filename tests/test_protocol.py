@@ -23,6 +23,7 @@ from qct.protocol import (
     VerdictAnnouncement,
     alice_verify,
     apply_noise,
+    phase_of,
     random_sequence,
     run_honest,
     toss_from_outcomes,
@@ -55,6 +56,23 @@ class TestSequence:
         assert repr(Sequence((2, 1))) == "Sequence(order=(2, 1))"
         assert Sequence((2, 1)) == Sequence((2, 1)) != Sequence((1, 2))
         assert hash(Sequence((2, 1))) == hash(Sequence((2, 1)))
+
+    @given(st.lists(st.integers(-2, 8), max_size=7))
+    def test_rejects_exactly_the_non_permutations(self, order):
+        # the O(N) check against the definition: sorted order is 1..n
+        n = len(order)
+        if n and sorted(order) == list(range(1, n + 1)):
+            assert Sequence(tuple(order)).order == tuple(order)
+        else:
+            with pytest.raises(ValueError) as info:
+                Sequence(tuple(order))
+            assert str(info.value) == f"not a permutation of 1..{n}: {tuple(order)}"
+
+    def test_integer_like_pairs(self):
+        assert Sequence((np.int64(2), np.int64(1))).slot_of(1) == 2
+        assert Sequence((True,)).slot_of(1) == 1
+        with pytest.raises(ValueError):
+            Sequence((True, True))
 
     @given(st.permutations(list(range(1, 7))))
     def test_roundtrip(self, perm):
@@ -146,6 +164,32 @@ class TestTranscriptOrder:
         transcript.append(CoinAnnouncement(Party.ALICE, 0))
         with pytest.raises(ProtocolOrderError):
             transcript.append(CoinAnnouncement(Party.ALICE, 0))
+
+
+class TestPhaseOf:
+    def test_each_message_has_its_phase(self):
+        messages = [
+            ParticleBatch(Party.ALICE, ()),
+            ParticleBatch(Party.BOB, ()),
+            SequenceAnnouncement(Party.ALICE, Sequence((1,))),
+            ResultsAnnouncement(Party.BOB, ()),
+            VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT),
+            CoinAnnouncement(Party.ALICE, 0),
+        ]
+        assert [phase_of(m) for m in messages] == list(range(6))
+        assert phase_of(CoinAnnouncement(Party.BOB, 1)) == 5
+
+    @pytest.mark.parametrize(
+        "message",
+        [SequenceAnnouncement(Party.BOB, Sequence((1,))),
+         ResultsAnnouncement(Party.ALICE, ()),
+         VerdictAnnouncement(Party.BOB, Verdict.REJECT),
+         Sequence((1,))],
+        ids=["bob-sequence", "alice-results", "bob-verdict", "not-a-message"],
+    )
+    def test_misfits_rejected(self, message):
+        with pytest.raises(ProtocolOrderError, match="does not fit any protocol phase"):
+            phase_of(message)
 
 
 class TestHonestRun:
