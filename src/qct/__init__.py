@@ -17,7 +17,6 @@ from .bell import (
     Party,
     PauliLabel,
     apply_pauli,
-    parity,
     total_parity,
 )
 from .protocol import (
@@ -38,7 +37,6 @@ from .adversary import (
     StrategyKind,
     best_guess_results,
     cycle_structure,
-    estimate_pass_probability,
     run_cheat_experiment,
     run_fake_sequence_attack,
     run_reflect_attack,

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bell import BELL_LABELS, BellLabel, EntangledMatching, Party, PauliLabel
+from .bell import BELL_LABELS, BellLabel, Party, PauliLabel
 from .protocol import (
     CoinAnnouncement,
     ParticleBatch,
@@ -43,11 +43,12 @@ from .protocol import (
     Verdict,
     VerdictAnnouncement,
     alice_verify,
-    halves,
-    initial_edges,
-    measure_records,
+    draw_labels,
+    measure_phase,
+    particle_codes,
     random_sequence,
     toss_from_outcomes,
+    travelling,
 )
 from .seeding import BLOCK_TRIALS, block_rng, trial_rng
 
@@ -67,7 +68,6 @@ __all__ = [
     "reflect_kernel",
     "reflect_blocks",
     "ExperimentReport",
-    "estimate_pass_probability",
     "run_cheat_experiment",
     "wilson_interval",
 ]
@@ -184,15 +184,23 @@ def best_guess_results(
     per-cycle match probability at 4**(1 - length); a fixed point is
     guessed exactly.
     """
-    guess = [BellLabel.PHI_PLUS] * cycles.total  # guess[m - 1] for pair m
+    return _guesses(cycles, draw_labels(rng, cycles.total - cycles.group_count), targets)
+
+
+def _guesses(
+    cycles: CycleStructure, labels: list[int], targets: dict[int, int] | None
+) -> list[BellLabel]:
+    """`best_guess_results` with its free guesses taken from `labels`."""
+    guess = [0] * cycles.total  # guess[m - 1] for pair m
+    free = iter(labels)
     for cycle in cycles.cycles:
-        acc = int(targets.get(cycle[0], BellLabel.PHI_PLUS)) if targets else 0
+        acc = int(targets.get(cycle[0], 0)) if targets else 0
         for m in cycle[1:]:
-            lab = int(rng.integers(4))
+            lab = next(free)
             acc ^= lab
-            guess[m - 1] = BELL_LABELS[lab]
-        guess[cycle[0] - 1] = BELL_LABELS[acc]
-    return guess
+            guess[m - 1] = lab
+        guess[cycle[0] - 1] = acc
+    return [BELL_LABELS[g] for g in guess]
 
 
 class ReflectRun(NamedTuple):
@@ -222,50 +230,40 @@ def run_reflect_attack(
     the flip is what set the total parity - i.e. always.
     """
     n = config.n_pairs
-    odd, even = halves(Party.ALICE, n)
-    matching = EntangledMatching(initial_edges(Party.ALICE, n))
+    source, odd, even = particle_codes(n)[:3]
+    partner, label = list(source), [0] * (4 * n)
 
     alice_seq = random_sequence(n, rng)
     return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
 
     # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
     arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
-    claimed = Sequence.identity(n)
+    cycles = cycle_structure(arrived, Sequence.identity(n))
 
-    returned = tuple([odd[m - 1] for m in arrived.order])  # returned[s - 1] in return slot s
-    if flip is not PauliLabel.I:
-        matching.apply_pauli(returned[0], flip)
+    returned = [odd[m - 1] for m in arrived.order]  # returned[s - 1] in return slot s
+    # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
+    label[returned[0]] = label[returned[0] ^ 1] = flip_value = int(flip)
 
-    transcript = SessionTranscript(config)
-    if record_transcript:
-        transcript.append(
-            ParticleBatch(Party.ALICE, tuple([odd[m - 1] for m in alice_seq.order]))
-        )
-        transcript.append(ParticleBatch(Party.BOB, returned))
-        transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
-
-    # Alice measures her kept half of pair m against return slot m.
-    alice_results = measure_records(matching, even, returned, config.noise, rng)
-
-    # Bob now knows tau = arrived o claimed^-1 and fabricates his results.
-    cycles = cycle_structure(arrived, claimed)
-    targets = None
-    if flip is not PauliLabel.I:
-        flipped_pair = arrived.order[0]
-        for cycle in cycles.cycles:
-            if flipped_pair in cycle:
-                targets = {cycle[0]: BELL_LABELS[flip]}
-                break
-    bob_announced = tuple(best_guess_results(cycles, rng, targets))
+    # Alice measures her kept half of pair m against return slot m. Bob then
+    # knows tau = arrived o claimed^-1 (claimed: pair order) and fabricates
+    # his results, drawing one free guess per measurement that swapped.
+    alice_results, guesses = measure_phase(
+        partner, label, even, returned, config.noise, rng, then=n - cycles.group_count)
+    # the flip sets the target XOR of the cycle holding return slot 1's pair
+    targets = {c[0]: flip_value for c in cycles.cycles if arrived.order[0] in c}
+    bob_announced = tuple(_guesses(cycles, guesses, targets))
 
     verdict = alice_verify(alice_results, bob_announced)
     coin = toss_from_outcomes(alice_results)
     passed = verdict is Verdict.ACCEPT
 
-    transcript.alice_outcomes = alice_results
-    transcript.bob_outcomes = bob_announced
-    transcript.verdict = verdict
+    transcript = SessionTranscript(
+        config, alice_outcomes=alice_results, bob_outcomes=bob_announced, verdict=verdict)
     if record_transcript:
+        sent = travelling(Party.ALICE, n)
+        transcript.append(ParticleBatch(Party.ALICE, tuple([sent[m - 1] for m in alice_seq.order])))
+        transcript.append(ParticleBatch(Party.BOB, tuple([sent[m - 1] for m in arrived.order])))
+        transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
         transcript.append(ResultsAnnouncement(Party.BOB, bob_announced))
         transcript.append(VerdictAnnouncement(Party.ALICE, verdict))
     if passed:
@@ -290,18 +288,19 @@ def run_fake_sequence_attack(
     if desired not in (0, 1):
         raise ValueError("desired coin must be 0 or 1")
     n = config.n_pairs
-    alice_odd, alice_even = halves(Party.ALICE, n)
-    bob_odd, bob_even = halves(Party.BOB, n)
-    matching = EntangledMatching(initial_edges(Party.ALICE, n) + initial_edges(Party.BOB, n))
+    source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
+    partner, label = list(source), [0] * (4 * n)
     transcript = SessionTranscript(config)
 
     alice_seq = random_sequence(n, rng)
-    sent = tuple([alice_odd[m - 1] for m in alice_seq.order])  # sent[t - 1] travels in slot t
-    transcript.append(ParticleBatch(Party.ALICE, sent))
-    transcript.append(ParticleBatch(Party.BOB, bob_odd))
+    sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
+    alice_ids = travelling(Party.ALICE, n)
+    transcript.append(
+        ParticleBatch(Party.ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])))
+    transcript.append(ParticleBatch(Party.BOB, travelling(Party.BOB, n)))
 
     # Alice measures before announcing anything.
-    alice_results = measure_records(matching, alice_even, bob_odd, config.noise, rng)
+    alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
     alice_coin = toss_from_outcomes(alice_results)
 
     announced_seq = alice_seq
@@ -316,7 +315,7 @@ def run_fake_sequence_attack(
     # Bob trusts the announcement: his kept half of pair m goes against the
     # slot claimed to carry Alice's pair m.
     claimed = [sent[announced_seq.slot_of(m) - 1] for m in range(1, n + 1)]
-    bob_results = measure_records(matching, bob_even, claimed, config.noise, rng)
+    bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
     bob_coin = toss_from_outcomes(bob_results)
 
     transcript.alice_outcomes = alice_results
@@ -507,10 +506,3 @@ def run_cheat_experiment(
         forced_coin_rate=forced / trials,
         seed=config.seed,
     )
-
-
-def estimate_pass_probability(
-    config: SessionConfig, trials: int, flip: PauliLabel = PauliLabel.I
-) -> ExperimentReport:
-    """Pass rate of the reflection attack over `trials` independent runs."""
-    return run_cheat_experiment(config, Strategy.reflect(flip), trials)

@@ -35,7 +35,6 @@ __all__ = [
     "AlreadyMeasuredError",
     "SelfMeasurementError",
     "apply_pauli",
-    "parity",
     "schedule_outcomes",
     "swap_outcomes",
     "total_parity",
@@ -128,10 +127,6 @@ def apply_pauli(label: BellLabel, pauli: PauliLabel) -> BellLabel:
     phase differs, which the label algebra does not track.
     """
     return BellLabel(label.value ^ pauli.value)
-
-
-def parity(label: BellLabel) -> int:
-    return label.parity
 
 
 def total_parity(outcomes: Iterable[BellLabel]) -> int:
@@ -234,11 +229,6 @@ class ParticleId(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.owner.value}:{self.index}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ParticleId":
-        owner, _, idx = text.partition(":")
-        return cls(Party(owner), int(idx))
 
 
 class MatchingError(ValueError):

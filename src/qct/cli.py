@@ -115,11 +115,13 @@ def _rows_to_json(rows: list[dict[str, Any]], extra: dict[str, Any]) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
+def _emit(text: str, out_path: str | None, out_text: str | None = None) -> None:
+    """Write `out_text` (default `text`) to `out_path`, then `text` to stdout,
+    so that a path that cannot be opened fails with nothing on stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(text if out_text is None else out_text)
+    sys.stdout.write(text)
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -165,10 +167,7 @@ def cmd_toss(args: argparse.Namespace) -> int:
             f"n_pairs: {config.n_pairs}\nseed: {config.seed}\n"
             f"verdict: {transcript.verdict.value}\ncoin: {coin}\n"
         )
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(transcript_to_jsonl(transcript))
+    _emit(text, args.out, transcript_to_jsonl(transcript) if args.out else None)
     return 0
 
 

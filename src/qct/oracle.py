@@ -92,9 +92,6 @@ class QuantumState:
             raise ValueError("amplitude vector has the wrong length")
         _require_normalized(self.amplitudes)
 
-    def probability_of(self, basis_index: int) -> float:
-        return float(np.abs(self.amplitudes[basis_index]) ** 2)
-
 
 def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
     """Product state of Bell pairs, pair i on qubits (2i, 2i+1)."""

@@ -18,6 +18,10 @@ highest counter words differ between streams:
 The two families never share a counter range, so block b and trial b of one
 seed are unrelated streams. Results depend neither on how trials are
 batched nor on their order.
+
+Within a stream, one `rng.integers(4, size=k)` call consumes the same words
+as k successive `rng.integers(4)` calls and returns the same labels, so the
+session drivers may draw a run of labels either way without moving a stream.
 """
 
 from __future__ import annotations

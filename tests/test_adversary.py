@@ -12,7 +12,6 @@ from qct.adversary import (
     StrategyKind,
     best_guess_results,
     cycle_structure,
-    estimate_pass_probability,
     run_cheat_experiment,
     run_fake_sequence_attack,
     run_reflect_attack,
@@ -110,6 +109,22 @@ class TestBestGuess:
             xor_b = guess[1].value ^ guess[4].value
             assert BellLabel(xor_a) is BellLabel.PSI_PLUS
             assert BellLabel(xor_b) is BellLabel.PHI_PLUS
+
+    @pytest.mark.parametrize("cycles", [((1,), (2,)), ((1, 3, 4), (2, 5)), ((1, 2, 3, 4, 5, 6),)])
+    def test_one_scalar_draw_per_free_guess(self, cycles):
+        # the free guesses are the stream's next labels, cycle by cycle in
+        # orbit order, and nothing more is drawn
+        rng, ref = session_rng(3), session_rng(3)
+        guess = best_guess_results(CycleStructure(cycles), rng, {1: BellLabel.PSI_MINUS})
+        want = [0] * sum(len(c) for c in cycles)
+        for cycle in cycles:
+            acc = 3 if cycle[0] == 1 else 0
+            for m in cycle[1:]:
+                want[m - 1] = int(ref.integers(4))
+                acc ^= want[m - 1]
+            want[cycle[0] - 1] = acc
+        assert guess == [BellLabel(v) for v in want]
+        assert rng.random() == ref.random()
 
     def test_two_cycle_uniform_over_equal_pairs(self):
         # consistent set for a 2-cycle with target 00 = the four equal pairs
@@ -275,8 +290,8 @@ class TestExperiments:
 
     def test_report_reproducible_and_consistent(self):
         config = SessionConfig(2, seed=77)
-        a = estimate_pass_probability(config, 3000)
-        b = estimate_pass_probability(config, 3000)
+        a = run_cheat_experiment(config, Strategy.reflect(), 3000)
+        b = run_cheat_experiment(config, Strategy.reflect(), 3000)
         assert a == b
         assert a.estimate == a.successes / a.trials
         assert a.ci_low <= a.estimate <= a.ci_high
@@ -284,7 +299,7 @@ class TestExperiments:
         assert a.seed == 77
 
     def test_pass_rate_matches_permutation_model_n3(self):
-        report = estimate_pass_probability(SessionConfig(3, seed=5), 20_000)
+        report = run_cheat_experiment(SessionConfig(3, seed=5), Strategy.reflect(), 20_000)
         assert report.ci_low <= pass_prob_permutation_model(3) <= report.ci_high
         assert report.ci_low <= 0.3125 <= report.ci_high
 
@@ -303,4 +318,4 @@ class TestExperiments:
 
     def test_trial_count_validated(self):
         with pytest.raises(ValueError):
-            estimate_pass_probability(SessionConfig(2), 0)
+            run_cheat_experiment(SessionConfig(2), Strategy.reflect(), 0)

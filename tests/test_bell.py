@@ -18,7 +18,6 @@ from qct.bell import (
     SelfMeasurementError,
     UnknownParticleError,
     apply_pauli,
-    parity,
     total_parity,
 )
 
@@ -44,10 +43,10 @@ class TestLabels:
         assert BellLabel.PHI_MINUS.hi == 0 and BellLabel.PHI_MINUS.lo == 1
 
     def test_parity_classes(self):
-        assert parity(BellLabel.PHI_PLUS) == 0
-        assert parity(BellLabel.PSI_MINUS) == 0
-        assert parity(BellLabel.PHI_MINUS) == 1
-        assert parity(BellLabel.PSI_PLUS) == 1
+        assert BellLabel.PHI_PLUS.parity == 0
+        assert BellLabel.PSI_MINUS.parity == 0
+        assert BellLabel.PHI_MINUS.parity == 1
+        assert BellLabel.PSI_PLUS.parity == 1
 
     def test_xor_returns_label(self):
         assert BellLabel.PHI_MINUS ^ BellLabel.PSI_PLUS is BellLabel.PSI_MINUS

@@ -364,11 +364,41 @@ class TestErrors:
 
     def test_unwritable_out_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.csv"
-        code, _, err = _run_inproc(
+        code, out, err = _run_inproc(
             ["analyze", "--n-pairs", "2", "--out", str(target)], capsys
         )
         assert code == 2
+        assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["toss", "--n-pairs", "3"],
+         ["cheat", "--n-pairs", "2", "--trials", "50"],
+         ["analyze", "--n-pairs", "2"],
+         ["verify", "--samples", "2000", "--sequences", "2", "--max-pairs", "1"]],
+        ids=["toss", "cheat", "analyze", "verify"],
+    )
+    def test_unwritable_out_exits_two_with_empty_stdout(self, capsys, tmp_path, argv, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing-dir" / "x.txt"
+        code, out, err = _run_inproc([*argv, "--seed", "1", "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["toss", "--n-pairs", "0"], ["cheat", "--trials", "0"],
+         ["analyze", "--n-pairs", "0"], ["verify", "--samples", "0"]],
+        ids=["toss", "cheat", "analyze", "verify"],
+    )
+    def test_invalid_run_leaves_existing_out_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "kept.txt"
+        path.write_text("earlier output\n", encoding="utf-8")
+        code, out, _ = _run_inproc([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert path.read_text(encoding="utf-8") == "earlier output\n"
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,12 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence((True, True))
 
+    @pytest.mark.parametrize("order", [(1.0,), (2.0, 1.0), (1, 2.0), (2.5, 1)])
+    def test_float_pairs_rejected_as_non_permutations(self, order):
+        with pytest.raises(ValueError) as info:
+            Sequence(order)
+        assert str(info.value) == f"not a permutation of 1..{len(order)}: {order}"
+
     @given(st.permutations(list(range(1, 7))))
     def test_roundtrip(self, perm):
         seq = Sequence(tuple(perm))

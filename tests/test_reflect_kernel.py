@@ -54,7 +54,8 @@ class ReplayRng:
     index m in turn a swap outcome (unless the measurement closes its cycle,
     at the cycle's largest index), a noise uniform and, when the record is
     corrupted, a corruption label; last come Bob's guesses, cycle by cycle
-    in orbit order, skipping each cycle's smallest index.
+    in orbit order, skipping each cycle's smallest index. A label draw may
+    come as one `integers(4, size=k)` call, which pops the next k labels.
     """
 
     def __init__(self, row: ReflectDraws):
@@ -72,12 +73,17 @@ class ReplayRng:
         assert len(perm) == n
         return perm
 
-    def integers(self, low: int, high: int | None = None) -> int:
+    def integers(self, low: int, high: int | None = None, size: int | None = None):
         if high is None:
             low, high = 0, low
         if (low, high) == (0, 4):
-            return self._labels.pop(0)
-        assert (low, high) == (1, 4), "unexpected draw"
+            if size is None:
+                return self._labels.pop(0)
+            # a batched draw serves the labels of `size` scalar draws, in order
+            assert size <= len(self._labels), "more labels asked for than recorded"
+            served, self._labels = self._labels[:size], self._labels[size:]
+            return np.array(served, dtype=np.int64)
+        assert (low, high) == (1, 4) and size is None, "unexpected draw"
         return self._corrupt[self._index]
 
     def random(self) -> float:
