@@ -2,10 +2,11 @@
 
 `qct.bell` tracks Bell pairs symbolically (labels + XOR algebra),
 `qct.oracle` is the dense statevector reference it is certified against,
-`qct.protocol` runs honest sessions, `qct.adversary` implements both
-parties' cheating strategies, `qct.analysis` holds the closed-form pass
-probability and noise-robustness results, and `qct.crosscheck` / `qct.cli`
-wire everything into a verifiable command-line tool.
+`qct.protocol` runs one session under any strategy, honest or cheating,
+`qct.adversary` evaluates both parties' cheating strategies by Monte
+Carlo, `qct.analysis` holds the closed-form pass probability and
+noise-robustness results, and `qct.crosscheck` / `qct.cli` wire
+everything into a verifiable command-line tool.
 """
 
 from types import ModuleType as _ModuleType
@@ -28,6 +29,7 @@ from .protocol import (
     alice_verify,
     apply_noise,
     run_honest,
+    run_session,
     toss_from_outcomes,
 )
 from .adversary import (

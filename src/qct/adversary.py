@@ -11,44 +11,37 @@ cycles, and within a cycle of length L her outcomes are uniform over the
 consistent set is his best play, and it succeeds with probability
 4**(m - N) for m cycles.
 
-Monte Carlo runs of the reflection attack go through `reflect_kernel`,
-which evaluates a block of sessions at once from explicit random draws in
-int8/int64 arrays. `run_reflect_attack` stays the per-session reference
-with a transcript; fed the same draws, the two agree bit for bit.
-
 Alice's fake-sequence attack: she measures before announcing and, when the
 coin is not to her liking, announces a different sequence. The parity
 conservation of Bell measurements makes this futile - Bob's total parity
 equals hers no matter which sequence she names.
+
+One session under either attack is `protocol.run_session`; this module
+evaluates the attacks over many trials. Reflect trials go through
+`reflect_kernel`, which evaluates a block of sessions at once from explicit
+random draws in int8/int64 arrays; fed the same draws, it and
+`run_reflect_attack` agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bell import BELL_LABELS, BellLabel, Party, PauliLabel
+from .bell import PauliLabel
 from .protocol import (
-    CoinAnnouncement,
-    ParticleBatch,
-    ResultsAnnouncement,
-    Sequence,
-    SequenceAnnouncement,
+    CycleStructure,
     SessionConfig,
+    SessionRun,
     SessionTranscript,
-    Verdict,
-    VerdictAnnouncement,
-    alice_verify,
-    draw_labels,
-    measure_phase,
-    particle_codes,
-    random_sequence,
-    toss_from_outcomes,
-    travelling,
+    Strategy,
+    StrategyKind,
+    best_guess_results,
+    cycle_structure,
+    run_session,
 )
 from .seeding import BLOCK_TRIALS, block_rng, trial_rng
 
@@ -58,7 +51,7 @@ __all__ = [
     "CycleStructure",
     "cycle_structure",
     "best_guess_results",
-    "ReflectRun",
+    "SessionRun",
     "FakeSequenceRun",
     "run_reflect_attack",
     "run_fake_sequence_attack",
@@ -76,139 +69,6 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 
-class StrategyKind(str, Enum):
-    HONEST = "honest"
-    REFLECT = "reflect"
-    FAKE_SEQUENCE = "fake-seq"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """A party plus what it does. REFLECT is Bob-only (with a Pauli flip
-    choosing the forced coin); FAKE_SEQUENCE is Alice-only (with the coin
-    value she wants)."""
-
-    kind: StrategyKind
-    party: Party
-    flip: PauliLabel = PauliLabel.I
-    desired: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind is StrategyKind.REFLECT and self.party is not Party.BOB:
-            raise ValueError("the reflection attack is Bob's strategy")
-        if self.kind is StrategyKind.FAKE_SEQUENCE and self.party is not Party.ALICE:
-            raise ValueError("the fake-sequence attack is Alice's strategy")
-        if self.desired not in (0, 1):
-            raise ValueError("desired coin must be 0 or 1")
-
-    def describe(self) -> str:
-        if self.kind is StrategyKind.REFLECT:
-            return f"reflect(flip={self.flip.name})"
-        if self.kind is StrategyKind.FAKE_SEQUENCE:
-            return f"fake-seq(desired={self.desired})"
-        return "honest"
-
-    @classmethod
-    def reflect(cls, flip: PauliLabel = PauliLabel.I) -> "Strategy":
-        return cls(StrategyKind.REFLECT, Party.BOB, flip=flip)
-
-    @classmethod
-    def fake_sequence(cls, desired: int) -> "Strategy":
-        return cls(StrategyKind.FAKE_SEQUENCE, Party.ALICE, desired=desired)
-
-
-@dataclass(frozen=True)
-class CycleStructure:
-    """Cycles of the pairing permutation, each a tuple of 1-based pair
-    indices starting at its smallest member, listed in ascending order of
-    that member."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
-
-    @property
-    def group_count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def total(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-
-def cycle_structure(true_seq: Sequence, claimed_seq: Sequence) -> CycleStructure:
-    """Cycles of tau = true_seq o claimed_seq^-1 over pair indices.
-
-    tau(m) is the pair that actually sits where pair m is claimed to be: the
-    measurement at index m really consumes pair tau(m)'s travelling half.
-    Identical sequences give N fixed points; a claimed swap of two slots
-    gives one 2-cycle.
-    """
-    n = len(true_seq)
-    if len(claimed_seq) != n:
-        raise ValueError("sequences must have equal length")
-    order, slot_of = true_seq.order, claimed_seq.slot_of
-    tau = [0] + [order[slot_of(m) - 1] for m in range(1, n + 1)]  # tau[m] = tau(m)
-    seen = [False] * (n + 1)
-    cycles: list[tuple[int, ...]] = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = tau[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = tau[nxt]
-        cycles.append(tuple(cycle))
-    return CycleStructure(tuple(cycles))
-
-
-def best_guess_results(
-    cycles: CycleStructure,
-    rng: np.random.Generator,
-    targets: dict[int, BellLabel] | None = None,
-) -> list[BellLabel]:
-    """Optimal fabricated results for the verifier's check, indexed by pair.
-
-    Within each cycle the verifier's outcomes are uniform over the
-    assignments whose XOR equals the XOR of the cycle's initial edge labels
-    (all Phi+ unless `targets` overrides a cycle, keyed by its smallest
-    member). Sampling uniformly from that consistent set maximises the
-    per-cycle match probability at 4**(1 - length); a fixed point is
-    guessed exactly.
-    """
-    return _guesses(cycles, draw_labels(rng, cycles.total - cycles.group_count), targets)
-
-
-def _guesses(
-    cycles: CycleStructure, labels: list[int], targets: dict[int, int] | None
-) -> list[BellLabel]:
-    """`best_guess_results` with its free guesses taken from `labels`."""
-    guess = [0] * cycles.total  # guess[m - 1] for pair m
-    free = iter(labels)
-    for cycle in cycles.cycles:
-        acc = int(targets.get(cycle[0], 0)) if targets else 0
-        for m in cycle[1:]:
-            lab = next(free)
-            acc ^= lab
-            guess[m - 1] = lab
-        guess[cycle[0] - 1] = acc
-    return [BELL_LABELS[g] for g in guess]
-
-
-class ReflectRun(NamedTuple):
-    transcript: SessionTranscript
-    passed: bool
-    coin: int
-
-
 class FakeSequenceRun(NamedTuple):
     transcript: SessionTranscript
     bob_coin: int
@@ -219,58 +79,13 @@ def run_reflect_attack(
     flip: PauliLabel,
     rng: np.random.Generator,
     record_transcript: bool = True,
-) -> ReflectRun:
-    """One session in which Bob reflects Alice's particles.
-
-    Bob returns the received particles in a uniformly random order, claims
-    pair-order identification, applies `flip` to the particle in return
-    slot 1 (any single particle works the same), and fabricates his
-    announced results by the best-guess rule. Returns Alice's verdict
-    (passed) and the coin she computes, which equals parity(flip) whenever
-    the flip is what set the total parity - i.e. always.
-    """
-    n = config.n_pairs
-    source, odd, even = particle_codes(n)[:3]
-    partner, label = list(source), [0] * (4 * n)
-
-    alice_seq = random_sequence(n, rng)
-    return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
-
-    # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
-    arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
-    cycles = cycle_structure(arrived, Sequence.identity(n))
-
-    returned = [odd[m - 1] for m in arrived.order]  # returned[s - 1] in return slot s
-    # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
-    label[returned[0]] = label[returned[0] ^ 1] = flip_value = int(flip)
-
-    # Alice measures her kept half of pair m against return slot m. Bob then
-    # knows tau = arrived o claimed^-1 (claimed: pair order) and fabricates
-    # his results, drawing one free guess per measurement that swapped.
-    alice_results, guesses = measure_phase(
-        partner, label, even, returned, config.noise, rng, then=n - cycles.group_count)
-    # the flip sets the target XOR of the cycle holding return slot 1's pair
-    targets = {c[0]: flip_value for c in cycles.cycles if arrived.order[0] in c}
-    bob_announced = tuple(_guesses(cycles, guesses, targets))
-
-    verdict = alice_verify(alice_results, bob_announced)
-    coin = toss_from_outcomes(alice_results)
-    passed = verdict is Verdict.ACCEPT
-
-    transcript = SessionTranscript(
-        config, alice_outcomes=alice_results, bob_outcomes=bob_announced, verdict=verdict)
-    if record_transcript:
-        sent = travelling(Party.ALICE, n)
-        transcript.append(ParticleBatch(Party.ALICE, tuple([sent[m - 1] for m in alice_seq.order])))
-        transcript.append(ParticleBatch(Party.BOB, tuple([sent[m - 1] for m in arrived.order])))
-        transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
-        transcript.append(ResultsAnnouncement(Party.BOB, bob_announced))
-        transcript.append(VerdictAnnouncement(Party.ALICE, verdict))
-    if passed:
-        transcript.coin = coin
-        if record_transcript:
-            transcript.append(CoinAnnouncement(Party.ALICE, coin))
-    return ReflectRun(transcript, passed, coin)
+) -> SessionRun:
+    """One session in which Bob reflects Alice's particles with `flip`; see
+    `run_session`. Without `record_transcript` the messages are dropped."""
+    run = run_session(config, Strategy.reflect(flip), rng)
+    if not record_transcript:
+        run.transcript.messages.clear()
+    return run
 
 
 def run_fake_sequence_attack(
@@ -278,55 +93,10 @@ def run_fake_sequence_attack(
     desired: int,
     rng: np.random.Generator,
 ) -> FakeSequenceRun:
-    """One session in which Alice measures first and may lie about her order.
-
-    If her coin already equals `desired` she announces truthfully; otherwise
-    she announces a uniformly random different sequence (for a single pair
-    there is none, so she stays truthful). Bob's total outcome parity equals
-    hers either way, so his coin is returned unchanged by the lie.
-    """
-    if desired not in (0, 1):
-        raise ValueError("desired coin must be 0 or 1")
-    n = config.n_pairs
-    source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
-    partner, label = list(source), [0] * (4 * n)
-    transcript = SessionTranscript(config)
-
-    alice_seq = random_sequence(n, rng)
-    sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
-    alice_ids = travelling(Party.ALICE, n)
-    transcript.append(
-        ParticleBatch(Party.ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])))
-    transcript.append(ParticleBatch(Party.BOB, travelling(Party.BOB, n)))
-
-    # Alice measures before announcing anything.
-    alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
-    alice_coin = toss_from_outcomes(alice_results)
-
-    announced_seq = alice_seq
-    if alice_coin != desired and n > 1:
-        while True:
-            candidate = random_sequence(n, rng)
-            if candidate != alice_seq:
-                announced_seq = candidate
-                break
-    transcript.append(SequenceAnnouncement(Party.ALICE, announced_seq))
-
-    # Bob trusts the announcement: his kept half of pair m goes against the
-    # slot claimed to carry Alice's pair m.
-    claimed = [sent[announced_seq.slot_of(m) - 1] for m in range(1, n + 1)]
-    bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
-    bob_coin = toss_from_outcomes(bob_results)
-
-    transcript.alice_outcomes = alice_results
-    transcript.bob_outcomes = bob_results
-    transcript.append(ResultsAnnouncement(Party.BOB, bob_results))
-    # A cheating Alice has nothing to gain from aborting her own attack.
-    transcript.verdict = Verdict.ACCEPT
-    transcript.append(VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT))
-    transcript.coin = bob_coin
-    transcript.append(CoinAnnouncement(Party.BOB, bob_coin))
-    return FakeSequenceRun(transcript, bob_coin)
+    """One session in which Alice measures first and may lie about her order
+    to get `desired`; see `run_session`. Returns Bob's coin."""
+    run = run_session(config, Strategy.fake_sequence(desired), rng)
+    return FakeSequenceRun(run.transcript, run.coin)
 
 
 class ReflectDraws(NamedTuple):
@@ -488,8 +258,7 @@ def run_cheat_experiment(
             forced += int(np.count_nonzero(block.coin == want))
     elif strategy.kind is StrategyKind.FAKE_SEQUENCE:
         for i in range(trials):
-            run = run_fake_sequence_attack(config, strategy.desired, trial_rng(config.seed, i))
-            if run.bob_coin == strategy.desired:
+            if run_session(config, strategy, trial_rng(config.seed, i)).coin == strategy.desired:
                 successes += 1
         forced = successes
     else:

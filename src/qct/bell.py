@@ -72,10 +72,6 @@ class BellLabel(IntEnum):
     def symbol(self) -> str:
         return _SYMBOLS[self.value]
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "BellLabel":
-        return cls(int(bits, 2))
-
     def __xor__(self, other: int) -> "BellLabel":  # type: ignore[override]
         return BellLabel(self.value ^ int(other))
 
@@ -285,24 +281,10 @@ class EntangledMatching:
         self.history: list[tuple[tuple[ParticleId, ParticleId], BellLabel]] = []
         self.initial_xor = initial
 
-    def add_pair(self, u: ParticleId, v: ParticleId, label: BellLabel) -> None:
-        if u == v:
-            raise SelfMeasurementError(f"cannot pair {u} with itself")
-        for p in (u, v):
-            if p in self._edges or p in self._consumed:
-                raise MatchingError(f"particle {p} already in the matching")
-        value = int(label)
-        self._edges[u] = (v, value)
-        self._edges[v] = (u, value)
-        self.initial_xor ^= value
-
     # -- queries ---------------------------------------------------------
 
     def is_live(self, u: ParticleId) -> bool:
         return u in self._edges
-
-    def live_particles(self) -> list[ParticleId]:
-        return list(self._edges)
 
     def partner_of(self, u: ParticleId) -> ParticleId:
         return self._require_live(u)[0]

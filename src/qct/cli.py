@@ -15,9 +15,10 @@ import csv
 import functools
 import io
 import json
+import operator
 import os
 import sys
-from typing import Any, Sequence as TypingSequence
+from typing import Any, Callable, Iterable, Sequence as TypingSequence
 
 from . import analysis
 from .adversary import Strategy, run_cheat_experiment
@@ -38,21 +39,12 @@ from .protocol import (
     phase_of,
     run_honest,
 )
-from .seeding import session_rng
 
 __all__ = ["main", "transcript_to_jsonl"]
 
 _FORMATS = ("text", "json", "csv")
 _ROW_FIELDS = ("n_pairs", "model", "value", "ci_low", "ci_high", "trials", "seed")
-
-
-def _fmt(value: Any) -> str:
-    """Shortest round-trip for floats, plain str otherwise, '' for None."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_ROW_ORDER = operator.itemgetter("n_pairs", "model")  # sort key of model rows
 
 
 def _payload(message: Message) -> dict[str, Any]:
@@ -83,36 +75,44 @@ def transcript_to_jsonl(transcript: SessionTranscript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row(n: int, model: str, value: float, seed: int, ci_low: float | None = None,
+         ci_high: float | None = None, trials: int | None = None) -> dict[str, Any]:
+    return {"n_pairs": n, "model": model, "value": value, "ci_low": ci_low,
+            "ci_high": ci_high, "trials": trials, "seed": seed}
+
+
 def _reference_rows(n: int, seed: int, p_threshold: float | None = None) -> list[dict[str, Any]]:
     rows = [
-        {"n_pairs": n, "model": "closed-form", "value": analysis.pass_prob_closed_form(n),
-         "ci_low": None, "ci_high": None, "trials": None, "seed": seed},
-        {"n_pairs": n, "model": "composition-sum", "value": analysis.pass_prob_composition_sum(n),
-         "ci_low": None, "ci_high": None, "trials": None, "seed": seed},
-        {"n_pairs": n, "model": "permutation-exact", "value": analysis.pass_prob_permutation_model(n),
-         "ci_low": None, "ci_high": None, "trials": None, "seed": seed},
+        _row(n, "closed-form", analysis.pass_prob_closed_form(n), seed),
+        _row(n, "composition-sum", analysis.pass_prob_composition_sum(n), seed),
+        _row(n, "permutation-exact", analysis.pass_prob_permutation_model(n), seed),
     ]
     if p_threshold is not None:
-        rows.append(
-            {"n_pairs": n, "model": "min-gamma", "value": analysis.min_gamma(n, p_threshold),
-             "ci_low": None, "ci_high": None, "trials": None, "seed": seed}
-        )
+        rows.append(_row(n, "min-gamma", analysis.min_gamma(n, p_threshold), seed))
     return rows
 
 
-def _rows_to_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_ROW_FIELDS)
-    for row in sorted(rows, key=lambda r: (r["n_pairs"], r["model"])):
-        writer.writerow([_fmt(row[f]) for f in _ROW_FIELDS])
-    return buf.getvalue()
+def _render(
+    fmt: str,
+    body: Callable[[], dict[str, Any]],
+    header: TypingSequence[str],
+    rows: Callable[[], Iterable[TypingSequence[Any]]],
+    text: Callable[[], list[str]],
+) -> str:
+    """A command's output in `fmt`: JSON of `body()`, CSV of `header` over
+    `rows()`, or the lines of `text()`. Only the requested one is built.
 
-
-def _rows_to_json(rows: list[dict[str, Any]], extra: dict[str, Any]) -> str:
-    body = dict(extra)
-    body["rows"] = sorted(rows, key=lambda r: (r["n_pairs"], r["model"]))
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    The csv module writes None as '' and a float as its repr, the shortest
+    round-trip form, which is also what str() and format() give a float."""
+    if fmt == "json":
+        return json.dumps(body(), sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+        return buf.getvalue()
+    return "\n".join(text()) + "\n"
 
 
 def _emit(text: str, out_path: str | None, out_text: str | None = None) -> None:
@@ -130,90 +130,67 @@ def _resolve_seed(value: int | None) -> int:
     env = os.environ.get("QCT_SEED")
     if env is None:
         return 0
-    return int(env)
-
-
-def _noise(gamma: float) -> NoiseModel | None:
-    """No noise at exactly 1; NoiseModel rejects anything outside (0, 1]."""
-    return None if gamma == 1.0 else NoiseModel(gamma)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"QCT_SEED must be an integer, got {env!r}") from None
 
 
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_toss(args: argparse.Namespace) -> int:
-    config = SessionConfig(args.n_pairs, _resolve_seed(args.seed), _noise(args.gamma))
-    transcript = run_honest(config, session_rng(config.seed))
+    config = SessionConfig(args.n_pairs, _resolve_seed(args.seed), NoiseModel(args.gamma))
+    transcript = run_honest(config)
     coin = "abort" if transcript.coin is None else transcript.coin
-    if args.format == "json":
-        body = {
-            "n_pairs": config.n_pairs,
-            "seed": config.seed,
-            "gamma": args.gamma,
-            "coin": transcript.coin,
-            "verdict": transcript.verdict.value,
-        }
-        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n_pairs", "seed", "gamma", "coin", "verdict"])
-        writer.writerow(
-            [config.n_pairs, config.seed, _fmt(args.gamma), coin, transcript.verdict.value]
-        )
-        text = buf.getvalue()
-    else:
-        text = (
-            f"n_pairs: {config.n_pairs}\nseed: {config.seed}\n"
-            f"verdict: {transcript.verdict.value}\ncoin: {coin}\n"
-        )
+    verdict = transcript.verdict.value
+    text = _render(
+        args.format,
+        lambda: {"n_pairs": config.n_pairs, "seed": config.seed, "gamma": args.gamma,
+                 "coin": transcript.coin, "verdict": verdict},
+        ("n_pairs", "seed", "gamma", "coin", "verdict"),
+        lambda: [(config.n_pairs, config.seed, args.gamma, coin, verdict)],
+        lambda: [f"n_pairs: {config.n_pairs}", f"seed: {config.seed}",
+                 f"verdict: {verdict}", f"coin: {coin}"],
+    )
     _emit(text, args.out, transcript_to_jsonl(transcript) if args.out else None)
     return 0
 
 
 def cmd_cheat(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    config = SessionConfig(args.n_pairs, seed, _noise(args.gamma))
+    config = SessionConfig(args.n_pairs, seed, NoiseModel(args.gamma))
     if args.strategy == "reflect":
         strategy = Strategy.reflect(PauliLabel[args.flip])
     else:
         strategy = Strategy.fake_sequence(args.desired)
     report = run_cheat_experiment(config, strategy, args.trials)
 
-    rows = _reference_rows(config.n_pairs, seed)
-    rows.append(
-        {"n_pairs": config.n_pairs, "model": "monte-carlo", "value": report.estimate,
-         "ci_low": report.ci_low, "ci_high": report.ci_high,
-         "trials": report.trials, "seed": seed}
-    )
+    rows = sorted([
+        *_reference_rows(config.n_pairs, seed),
+        _row(config.n_pairs, "monte-carlo", report.estimate, seed,
+             report.ci_low, report.ci_high, report.trials),
+    ], key=_ROW_ORDER)
     note = analysis.MODEL_DISCREPANCY_NOTE if config.n_pairs >= 3 else None
-
-    if args.format == "csv":
-        text = _rows_to_csv(rows)
-    elif args.format == "json":
-        extra = {
-            "strategy": report.strategy.describe(),
-            "successes": report.successes,
-            "forced_coin_rate": report.forced_coin_rate,
-            "note": note,
-        }
-        text = _rows_to_json(rows, extra)
-    else:
-        lines = [
-            f"strategy: {report.strategy.describe()}  n_pairs: {config.n_pairs}  "
+    described = report.strategy.describe()
+    text = _render(
+        args.format,
+        lambda: {"strategy": described, "successes": report.successes,
+                 "forced_coin_rate": report.forced_coin_rate, "note": note, "rows": rows},
+        _ROW_FIELDS,
+        lambda: [[row[f] for f in _ROW_FIELDS] for row in rows],
+        lambda: [
+            f"strategy: {described}  n_pairs: {config.n_pairs}  "
             f"trials: {report.trials}  seed: {seed}",
             f"successes: {report.successes}",
-            f"estimate: {_fmt(report.estimate)}  "
-            f"95% CI: [{_fmt(report.ci_low)}, {_fmt(report.ci_high)}]",
-            f"forced-coin rate: {_fmt(report.forced_coin_rate)}",
+            f"estimate: {report.estimate}  95% CI: [{report.ci_low}, {report.ci_high}]",
+            f"forced-coin rate: {report.forced_coin_rate}",
             "",
             f"{'model':<18} {'value':<22}",
-        ]
-        for row in sorted(rows, key=lambda r: (r["n_pairs"], r["model"])):
-            lines.append(f"{row['model']:<18} {_fmt(row['value']):<22}")
-        if note:
-            lines.append(f"note: {note}")
-        text = "\n".join(lines) + "\n"
+            *[f"{row['model']:<18} {row['value']:<22}" for row in rows],
+            *([f"note: {note}"] if note else []),
+        ],
+    )
     _emit(text, args.out)
     return 0
 
@@ -222,32 +199,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     seed = _resolve_seed(args.seed)
-    rows: list[dict[str, Any]] = []
-    for n in range(1, args.n_pairs + 1):
-        rows.extend(_reference_rows(n, seed, p_threshold=args.p_threshold))
+    # table[n - 1]: the rows of N = n, in column order
+    table = [_reference_rows(n, seed, args.p_threshold) for n in range(1, args.n_pairs + 1)]
+    rows = sorted([row for n_rows in table for row in n_rows], key=_ROW_ORDER)
     note = analysis.MODEL_DISCREPANCY_NOTE
-
-    if args.format == "csv":
-        text = _rows_to_csv(rows)
-    elif args.format == "json":
-        text = _rows_to_json(rows, {"p_threshold": args.p_threshold, "note": note})
-    else:
-        by_n: dict[int, dict[str, float]] = {}
-        for row in rows:
-            by_n.setdefault(row["n_pairs"], {})[row["model"]] = row["value"]
-        header = (
-            f"{'N':>3} {'closed-form':<22} {'composition-sum':<22} "
-            f"{'permutation-exact':<22} {'min-gamma':<22}"
-        )
-        lines = [f"p_threshold: {_fmt(args.p_threshold)}", header]
-        for n in sorted(by_n):
-            vals = by_n[n]
-            lines.append(
-                f"{n:>3} {_fmt(vals['closed-form']):<22} {_fmt(vals['composition-sum']):<22} "
-                f"{_fmt(vals['permutation-exact']):<22} {_fmt(vals['min-gamma']):<22}"
-            )
-        lines.append(f"note: {note}")
-        text = "\n".join(lines) + "\n"
+    text = _render(
+        args.format,
+        lambda: {"p_threshold": args.p_threshold, "note": note, "rows": rows},
+        _ROW_FIELDS,
+        lambda: [[row[f] for f in _ROW_FIELDS] for row in rows],
+        lambda: [
+            f"p_threshold: {args.p_threshold}",
+            f"{'N':>3} " + " ".join(f"{row['model']:<22}" for row in table[0]),
+            *[f"{n:>3} " + " ".join(f"{row['value']:<22}" for row in n_rows)
+              for n, n_rows in enumerate(table, start=1)],
+            f"note: {note}",
+        ],
+    )
     _emit(text, args.out)
     return 0
 
@@ -261,25 +229,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fault_injection=args.inject_fault,
     )
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        body = {
-            "passed": all_passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-        }
-        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.name, str(r.passed).lower(), r.detail])
-        text = buf.getvalue()
-    else:
-        lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-        lines.append("all checks passed" if all_passed else "VERIFICATION FAILED")
-        text = "\n".join(lines) + "\n"
+    text = _render(
+        args.format,
+        lambda: {"passed": all_passed, "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
+        ("name", "passed", "detail"),
+        lambda: [(r.name, "true" if r.passed else "false", r.detail) for r in results],
+        lambda: [
+            *[f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results],
+            "all checks passed" if all_passed else "VERIFICATION FAILED",
+        ],
+    )
     _emit(text, args.out)
     return 0 if all_passed else 3
 

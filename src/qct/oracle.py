@@ -37,7 +37,6 @@ __all__ = [
     "bell_sample",
     "schedule_outcomes",
     "apply_pauli_gate",
-    "bell_vector",
 ]
 
 MAX_QUBITS = 16
@@ -62,11 +61,6 @@ _PAULI_MATRICES = {
     PauliLabel.Y: np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128),
     PauliLabel.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
-
-
-def bell_vector(label: BellLabel) -> np.ndarray:
-    """Two-qubit amplitude vector of `label` (basis order 00,01,10,11)."""
-    return _BELL_MATRIX[label.value].copy()
 
 
 def _require_normalized(amplitudes: np.ndarray) -> None:

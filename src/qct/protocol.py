@@ -11,6 +11,10 @@ accepts or aborts. Alice never announces her outcomes.
 
 A transcript records the message flow in its fixed phase order and refuses
 out-of-order construction.
+
+`run_session` runs one session under any `Strategy`: honest play, or one
+party deviating inside the same exchange (Bob's reflection attack, Alice's
+fake-sequence attack); `qct.adversary` evaluates the attacks by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence as TypingSequence, Union
+from typing import Iterable, NamedTuple, Sequence as TypingSequence, Union
 
 import numpy as np
 
-from .bell import BELL_LABELS, AlreadyMeasuredError, BellLabel, ParticleId, Party
+from .bell import BELL_LABELS, AlreadyMeasuredError, BellLabel, ParticleId, Party, PauliLabel
 from .bell import SelfMeasurementError, total_parity
 from .seeding import session_rng
 
@@ -42,12 +46,19 @@ __all__ = [
     "ProtocolOrderError",
     "EmptyOutcomesError",
     "LengthMismatchError",
-    "run_honest",
     "toss_from_outcomes",
     "alice_verify",
     "apply_noise",
     "travelling",
     "measure_phase",
+    "StrategyKind",
+    "Strategy",
+    "CycleStructure",
+    "cycle_structure",
+    "best_guess_results",
+    "SessionRun",
+    "run_session",
+    "run_honest",
 ]
 
 
@@ -351,46 +362,234 @@ def measure_phase(
     return tuple(out), draw_labels(rng, then) if noisy else drawn[swaps:]
 
 
-def run_honest(
-    config: SessionConfig, rng: np.random.Generator | None = None
-) -> SessionTranscript:
-    """One honest session; returns the full transcript.
+class StrategyKind(str, Enum):
+    HONEST = "honest"
+    REFLECT = "reflect"
+    FAKE_SEQUENCE = "fake-seq"
 
-    Both parties' outcome lists are identical in the noiseless case, the
-    verdict is Accept, and the coin is the XOR of the outcome parities.
-    Without `rng` the session draws from `session_rng(config.seed)`.
+
+@dataclass(frozen=True)
+class Strategy:
+    """A party plus what it does. REFLECT is Bob-only (with a Pauli flip
+    choosing the forced coin); FAKE_SEQUENCE is Alice-only (with the coin
+    value she wants)."""
+
+    kind: StrategyKind
+    party: Party
+    flip: PauliLabel = PauliLabel.I
+    desired: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind is StrategyKind.REFLECT and self.party is not Party.BOB:
+            raise ValueError("the reflection attack is Bob's strategy")
+        if self.kind is StrategyKind.FAKE_SEQUENCE and self.party is not Party.ALICE:
+            raise ValueError("the fake-sequence attack is Alice's strategy")
+        if self.desired not in (0, 1):
+            raise ValueError("desired coin must be 0 or 1")
+
+    def describe(self) -> str:
+        if self.kind is StrategyKind.REFLECT:
+            return f"reflect(flip={self.flip.name})"
+        if self.kind is StrategyKind.FAKE_SEQUENCE:
+            return f"fake-seq(desired={self.desired})"
+        return "honest"
+
+    # A Strategy is immutable, so the constructors hand out one per argument;
+    # typed, so that an int equal to a PauliLabel gets a Strategy of its own.
+    @classmethod
+    @lru_cache(maxsize=None)
+    def honest(cls) -> "Strategy":
+        return cls(StrategyKind.HONEST, Party.ALICE)
+
+    @classmethod
+    @lru_cache(maxsize=None, typed=True)
+    def reflect(cls, flip: PauliLabel = PauliLabel.I) -> "Strategy":
+        return cls(StrategyKind.REFLECT, Party.BOB, flip=flip)
+
+    @classmethod
+    @lru_cache(maxsize=None, typed=True)
+    def fake_sequence(cls, desired: int) -> "Strategy":
+        return cls(StrategyKind.FAKE_SEQUENCE, Party.ALICE, desired=desired)
+
+
+@dataclass(frozen=True)
+class CycleStructure:
+    """Cycles of the pairing permutation, each a tuple of 1-based pair
+    indices starting at its smallest member, listed in ascending order of
+    that member."""
+
+    cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(len(c) for c in self.cycles)
+
+    @property
+    def group_count(self) -> int:
+        return len(self.cycles)
+
+    @property
+    def total(self) -> int:
+        return sum(len(c) for c in self.cycles)
+
+
+def cycle_structure(true_seq: Sequence, claimed_seq: Sequence) -> CycleStructure:
+    """Cycles of tau = true_seq o claimed_seq^-1 over pair indices.
+
+    tau(m) is the pair that actually sits where pair m is claimed to be: the
+    measurement at index m really consumes pair tau(m)'s travelling half.
+    Identical sequences give N fixed points; a claimed swap of two slots
+    gives one 2-cycle.
     """
-    if rng is None:
-        rng = session_rng(config.seed)
+    n = len(true_seq)
+    if len(claimed_seq) != n:
+        raise ValueError("sequences must have equal length")
+    order, slot_of = true_seq.order, claimed_seq.slot_of
+    tau = [0] + [order[slot_of(m) - 1] for m in range(1, n + 1)]  # tau[m] = tau(m)
+    seen = [False] * (n + 1)
+    cycles: list[tuple[int, ...]] = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = tau[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = tau[nxt]
+        cycles.append(tuple(cycle))
+    return CycleStructure(tuple(cycles))
+
+
+def best_guess_results(
+    cycles: CycleStructure,
+    rng: np.random.Generator,
+    targets: dict[int, BellLabel] | None = None,
+) -> list[BellLabel]:
+    """Optimal fabricated results for the verifier's check, indexed by pair.
+
+    Within each cycle the verifier's outcomes are uniform over the
+    assignments whose XOR equals the XOR of the cycle's initial edge labels
+    (all Phi+ unless `targets` overrides a cycle, keyed by its smallest
+    member). Sampling uniformly from that consistent set maximises the
+    per-cycle match probability at 4**(1 - length); a fixed point is
+    guessed exactly.
+    """
+    return _guesses(cycles, draw_labels(rng, cycles.total - cycles.group_count), targets)
+
+
+def _guesses(
+    cycles: CycleStructure, labels: list[int], targets: dict[int, int] | None
+) -> list[BellLabel]:
+    """`best_guess_results` with its free guesses taken from `labels`."""
+    guess = [0] * cycles.total  # guess[m - 1] for pair m
+    free = iter(labels)
+    for cycle in cycles.cycles:
+        acc = int(targets.get(cycle[0], 0)) if targets else 0
+        for m in cycle[1:]:
+            lab = next(free)
+            acc ^= lab
+            guess[m - 1] = lab
+        guess[cycle[0] - 1] = acc
+    return [BELL_LABELS[g] for g in guess]
+
+
+class SessionRun(NamedTuple):
+    """A session's transcript, whether Alice's check passed, and its coin."""
+
+    transcript: SessionTranscript
+    passed: bool
+    coin: int
+
+
+def run_session(
+    config: SessionConfig, strategy: Strategy, rng: np.random.Generator
+) -> SessionRun:
+    """One session in which `strategy.party` plays `strategy` and the other
+    party plays honestly.
+
+    Honest: without noise both parties record the same outcomes, Alice
+    accepts, and the coin is the XOR of their parities. Reflect: Bob
+    returns Alice's particles in a uniformly random order as his own,
+    applies `strategy.flip` to the one in return slot 1 and announces
+    best-guess results; Alice's coin is then parity(flip). Fake-sequence:
+    Alice measures first and, when her coin is not `strategy.desired`,
+    announces a uniformly random different sequence (with one pair there is
+    none); Bob's coin equals hers either way, so `coin` is his.
+
+    Draws, in order: Alice's sequence; Bob's return order (reflect); Alice's
+    measurements, then Bob's guesses (reflect); the lie's candidate
+    sequences; Bob's measurements.
+    """
     n = config.n_pairs
     source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
     partner, label = list(source), [0] * (4 * n)
-    transcript = SessionTranscript(config)
+    alice_ids = travelling(Party.ALICE, n)
+    fake = strategy.kind is StrategyKind.FAKE_SEQUENCE
 
-    alice_seq = random_sequence(n, rng)
-    alice_sent = travelling(Party.ALICE, n)
-    transcript.append(
-        ParticleBatch(Party.ALICE, tuple([alice_sent[m - 1] for m in alice_seq.order]))
-    )
-    transcript.append(ParticleBatch(Party.BOB, travelling(Party.BOB, n)))
-    transcript.append(SequenceAnnouncement(Party.ALICE, alice_seq))
+    alice_seq = announced = random_sequence(n, rng)
+    if strategy.kind is StrategyKind.REFLECT:
+        return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
+        # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
+        arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
+        cycles = cycle_structure(arrived, Sequence.identity(n))
+        bob_batch = tuple([alice_ids[m - 1] for m in arrived.order])
+        returned = [alice_odd[m - 1] for m in arrived.order]  # returned[s - 1] in return slot s
+        # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
+        label[returned[0]] = label[returned[0] ^ 1] = flip = int(strategy.flip)
 
-    # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
-    # ships in pair order, so slot m is his pair m). Bob: his kept half of
-    # pair m against Alice's odd half of pair m, located through the
-    # announced sequence.
-    alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
-    bob_results = measure_phase(partner, label, bob_even, alice_odd, config.noise, rng)[0]
+        # Alice measures her kept half of pair m against return slot m. Bob then
+        # knows tau = arrived o claimed^-1 (claimed: pair order) and fabricates
+        # his results, drawing one free guess per measurement that swapped.
+        alice_results, guesses = measure_phase(
+            partner, label, alice_even, returned, config.noise, rng, then=n - cycles.group_count)
+        # the flip sets the target XOR of the cycle holding return slot 1's pair
+        targets = {c[0]: flip for c in cycles.cycles if arrived.order[0] in c}
+        bob_results = tuple(_guesses(cycles, guesses, targets))
+    else:
+        bob_batch = travelling(Party.BOB, n)
+        # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
+        # ships in pair order, so slot m is his pair m).
+        alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
+        if fake and n > 1 and toss_from_outcomes(alice_results) != strategy.desired:
+            while announced == alice_seq:
+                announced = random_sequence(n, rng)
+        # Bob: his kept half of pair m against the slot announced to carry
+        # Alice's pair m, which under the true order is her odd half of pair m.
+        claimed = alice_odd
+        if announced is not alice_seq:
+            sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
+            claimed = [sent[announced.slot_of(m) - 1] for m in range(1, n + 1)]
+        bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
 
-    transcript.alice_outcomes = alice_results
-    transcript.bob_outcomes = bob_results
-    transcript.append(ResultsAnnouncement(Party.BOB, bob_results))
+    if fake:
+        # A cheating Alice has nothing to gain from aborting her own attack.
+        verdict, coin, coin_sender = Verdict.ACCEPT, toss_from_outcomes(bob_results), Party.BOB
+    else:
+        verdict = alice_verify(alice_results, bob_results)
+        coin, coin_sender = toss_from_outcomes(alice_results), Party.ALICE
+    passed = verdict is Verdict.ACCEPT
 
-    verdict = alice_verify(alice_results, bob_results)
-    transcript.verdict = verdict
-    transcript.append(VerdictAnnouncement(Party.ALICE, verdict))
-    if verdict is Verdict.ACCEPT:
-        coin = toss_from_outcomes(alice_results)
-        transcript.coin = coin
-        transcript.append(CoinAnnouncement(Party.ALICE, coin))
-    return transcript
+    transcript = SessionTranscript(  # positional: keywords cost more on this per-session path
+        config, [], alice_results, bob_results, verdict, coin if passed else None)
+    for message in (
+        ParticleBatch(Party.ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])),
+        ParticleBatch(Party.BOB, bob_batch),
+        SequenceAnnouncement(Party.ALICE, announced),
+        ResultsAnnouncement(Party.BOB, bob_results),
+        VerdictAnnouncement(Party.ALICE, verdict),
+    ):
+        transcript.append(message)
+    if passed:
+        transcript.append(CoinAnnouncement(coin_sender, coin))
+    return SessionRun(transcript, passed, coin)
+
+
+def run_honest(
+    config: SessionConfig, rng: np.random.Generator | None = None
+) -> SessionTranscript:
+    """One honest session's transcript; without `rng` it draws from
+    `session_rng(config.seed)`."""
+    rng = session_rng(config.seed) if rng is None else rng
+    return run_session(config, Strategy.honest(), rng).transcript

@@ -45,6 +45,15 @@ class TestStrategy:
         assert Strategy.reflect(PauliLabel.Z).describe() == "reflect(flip=Z)"
         assert Strategy.fake_sequence(1).describe() == "fake-seq(desired=1)"
 
+    def test_constructors_cached_per_typed_argument(self):
+        assert Strategy.reflect(PauliLabel.X) is Strategy.reflect(PauliLabel.X)
+        assert Strategy.fake_sequence(1) is Strategy.fake_sequence(1)
+        # an equal int must neither take nor poison the enum's entry
+        assert type(Strategy.reflect(3).flip) is int
+        assert Strategy.reflect(PauliLabel.Y).flip is PauliLabel.Y
+        assert Strategy.fake_sequence(True).desired is True
+        assert type(Strategy.fake_sequence(1).desired) is int
+
 
 def _independent_cycle_count(tau: dict[int, int]) -> int:
     seen, count = set(), 0

@@ -306,6 +306,19 @@ class TestSeedResolution:
         _, out, _ = _run_inproc(["toss", "--n-pairs", "2", "--format", "json"], capsys)
         assert json.loads(out)["seed"] == 0
 
+    @pytest.mark.parametrize("env", [" 7", "7\n"], ids=["padded", "newline"])
+    def test_whitespace_around_env_seed_accepted(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("QCT_SEED", env)
+        code, out, _ = _run_inproc(["toss", "--n-pairs", "2", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize("env", ["abc", "7.5", ""])
+    def test_non_integer_env_names_the_variable(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("QCT_SEED", env)
+        code, out, err = _run_inproc(["toss", "--n-pairs", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: QCT_SEED must be an integer, got {env!r}\n"
+
 
 class TestErrors:
     def test_invalid_pairs_exits_two(self, capsys):

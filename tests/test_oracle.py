@@ -5,13 +5,13 @@ import pytest
 
 from qct.bell import BellLabel, PauliLabel
 from qct.oracle import (
+    _BELL_MATRIX,
     MAX_QUBITS,
     QuantumState,
     apply_pauli_gate,
     bell_distribution,
     bell_measure_collapse,
     bell_sample,
-    bell_vector,
     prepare_pairs,
 )
 
@@ -28,8 +28,7 @@ class TestPreparation:
         np.testing.assert_allclose(state.amplitudes, [0, SQ2, -SQ2, 0], atol=1e-15)
 
     def test_bell_vectors_orthonormal(self):
-        mat = np.stack([bell_vector(b) for b in BellLabel])
-        np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(_BELL_MATRIX @ _BELL_MATRIX.conj().T, np.eye(4), atol=1e-15)
 
     def test_pair_placement(self):
         # pair 0 on qubits (0,1), pair 1 on qubits (2,3)

@@ -152,15 +152,6 @@ def test_construction_errors_keep_types_and_messages(edges, error, message):
     assert str(info.value) == message
 
 
-def test_add_pair_errors_keep_types_and_messages():
-    matching = EntangledMatching([(A1, A2, BellLabel.PHI_PLUS)])
-    with pytest.raises(SelfMeasurementError, match="^cannot pair alice:3 with itself$"):
-        matching.add_pair(A3, A3, BellLabel.PHI_PLUS)
-    matching.measure_pair(A1, A2)
-    with pytest.raises(MatchingError, match="^particle alice:1 already in the matching$"):
-        matching.add_pair(A1, A3, BellLabel.PHI_PLUS)
-
-
 if __name__ == "__main__":
     SESSIONS.write_text("\n".join(sessions()) + "\n", encoding="utf-8")
     main([*TOSS_ARGV, "--out", str(TOSS)])
