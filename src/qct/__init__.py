@@ -33,7 +33,6 @@ from .protocol import (
     toss_from_outcomes,
 )
 from .adversary import (
-    CycleStructure,
     ExperimentReport,
     Strategy,
     StrategyKind,

@@ -33,7 +33,6 @@ import numpy as np
 
 from .bell import PauliLabel
 from .protocol import (
-    CycleStructure,
     SessionConfig,
     SessionRun,
     SessionTranscript,
@@ -48,7 +47,6 @@ from .seeding import BLOCK_TRIALS, block_rng, trial_rng
 __all__ = [
     "StrategyKind",
     "Strategy",
-    "CycleStructure",
     "cycle_structure",
     "best_guess_results",
     "SessionRun",
@@ -225,6 +223,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in 0..{trials}, not {successes}")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -60,9 +60,10 @@ def _require_n(n: int) -> None:
 
 
 def pass_prob_closed_form(n: int) -> float:
-    """(5/8)**(n-1), evaluated in log space for numerical stability."""
+    """(5/8)**(n-1), computed exactly and rounded once, so it equals
+    `pass_prob_composition_sum(n)` bit for bit."""
     _require_n(n)
-    return math.exp((n - 1) * (math.log(5.0) - math.log(8.0)))
+    return float(Fraction(5, 8) ** (n - 1))
 
 
 def pass_prob_composition_sum_exact(n: int) -> Fraction:

@@ -50,16 +50,6 @@ class BellLabel(IntEnum):
     PSI_MINUS = 0b11
 
     @property
-    def hi(self) -> int:
-        """Bit-flip bit: 0 for Phi states, 1 for Psi states."""
-        return (self.value >> 1) & 1
-
-    @property
-    def lo(self) -> int:
-        """Phase-flip bit: 0 for + states, 1 for - states."""
-        return self.value & 1
-
-    @property
     def parity(self) -> int:
         """hi XOR lo.  Phi+ and Psi- are even; Phi- and Psi+ are odd."""
         return ((self.value >> 1) ^ self.value) & 1
@@ -71,11 +61,6 @@ class BellLabel(IntEnum):
     @property
     def symbol(self) -> str:
         return _SYMBOLS[self.value]
-
-    def __xor__(self, other: int) -> "BellLabel":  # type: ignore[override]
-        return BellLabel(self.value ^ int(other))
-
-    __rxor__ = __xor__
 
     def __str__(self) -> str:
         return self.symbol
@@ -95,14 +80,6 @@ class PauliLabel(IntEnum):
     Z = 0b01
     X = 0b10
     Y = 0b11
-
-    @property
-    def x(self) -> int:
-        return (self.value >> 1) & 1
-
-    @property
-    def z(self) -> int:
-        return self.value & 1
 
     @property
     def parity(self) -> int:
@@ -217,11 +194,6 @@ class ParticleId(NamedTuple):
 
     owner: Party
     index: int
-
-    @property
-    def pair(self) -> int:
-        """1-based index of the pair this particle belongs to."""
-        return (self.index + 1) // 2
 
     def __str__(self) -> str:
         return f"{self.owner.value}:{self.index}"

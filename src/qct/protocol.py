@@ -53,7 +53,6 @@ __all__ = [
     "measure_phase",
     "StrategyKind",
     "Strategy",
-    "CycleStructure",
     "cycle_structure",
     "best_guess_results",
     "SessionRun",
@@ -121,23 +120,11 @@ class Sequence:
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
         object.__setattr__(self, "_slots", tuple(slots))
 
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def pair_at(self, slot: int) -> int:
-        """Pair index carried in 1-based `slot`."""
-        return self.order[slot - 1]
-
     def slot_of(self, pair: int) -> int:
         """1-based slot in which `pair` travels."""
         if not 1 <= pair <= len(self._slots):
             raise ValueError(f"pair {pair} is not in 1..{len(self._slots)}")
         return self._slots[pair - 1]
-
-    @classmethod
-    @lru_cache(maxsize=None)  # a Sequence is immutable, so one per n serves every caller
-    def identity(cls, n: int) -> "Sequence":
-        return cls(tuple(range(1, n + 1)))
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
@@ -370,22 +357,19 @@ class StrategyKind(str, Enum):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A party plus what it does. REFLECT is Bob-only (with a Pauli flip
-    choosing the forced coin); FAKE_SEQUENCE is Alice-only (with the coin
-    value she wants)."""
+    """What the deviating party does; the kind fixes the party. REFLECT is
+    Bob's, with a Pauli `flip` choosing the forced coin; FAKE_SEQUENCE is
+    Alice's, with the coin value she wants (`desired`, the int 0 or 1)."""
 
     kind: StrategyKind
-    party: Party
     flip: PauliLabel = PauliLabel.I
     desired: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is StrategyKind.REFLECT and self.party is not Party.BOB:
-            raise ValueError("the reflection attack is Bob's strategy")
-        if self.kind is StrategyKind.FAKE_SEQUENCE and self.party is not Party.ALICE:
-            raise ValueError("the fake-sequence attack is Alice's strategy")
-        if self.desired not in (0, 1):
-            raise ValueError("desired coin must be 0 or 1")
+        if not isinstance(self.flip, PauliLabel):
+            raise ValueError(f"flip must be a PauliLabel, not {self.flip!r}")
+        if type(self.desired) is not int or self.desired not in (0, 1):
+            raise ValueError(f"desired coin must be the int 0 or 1, not {self.desired!r}")
 
     def describe(self) -> str:
         if self.kind is StrategyKind.REFLECT:
@@ -395,57 +379,35 @@ class Strategy:
         return "honest"
 
     # A Strategy is immutable, so the constructors hand out one per argument;
-    # typed, so that an int equal to a PauliLabel gets a Strategy of its own.
+    # typed, so that an int equal to a PauliLabel, or a bool equal to a coin,
+    # is validated rather than served the valid argument's Strategy.
     @classmethod
     @lru_cache(maxsize=None)
     def honest(cls) -> "Strategy":
-        return cls(StrategyKind.HONEST, Party.ALICE)
+        return cls(StrategyKind.HONEST)
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)
     def reflect(cls, flip: PauliLabel = PauliLabel.I) -> "Strategy":
-        return cls(StrategyKind.REFLECT, Party.BOB, flip=flip)
+        return cls(StrategyKind.REFLECT, flip=flip)
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)
     def fake_sequence(cls, desired: int) -> "Strategy":
-        return cls(StrategyKind.FAKE_SEQUENCE, Party.ALICE, desired=desired)
+        return cls(StrategyKind.FAKE_SEQUENCE, desired=desired)
 
 
-@dataclass(frozen=True)
-class CycleStructure:
-    """Cycles of the pairing permutation, each a tuple of 1-based pair
-    indices starting at its smallest member, listed in ascending order of
-    that member."""
+def cycle_structure(seq: Sequence) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation m -> seq.order[m - 1] over pair indices, each
+    a tuple of 1-based pair indices starting at its smallest member, listed
+    in ascending order of that member.
 
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
-
-    @property
-    def group_count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def total(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-
-def cycle_structure(true_seq: Sequence, claimed_seq: Sequence) -> CycleStructure:
-    """Cycles of tau = true_seq o claimed_seq^-1 over pair indices.
-
-    tau(m) is the pair that actually sits where pair m is claimed to be: the
-    measurement at index m really consumes pair tau(m)'s travelling half.
-    Identical sequences give N fixed points; a claimed swap of two slots
-    gives one 2-cycle.
+    For the order in which Bob returns Alice's pairs, the measurement at
+    index m consumes pair seq.order[m - 1]'s travelling half. The identity
+    order gives N fixed points; a swap of two slots gives one 2-cycle.
     """
-    n = len(true_seq)
-    if len(claimed_seq) != n:
-        raise ValueError("sequences must have equal length")
-    order, slot_of = true_seq.order, claimed_seq.slot_of
-    tau = [0] + [order[slot_of(m) - 1] for m in range(1, n + 1)]  # tau[m] = tau(m)
+    order = seq.order
+    n = len(order)
     seen = [False] * (n + 1)
     cycles: list[tuple[int, ...]] = []
     for start in range(1, n + 1):
@@ -453,21 +415,22 @@ def cycle_structure(true_seq: Sequence, claimed_seq: Sequence) -> CycleStructure
             continue
         cycle = [start]
         seen[start] = True
-        nxt = tau[start]
+        nxt = order[start - 1]
         while nxt != start:
             cycle.append(nxt)
             seen[nxt] = True
-            nxt = tau[nxt]
+            nxt = order[nxt - 1]
         cycles.append(tuple(cycle))
-    return CycleStructure(tuple(cycles))
+    return tuple(cycles)
 
 
 def best_guess_results(
-    cycles: CycleStructure,
+    cycles: tuple[tuple[int, ...], ...],
     rng: np.random.Generator,
     targets: dict[int, BellLabel] | None = None,
 ) -> list[BellLabel]:
-    """Optimal fabricated results for the verifier's check, indexed by pair.
+    """Optimal fabricated results for the verifier's check, indexed by pair,
+    for the cycles `cycle_structure` returns.
 
     Within each cycle the verifier's outcomes are uniform over the
     assignments whose XOR equals the XOR of the cycle's initial edge labels
@@ -476,16 +439,17 @@ def best_guess_results(
     per-cycle match probability at 4**(1 - length); a fixed point is
     guessed exactly.
     """
-    return _guesses(cycles, draw_labels(rng, cycles.total - cycles.group_count), targets)
+    return _guesses(cycles, draw_labels(rng, sum(len(c) - 1 for c in cycles)), targets)
 
 
 def _guesses(
-    cycles: CycleStructure, labels: list[int], targets: dict[int, int] | None
+    cycles: tuple[tuple[int, ...], ...], labels: list[int], targets: dict[int, int] | None
 ) -> list[BellLabel]:
-    """`best_guess_results` with its free guesses taken from `labels`."""
-    guess = [0] * cycles.total  # guess[m - 1] for pair m
+    """`best_guess_results` with its free guesses taken from `labels`, one
+    per cycle member after the first, cycle by cycle in orbit order."""
+    guess = [0] * sum(map(len, cycles))  # guess[m - 1] for pair m
     free = iter(labels)
-    for cycle in cycles.cycles:
+    for cycle in cycles:
         acc = int(targets.get(cycle[0], 0)) if targets else 0
         for m in cycle[1:]:
             lab = next(free)
@@ -506,8 +470,8 @@ class SessionRun(NamedTuple):
 def run_session(
     config: SessionConfig, strategy: Strategy, rng: np.random.Generator
 ) -> SessionRun:
-    """One session in which `strategy.party` plays `strategy` and the other
-    party plays honestly.
+    """One session in which one party plays `strategy` (Bob for REFLECT,
+    Alice for FAKE_SEQUENCE) and the other party plays honestly.
 
     Honest: without noise both parties record the same outcomes, Alice
     accepts, and the coin is the XOR of their parities. Reflect: Bob
@@ -533,19 +497,19 @@ def run_session(
         return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
         # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
         arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
-        cycles = cycle_structure(arrived, Sequence.identity(n))
+        cycles = cycle_structure(arrived)
         bob_batch = tuple([alice_ids[m - 1] for m in arrived.order])
         returned = [alice_odd[m - 1] for m in arrived.order]  # returned[s - 1] in return slot s
         # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
         label[returned[0]] = label[returned[0] ^ 1] = flip = int(strategy.flip)
 
-        # Alice measures her kept half of pair m against return slot m. Bob then
-        # knows tau = arrived o claimed^-1 (claimed: pair order) and fabricates
-        # his results, drawing one free guess per measurement that swapped.
+        # Alice measures her kept half of pair m against return slot m, which
+        # carries pair arrived.order[m - 1]. Bob knows the cycles this makes and
+        # fabricates his results, one free guess per measurement that swaps.
         alice_results, guesses = measure_phase(
-            partner, label, alice_even, returned, config.noise, rng, then=n - cycles.group_count)
+            partner, label, alice_even, returned, config.noise, rng, then=n - len(cycles))
         # the flip sets the target XOR of the cycle holding return slot 1's pair
-        targets = {c[0]: flip for c in cycles.cycles if arrived.order[0] in c}
+        targets = {c[0]: flip for c in cycles if arrived.order[0] in c}
         bob_results = tuple(_guesses(cycles, guesses, targets))
     else:
         bob_batch = travelling(Party.BOB, n)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qct.adversary import (
-    CycleStructure,
     Strategy,
     StrategyKind,
     best_guess_results,
@@ -31,15 +30,18 @@ from qct.seeding import session_rng
 
 
 class TestStrategy:
-    def test_party_constraints(self):
+    def test_argument_validation(self):
         Strategy.reflect(PauliLabel.X)
         Strategy.fake_sequence(1)
         with pytest.raises(ValueError):
-            Strategy(StrategyKind.REFLECT, Party.ALICE)
-        with pytest.raises(ValueError):
-            Strategy(StrategyKind.FAKE_SEQUENCE, Party.BOB)
-        with pytest.raises(ValueError):
             Strategy.fake_sequence(2)
+        # flip must be a PauliLabel member, desired the int 0 or 1
+        for flip in (7, 3, Party.ALICE, None):
+            with pytest.raises(ValueError, match="flip must be a PauliLabel"):
+                Strategy(StrategyKind.REFLECT, flip)
+        for desired in (True, False, 1.0, np.int64(1), "1"):
+            with pytest.raises(ValueError, match="desired coin must be the int 0 or 1"):
+                Strategy(StrategyKind.FAKE_SEQUENCE, desired=desired)
 
     def test_describe(self):
         assert Strategy.reflect(PauliLabel.Z).describe() == "reflect(flip=Z)"
@@ -48,10 +50,13 @@ class TestStrategy:
     def test_constructors_cached_per_typed_argument(self):
         assert Strategy.reflect(PauliLabel.X) is Strategy.reflect(PauliLabel.X)
         assert Strategy.fake_sequence(1) is Strategy.fake_sequence(1)
-        # an equal int must neither take nor poison the enum's entry
-        assert type(Strategy.reflect(3).flip) is int
+        # an equal int or bool is not served the valid argument's entry, and
+        # is refused
         assert Strategy.reflect(PauliLabel.Y).flip is PauliLabel.Y
-        assert Strategy.fake_sequence(True).desired is True
+        with pytest.raises(ValueError):
+            Strategy.reflect(3)
+        with pytest.raises(ValueError):
+            Strategy.fake_sequence(True)
         assert type(Strategy.fake_sequence(1).desired) is int
 
 
@@ -68,49 +73,38 @@ def _independent_cycle_count(tau: dict[int, int]) -> int:
     return count
 
 
-class TestCycleStructure:
-    def test_identity_sequences_give_fixed_points(self):
-        seq = Sequence((3, 1, 2))
-        cycles = cycle_structure(seq, seq)
-        assert cycles.lengths == (1, 1, 1)
-        assert cycles.cycles == ((1,), (2,), (3,))
+class TestCycleDecomposition:
+    def test_identity_order_gives_fixed_points(self):
+        assert cycle_structure(Sequence((1, 2, 3))) == ((1,), (2,), (3,))
 
     def test_two_slot_swap_gives_one_transposition(self):
-        cycles = cycle_structure(Sequence((2, 1)), Sequence.identity(2))
-        assert cycles.lengths == (2,)
-        assert cycles.cycles == ((1, 2),)
+        assert cycle_structure(Sequence((2, 1))) == ((1, 2),)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cycle_structure(Sequence((1, 2)), Sequence((1,)))
+    def test_cycles_listed_by_smallest_member(self):
+        assert cycle_structure(Sequence((3, 5, 1, 4, 2))) == ((1, 3), (2, 5), (4,))
 
     @settings(deadline=None)
-    @given(
-        st.permutations(list(range(1, 8))),
-        st.permutations(list(range(1, 8))),
-    )
-    def test_against_independent_decomposition(self, true_order, claimed_order):
-        true_seq = Sequence(tuple(true_order))
-        claimed = Sequence(tuple(claimed_order))
-        cycles = cycle_structure(true_seq, claimed)
-        assert sum(cycles.lengths) == 7
-        tau = {m: true_seq.pair_at(claimed.slot_of(m)) for m in range(1, 8)}
-        assert cycles.group_count == _independent_cycle_count(tau)
+    @given(st.permutations(list(range(1, 8))))
+    def test_against_independent_decomposition(self, order):
+        cycles = cycle_structure(Sequence(tuple(order)))
+        assert sum(map(len, cycles)) == 7
+        tau = {m: order[m - 1] for m in range(1, 8)}
+        assert len(cycles) == _independent_cycle_count(tau)
         # every cycle really is a tau-orbit
-        for cycle in cycles.cycles:
+        for cycle in cycles:
             for i, m in enumerate(cycle):
                 assert tau[m] == cycle[(i + 1) % len(cycle)]
 
 
 class TestBestGuess:
     def test_fixed_points_guessed_exactly(self):
-        cycles = CycleStructure(((1,), (2,), (3,)))
+        cycles = ((1,), (2,), (3,))
         rng = session_rng(0)
         assert best_guess_results(cycles, rng) == [BellLabel.PHI_PLUS] * 3
 
     def test_cycle_xor_matches_target(self):
         rng = session_rng(1)
-        cycles = CycleStructure(((1, 3, 4), (2, 5)))
+        cycles = ((1, 3, 4), (2, 5))
         targets = {1: BellLabel.PSI_PLUS}
         for _ in range(200):
             guess = best_guess_results(cycles, rng, targets)
@@ -124,7 +118,7 @@ class TestBestGuess:
         # the free guesses are the stream's next labels, cycle by cycle in
         # orbit order, and nothing more is drawn
         rng, ref = session_rng(3), session_rng(3)
-        guess = best_guess_results(CycleStructure(cycles), rng, {1: BellLabel.PSI_MINUS})
+        guess = best_guess_results(cycles, rng, {1: BellLabel.PSI_MINUS})
         want = [0] * sum(len(c) for c in cycles)
         for cycle in cycles:
             acc = 3 if cycle[0] == 1 else 0
@@ -138,7 +132,7 @@ class TestBestGuess:
     def test_two_cycle_uniform_over_equal_pairs(self):
         # consistent set for a 2-cycle with target 00 = the four equal pairs
         rng = session_rng(2)
-        cycles = CycleStructure(((1, 2),))
+        cycles = ((1, 2),)
         counts = {label: 0 for label in BellLabel}
         trials = 20_000
         for _ in range(trials):
@@ -181,9 +175,8 @@ class TestReflectAttack:
         """A single cycle of length L matches with probability 4**(1-L)."""
         rng = session_rng(31 + length)
         arrived = Sequence(tuple((m % length) + 1 for m in range(1, length + 1)))
-        claimed = Sequence.identity(length)
-        cycles = cycle_structure(arrived, claimed)
-        assert cycles.lengths == (length,)
+        cycles = cycle_structure(arrived)
+        assert tuple(map(len, cycles)) == (length,)
         trials = 40_000 if length > 1 else 500
         hits = 0
         for _ in range(trials):
@@ -198,7 +191,7 @@ class TestReflectAttack:
             outcomes = [
                 matching.measure_pair(
                     ParticleId(Party.ALICE, 2 * m),
-                    ParticleId(Party.ALICE, 2 * arrived.pair_at(m) - 1),
+                    ParticleId(Party.ALICE, 2 * arrived.order[m - 1] - 1),
                     rng,
                 )
                 for m in range(1, length + 1)
@@ -215,7 +208,7 @@ class TestReflectAttack:
         counts = np.zeros(n + 1)
         for i in range(trials):
             run = run_reflect_attack(SessionConfig(n, seed=7), PauliLabel.I, session_rng(i))
-            arrived_pairs = [p.pair for p in run.transcript.messages[1].particles]
+            arrived_pairs = [(p.index + 1) // 2 for p in run.transcript.messages[1].particles]
             tau = {m: arrived_pairs[m - 1] for m in range(1, n + 1)}
             counts[_independent_cycle_count(tau)] += 1
         stirling = stirling_first_kind(n)
@@ -239,8 +232,8 @@ class TestFakeSequenceAttack:
         for i in range(100):
             run = run_fake_sequence_attack(config, desired=0, rng=session_rng(i))
             t = run.transcript
-            true_first = t.messages[0].particles[0].pair
-            assert t.messages[2].sequence.pair_at(1) == true_first
+            true_first = (t.messages[0].particles[0].index + 1) // 2
+            assert t.messages[2].sequence.order[0] == true_first
             assert t.alice_outcomes == t.bob_outcomes
 
     def test_lie_told_exactly_when_coin_wrong(self):
@@ -249,7 +242,7 @@ class TestFakeSequenceAttack:
         for i in range(400):
             run = run_fake_sequence_attack(config, desired=1, rng=session_rng(i))
             t = run.transcript
-            true_seq = tuple(p.pair for p in t.messages[0].particles)
+            true_seq = tuple((p.index + 1) // 2 for p in t.messages[0].particles)
             announced = t.messages[2].sequence.order
             alice_coin = total_parity(t.alice_outcomes)
             if alice_coin == 1:
@@ -297,6 +290,11 @@ class TestExperiments:
             lo, hi = wilson_interval(trials, trials)
             assert 0.0 < lo < 1.0 and hi == 1.0
 
+    @pytest.mark.parametrize("successes", [5, 4, -1])
+    def test_wilson_rejects_successes_outside_range(self, successes):
+        with pytest.raises(ValueError, match="successes must lie in 0..3"):
+            wilson_interval(successes, 3)
+
     def test_report_reproducible_and_consistent(self):
         config = SessionConfig(2, seed=77)
         a = run_cheat_experiment(config, Strategy.reflect(), 3000)
@@ -321,9 +319,7 @@ class TestExperiments:
 
     def test_honest_strategy_rejected(self):
         with pytest.raises(ValueError):
-            run_cheat_experiment(
-                SessionConfig(2), Strategy(StrategyKind.HONEST, Party.BOB), 10
-            )
+            run_cheat_experiment(SessionConfig(2), Strategy.honest(), 10)
 
     def test_trial_count_validated(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,11 @@ class TestCompositionSum:
         b = pass_prob_closed_form(n)
         assert abs(a - b) <= 1e-12 * b
 
+    def test_closed_form_equals_composition_sum_bit_for_bit(self):
+        # both round the exact (5/8)**(n-1) once, so not even an ulp apart
+        for n in range(1, 201):
+            assert pass_prob_closed_form(n) == pass_prob_composition_sum(n), n
+
 
 class TestStirling:
     def test_known_rows(self):

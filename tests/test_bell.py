@@ -37,23 +37,12 @@ def fresh_matching(labels: list[BellLabel], party: Party = A) -> EntangledMatchi
 class TestLabels:
     def test_encoding(self):
         assert [b.bits for b in BellLabel] == ["00", "01", "10", "11"]
-        assert BellLabel.PSI_MINUS.hi == 1 and BellLabel.PSI_MINUS.lo == 1
-        assert BellLabel.PHI_MINUS.hi == 0 and BellLabel.PHI_MINUS.lo == 1
 
     def test_parity_classes(self):
         assert BellLabel.PHI_PLUS.parity == 0
         assert BellLabel.PSI_MINUS.parity == 0
         assert BellLabel.PHI_MINUS.parity == 1
         assert BellLabel.PSI_PLUS.parity == 1
-
-    def test_xor_returns_label(self):
-        assert BellLabel.PHI_MINUS ^ BellLabel.PSI_PLUS is BellLabel.PSI_MINUS
-
-    def test_pauli_bits(self):
-        assert (PauliLabel.I.x, PauliLabel.I.z) == (0, 0)
-        assert (PauliLabel.X.x, PauliLabel.X.z) == (1, 0)
-        assert (PauliLabel.Z.x, PauliLabel.Z.z) == (0, 1)
-        assert (PauliLabel.Y.x, PauliLabel.Y.z) == (1, 1)
 
     def test_pauli_parity_change(self):
         assert PauliLabel.I.parity == 0
