@@ -186,13 +186,14 @@ def reflect_blocks(
     """Kernel output for trials 0..trials-1 under config.seed, block by block.
 
     Block k is `draw_reflect_block(block_rng(seed, k), N)` run through the
-    kernel; the last block is cut to the trials asked for.
+    kernel. Every block draws all its rows, so the streams do not depend on
+    the trial count, but the kernel evaluates only the trials asked for.
     """
     gamma = config.noise.gamma if config.noise is not None else 1.0
     for k in range(-(-trials // BLOCK_TRIALS)):
         draws = draw_reflect_block(block_rng(config.seed, k), config.n_pairs)
         keep = min(BLOCK_TRIALS, trials - k * BLOCK_TRIALS)
-        yield ReflectBlock(*(a[:keep] for a in reflect_kernel(draws, flip.value, gamma)))
+        yield reflect_kernel(ReflectDraws(*(a[:keep] for a in draws)), flip.value, gamma)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,9 @@ class SessionConfig:
     noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
+        # a float would fail deep in the engine and True would run one pair
+        if type(self.n_pairs) is not int:
+            raise ValueError(f"n_pairs must be an int, not {self.n_pairs!r}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
 
@@ -155,6 +158,11 @@ class Verdict(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Enum members the per-session path reads, bound once: each attribute lookup
+# on an Enum class costs about as much as a small tuple.
+_ALICE, _BOB, _ACCEPT = Party.ALICE, Party.BOB, Verdict.ACCEPT
 
 
 @dataclass(frozen=True)
@@ -228,6 +236,17 @@ class SessionTranscript:
             )
         self.messages.append(message)
 
+    def extend(self, messages: TypingSequence[Message]) -> None:
+        """`append` each of `messages` in turn, raising what `append` would;
+        checks their phases in one pass."""
+        start = len(self.messages)
+        phases = [_PHASE_OF.get((type(m), getattr(m, "sender", None))) for m in messages]
+        if phases == list(range(start, start + len(phases))):
+            self.messages.extend(messages)
+        else:
+            for message in messages:
+                self.append(message)
+
     @property
     def alice_coin(self) -> int | None:
         return toss_from_outcomes(self.alice_outcomes) if self.alice_outcomes else None
@@ -253,7 +272,7 @@ def alice_verify(
     theirs = tuple(bob_announced)
     if len(mine) != len(theirs):
         raise LengthMismatchError(f"{len(mine)} results vs {len(theirs)} announced")
-    return Verdict.ACCEPT if mine == theirs else Verdict.REJECT
+    return _ACCEPT if mine == theirs else Verdict.REJECT
 
 
 def apply_noise(
@@ -355,6 +374,9 @@ class StrategyKind(str, Enum):
     FAKE_SEQUENCE = "fake-seq"
 
 
+_REFLECT, _FAKE_SEQUENCE = StrategyKind.REFLECT, StrategyKind.FAKE_SEQUENCE
+
+
 @dataclass(frozen=True)
 class Strategy:
     """What the deviating party does; the kind fixes the party. REFLECT is
@@ -366,6 +388,8 @@ class Strategy:
     desired: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, StrategyKind):
+            raise ValueError(f"kind must be a StrategyKind, not {self.kind!r}")
         if not isinstance(self.flip, PauliLabel):
             raise ValueError(f"flip must be a PauliLabel, not {self.flip!r}")
         if type(self.desired) is not int or self.desired not in (0, 1):
@@ -489,11 +513,12 @@ def run_session(
     n = config.n_pairs
     source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
     partner, label = list(source), [0] * (4 * n)
-    alice_ids = travelling(Party.ALICE, n)
-    fake = strategy.kind is StrategyKind.FAKE_SEQUENCE
+    alice_ids = travelling(_ALICE, n)
+    kind = strategy.kind
+    fake = kind is _FAKE_SEQUENCE
 
     alice_seq = announced = random_sequence(n, rng)
-    if strategy.kind is StrategyKind.REFLECT:
+    if kind is _REFLECT:
         return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
         # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
         arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
@@ -512,7 +537,7 @@ def run_session(
         targets = {c[0]: flip for c in cycles if arrived.order[0] in c}
         bob_results = tuple(_guesses(cycles, guesses, targets))
     else:
-        bob_batch = travelling(Party.BOB, n)
+        bob_batch = travelling(_BOB, n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
         # ships in pair order, so slot m is his pair m).
         alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
@@ -524,29 +549,29 @@ def run_session(
         claimed = alice_odd
         if announced is not alice_seq:
             sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
-            claimed = [sent[announced.slot_of(m) - 1] for m in range(1, n + 1)]
+            claimed = [sent[t - 1] for t in announced._slots]  # pair m's slot at m - 1
         bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
 
     if fake:
         # A cheating Alice has nothing to gain from aborting her own attack.
-        verdict, coin, coin_sender = Verdict.ACCEPT, toss_from_outcomes(bob_results), Party.BOB
+        verdict, coin, coin_sender = _ACCEPT, toss_from_outcomes(bob_results), _BOB
     else:
         verdict = alice_verify(alice_results, bob_results)
-        coin, coin_sender = toss_from_outcomes(alice_results), Party.ALICE
-    passed = verdict is Verdict.ACCEPT
+        coin, coin_sender = toss_from_outcomes(alice_results), _ALICE
+    passed = verdict is _ACCEPT
 
+    messages = [
+        ParticleBatch(_ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])),
+        ParticleBatch(_BOB, bob_batch),
+        SequenceAnnouncement(_ALICE, announced),
+        ResultsAnnouncement(_BOB, bob_results),
+        VerdictAnnouncement(_ALICE, verdict),
+    ]
+    if passed:
+        messages.append(CoinAnnouncement(coin_sender, coin))
     transcript = SessionTranscript(  # positional: keywords cost more on this per-session path
         config, [], alice_results, bob_results, verdict, coin if passed else None)
-    for message in (
-        ParticleBatch(Party.ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])),
-        ParticleBatch(Party.BOB, bob_batch),
-        SequenceAnnouncement(Party.ALICE, announced),
-        ResultsAnnouncement(Party.BOB, bob_results),
-        VerdictAnnouncement(Party.ALICE, verdict),
-    ):
-        transcript.append(message)
-    if passed:
-        transcript.append(CoinAnnouncement(coin_sender, coin))
+    transcript.extend(messages)
     return SessionRun(transcript, passed, coin)
 
 

@@ -42,6 +42,10 @@ class TestStrategy:
         for desired in (True, False, 1.0, np.int64(1), "1"):
             with pytest.raises(ValueError, match="desired coin must be the int 0 or 1"):
                 Strategy(StrategyKind.FAKE_SEQUENCE, desired=desired)
+        # kind must be a StrategyKind member, not its value or anything else
+        for kind in ("reflect", "honest", 1, None, PauliLabel.X):
+            with pytest.raises(ValueError, match="kind must be a StrategyKind"):
+                Strategy(kind)
 
     def test_describe(self):
         assert Strategy.reflect(PauliLabel.Z).describe() == "reflect(flip=Z)"

@@ -97,6 +97,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SessionConfig(0)
 
+    @pytest.mark.parametrize("n_pairs", [2.5, 3.0, True, False, np.int64(3), "3", None])
+    def test_n_pairs_must_be_an_int(self, n_pairs):
+        with pytest.raises(ValueError, match="n_pairs must be an int"):
+            SessionConfig(n_pairs)
+
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)
@@ -169,6 +174,46 @@ class TestTranscriptOrder:
         transcript.append(CoinAnnouncement(Party.ALICE, 0))
         with pytest.raises(ProtocolOrderError):
             transcript.append(CoinAnnouncement(Party.ALICE, 0))
+
+
+    @staticmethod
+    def _outcome(transcript, add, messages):
+        try:
+            add(transcript, messages)
+            error = None
+        except ProtocolOrderError as exc:
+            error = str(exc)
+        return error, list(transcript.messages)
+
+    def test_extend_raises_what_append_raises(self):
+        seq = Sequence((1,))
+        full = [
+            ParticleBatch(Party.ALICE, ()),
+            ParticleBatch(Party.BOB, ()),
+            SequenceAnnouncement(Party.ALICE, seq),
+            ResultsAnnouncement(Party.BOB, ()),
+            VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT),
+            CoinAnnouncement(Party.BOB, 1),
+        ]
+        cases = [
+            (0, full),
+            (0, full[:5]),
+            (2, full[2:]),
+            (0, []),
+            (0, full + [CoinAnnouncement(Party.ALICE, 0)]),  # nothing after the coin
+            (0, full[:2] + full[3:]),  # sequence announcement skipped
+            (1, full),  # Alice's batch again
+            (0, full[:3] + [ResultsAnnouncement(Party.ALICE, ())] + full[4:]),  # misfit
+            (0, full[:1] + [seq]),  # not a message
+        ]
+        appended = lambda t, ms: [t.append(m) for m in ms]
+        for start, messages in cases:
+            outcomes = []
+            for add in (appended, SessionTranscript.extend):
+                transcript = SessionTranscript(SessionConfig(1))
+                transcript.messages.extend(full[:start])
+                outcomes.append(self._outcome(transcript, add, messages))
+            assert outcomes[0] == outcomes[1], (start, messages)
 
 
 class TestPhaseOf:

@@ -227,6 +227,19 @@ class TestBlockStreams:
             for got, want in zip(run, alone):
                 np.testing.assert_array_equal(got[i], want[i % BLOCK_TRIALS])
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    def test_one_trial_is_row_zero_of_the_full_block(self, gamma):
+        config = SessionConfig(4, seed=11, noise=NoiseModel(gamma))
+        draws = draw_reflect_block(block_rng(11, 0), 4)
+        for flip in PauliLabel:
+            (one,) = reflect_blocks(config, flip, 1)
+            full = reflect_kernel(draws, flip.value, gamma)
+            for got, want in zip(one, full):
+                assert len(got) == 1
+                np.testing.assert_array_equal(got[0], want[0])
+            report = run_cheat_experiment(config, Strategy.reflect(flip), 1)
+            assert report.successes == int(full.passed[0])
+
     def test_a_thousand_trials_draw_one_block(self):
         assert BLOCK_TRIALS >= 1000
         assert len(list(reflect_blocks(SessionConfig(2), PauliLabel.I, 1000))) == 1
