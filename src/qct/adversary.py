@@ -215,8 +215,8 @@ class ExperimentReport:
             raise ValueError("confidence interval must bracket the estimate")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default).
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     At zero successes the lower bound is exactly 0 and at all successes the
     upper bound is exactly 1; rounding in center -/+ half would otherwise
@@ -226,7 +226,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in 0..{trials}, not {successes}")
-    p = successes / trials
+    p, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))

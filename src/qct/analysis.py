@@ -120,7 +120,7 @@ class RobustnessQuery:
         _require_n(self.n_pairs)
 
 
-def robustness_ok(query: RobustnessQuery, rel_tol: float = 1e-12) -> bool:
+def robustness_ok(query: RobustnessQuery) -> bool:
     """True iff 1 - gamma**N <= (5/8)**(N-1), with ulp-scale slack.
 
     1 - gamma**N is the abort rate when one party's records are noisy; the
@@ -128,7 +128,7 @@ def robustness_ok(query: RobustnessQuery, rel_tol: float = 1e-12) -> bool:
     """
     shortfall = 1.0 - query.gamma**query.n_pairs
     p = pass_prob_closed_form(query.n_pairs)
-    return shortfall <= p or math.isclose(shortfall, p, rel_tol=rel_tol)
+    return shortfall <= p or math.isclose(shortfall, p, rel_tol=1e-12)
 
 
 def min_gamma(n: int, p_threshold: float) -> float:

@@ -8,9 +8,6 @@ two spectator particles in the state ``b1 ^ b2 ^ outcome``.  Both facts are
 certified against a dense statevector simulation in the test suite; the
 engine itself never touches amplitudes.
 
-`swap_outcomes` is the batched form of one swap: it draws the outcomes and
-residuals of many independent swaps of the same two pairs in one array
-pass, from the same draws `EntangledMatching.measure_pair` would consume.
 `schedule_outcomes` is the batched form of a whole measurement schedule: a
 frame of one ``partner``/``label`` int row per schedule, where one Bell
 measurement is fancy indexing plus XOR across every row at once.
@@ -36,7 +33,6 @@ __all__ = [
     "SelfMeasurementError",
     "apply_pauli",
     "schedule_outcomes",
-    "swap_outcomes",
     "total_parity",
 ]
 
@@ -108,22 +104,6 @@ def total_parity(outcomes: Iterable[BellLabel]) -> int:
     for label in outcomes:
         acc ^= _PARITY[label]
     return acc
-
-
-def swap_outcomes(
-    b1: BellLabel, b2: BellLabel, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes and spectator residuals (label values) of `size`
-    independent entanglement swaps between a pair in `b1` and one in `b2`.
-
-    Consumes `rng` exactly as `size` successive non-partner
-    `EntangledMatching.measure_pair` calls, each on a fresh matching of the
-    two pairs, and returns their outcomes and the residual labels
-    ``b1 ^ b2 ^ outcome``.
-    """
-    # the default int64 dtype of measure_pair's rng.integers(4): same stream
-    outcomes = rng.integers(4, size=size)
-    return outcomes, _residual(b1.value, b2.value, outcomes)
 
 
 def _residual(b1, b2, outcome):

@@ -8,13 +8,14 @@ sampled distributions (total-variation distance), and confirm parity
 conservation on random maximal measurement schedules in engine and oracle
 alike. `run_all` powers the `verify` CLI subcommand.
 
-The sampled-distribution check draws through the batched samplers
-`bell.swap_outcomes` and `oracle.bell_sample`, and the parity-conservation
-checks run their schedules through the batched kernels
-`bell.schedule_outcomes` and `oracle.schedule_outcomes`; the tests replay
-all four against `EntangledMatching.measure_pair` and
-`oracle.bell_measure_collapse` on identical draws. The residual check runs
-through `bell_measure_collapse` itself.
+The sampled-distribution check draws the engine's swap outcomes as
+``rng.integers(4, size=k)``, the words of k `EntangledMatching.measure_pair`
+swaps, and the oracle's through the batched sampler `oracle.bell_sample`;
+the parity-conservation checks run their schedules through the batched
+kernels `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests
+replay each against `measure_pair` or `oracle.bell_measure_collapse` on
+identical draws. The residual check runs through `bell_measure_collapse`
+itself.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules (ENGINE_CHUNK
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    BellLabel,
-    PauliLabel,
-    apply_pauli,
-    swap_outcomes,
-)
+from .bell import BellLabel, PauliLabel, apply_pauli
 from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
@@ -80,13 +76,17 @@ class CheckResult:
     detail: str
 
 
-def _point_mass(dist: np.ndarray, tol: float = 1e-9) -> BellLabel | None:
+# Slack of the exact statevector checks: amplitudes carry float rounding.
+_TOL = 1e-9
+
+
+def _point_mass(dist: np.ndarray) -> BellLabel | None:
     """The label holding all probability mass, or None if spread out."""
     idx = int(np.argmax(dist))
-    return BellLabel(idx) if abs(dist[idx] - 1.0) <= tol else None
+    return BellLabel(idx) if abs(dist[idx] - 1.0) <= _TOL else None
 
 
-def check_pauli_action(tol: float = 1e-9) -> CheckResult:
+def check_pauli_action() -> CheckResult:
     """All 16 (label, pauli) cases: XOR rule vs statevector, on either qubit."""
     failures = []
     for label in BellLabel:
@@ -94,7 +94,7 @@ def check_pauli_action(tol: float = 1e-9) -> CheckResult:
             expected = apply_pauli(label, pauli)
             for qubit in (0, 1):
                 state = apply_pauli_gate(prepare_pairs([label]), pauli, qubit)
-                got = _point_mass(bell_distribution(state, 0, 1), tol)
+                got = _point_mass(bell_distribution(state, 0, 1))
                 if got is not expected:
                     failures.append(f"{label.symbol},{pauli.name},q{qubit}->{got}")
     return CheckResult(
@@ -160,7 +160,7 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     )
 
 
-def check_swap_distribution_exact(tol: float = 1e-9) -> CheckResult:
+def check_swap_distribution_exact() -> CheckResult:
     """Cross-pair Bell outcome distribution is uniform for all 16 label pairs."""
     worst = 0.0
     for b1 in BellLabel:
@@ -169,7 +169,7 @@ def check_swap_distribution_exact(tol: float = 1e-9) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(probs - 0.25))))
     return CheckResult(
         "swap-distribution-exact",
-        worst <= tol,
+        worst <= _TOL,
         f"max |p - 1/4| = {worst:.3e} over 16 label pairs",
     )
 
@@ -183,14 +183,13 @@ def _tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Engine and oracle outcome counts of `samples` swaps on a Psi- (x)
     Phi- input, drawn SAMPLE_CHUNK at a time from streams seed, seed + 1."""
-    b1, b2 = BellLabel.PSI_MINUS, BellLabel.PHI_MINUS
-    base = prepare_pairs([b1, b2])
+    base = prepare_pairs([BellLabel.PSI_MINUS, BellLabel.PHI_MINUS])
     rng_engine, rng_oracle = session_rng(seed), session_rng(seed + 1)
     engine_counts = np.zeros(4, dtype=np.int64)
     oracle_counts = np.zeros(4, dtype=np.int64)
     for start in range(0, samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, samples - start)
-        engine_counts += np.bincount(swap_outcomes(b1, b2, rng_engine, size)[0], minlength=4)
+        engine_counts += np.bincount(rng_engine.integers(4, size=size), minlength=4)
         oracle_counts += np.bincount(bell_sample(base, 1, 2, rng_oracle, size), minlength=4)
     return engine_counts, oracle_counts
 
@@ -201,10 +200,10 @@ def check_swap_distribution_sampled(
     """Sampled swap outcomes: engine vs oracle vs exact, TV below threshold.
 
     Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
-    outcomes are uniform) in batches: the engine through `swap_outcomes`,
-    the oracle through `bell_sample`. Each consumes its stream as `samples`
-    scalar `measure_pair` or `bell_measure_collapse` calls would, so the
-    counts are those of the scalar loops.
+    outcomes are uniform) in batches: the engine as ``rng.integers(4,
+    size=k)``, the oracle through `bell_sample`. Each consumes its stream as
+    `samples` scalar `measure_pair` or `bell_measure_collapse` calls would,
+    so the counts are those of the scalar loops.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (got {samples})")

@@ -97,6 +97,9 @@ class SessionConfig:
             raise ValueError(f"n_pairs must be an int, not {self.n_pairs!r}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
+        # a float would fail in `seeding` and True would run as seed 1
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, not {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,8 @@ def phase_of(message: Message) -> int:
 
 @dataclass
 class SessionTranscript:
-    """Message log plus both parties' private outcome records."""
+    """Message log plus both parties' private outcome records; the given
+    messages are checked in order as `append` checks them."""
 
     config: SessionConfig
     messages: list[Message] = field(default_factory=list)
@@ -225,6 +229,11 @@ class SessionTranscript:
     bob_outcomes: tuple[BellLabel, ...] = ()
     verdict: Verdict | None = None
     coin: int | None = None  # None = aborted (no coin produced)
+
+    def __post_init__(self) -> None:
+        messages, self.messages = self.messages, []
+        for message in messages:
+            self.append(message)
 
     def append(self, message: Message) -> None:
         phase = phase_of(message)
@@ -235,17 +244,6 @@ class SessionTranscript:
                 f"{PHASE_NAMES[expected] if expected < len(PHASE_NAMES) else 'nothing further'}"
             )
         self.messages.append(message)
-
-    def extend(self, messages: TypingSequence[Message]) -> None:
-        """`append` each of `messages` in turn, raising what `append` would;
-        checks their phases in one pass."""
-        start = len(self.messages)
-        phases = [_PHASE_OF.get((type(m), getattr(m, "sender", None))) for m in messages]
-        if phases == list(range(start, start + len(phases))):
-            self.messages.extend(messages)
-        else:
-            for message in messages:
-                self.append(message)
 
     @property
     def alice_coin(self) -> int | None:
@@ -332,10 +330,9 @@ def measure_phase(
     label values; returns the recorded outcomes and those values.
 
     Outcomes, draws and final state are those of successive `measure_pair`
-    calls, each recorded through `apply_noise`. Partnership never depends on
-    outcomes, so a first pass over `partner` alone finds the swaps; a
-    noiseless phase then draws its swap labels and the `then` labels in one
-    call, a noisy one each swap label between the noise draws around it.
+    calls, then `apply_noise` on each record in index order. Partnership
+    never depends on outcomes, so a first pass over `partner` alone finds
+    the swaps; one call then draws their labels and the `then` labels.
     """
     steps = []  # (u, v, pu, pv): pu, pv the spectators of a swap, pu = -1 for partners
     swaps = 0
@@ -352,20 +349,19 @@ def measure_phase(
             swaps += 1
         partner[u] = partner[v] = -1
         steps.append((u, v, pu, pv))
-    noisy = noise is not None and noise.gamma < 1.0
-    drawn = [] if noisy else draw_labels(rng, swaps + then)
+    drawn = draw_labels(rng, swaps + then)
     draws = iter(drawn)
     out = []
     for u, v, pu, pv in steps:
         if pu < 0:
             outcome = label[u]
         else:
-            outcome = int(rng.integers(4)) if noisy else next(draws)
+            outcome = next(draws)
             label[pu] = label[pv] = label[u] ^ label[v] ^ outcome
-        if noisy and rng.random() >= noise.gamma:
-            outcome ^= int(rng.integers(1, 4))
         out.append(BELL_LABELS[outcome])
-    return tuple(out), draw_labels(rng, then) if noisy else drawn[swaps:]
+    if noise is not None:
+        out = [apply_noise(outcome, noise, rng) for outcome in out]
+    return tuple(out), drawn[swaps:]
 
 
 class StrategyKind(str, Enum):
@@ -506,9 +502,10 @@ def run_session(
     announces a uniformly random different sequence (with one pair there is
     none); Bob's coin equals hers either way, so `coin` is his.
 
-    Draws, in order: Alice's sequence; Bob's return order (reflect); Alice's
-    measurements, then Bob's guesses (reflect); the lie's candidate
-    sequences; Bob's measurements.
+    Draws, in order: Alice's sequence; Bob's return order (reflect); the
+    labels of Alice's swaps, then Bob's guesses (reflect), then the noise on
+    Alice's records; the lie's candidate sequences; the labels of Bob's
+    swaps, then the noise on his records.
     """
     n = config.n_pairs
     source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
@@ -570,8 +567,7 @@ def run_session(
     if passed:
         messages.append(CoinAnnouncement(coin_sender, coin))
     transcript = SessionTranscript(  # positional: keywords cost more on this per-session path
-        config, [], alice_results, bob_results, verdict, coin if passed else None)
-    transcript.extend(messages)
+        config, messages, alice_results, bob_results, verdict, coin if passed else None)
     return SessionRun(transcript, passed, coin)
 
 

@@ -17,7 +17,9 @@ highest counter words differ between streams:
 
 The two families never share a counter range, so block b and trial b of one
 seed are unrelated streams. Results depend neither on how trials are
-batched nor on their order.
+batched nor on their order. An index must lie in 0..2**63 - 1: numpy reads
+a larger counter word through float64, which would give several indices
+one stream, so both families raise ValueError outside that range.
 
 Within a stream, one `rng.integers(4, size=k)` call consumes the same words
 as k successive `rng.integers(4)` calls and returns the same labels, so the
@@ -53,16 +55,19 @@ def session_rng(seed: int) -> np.random.Generator:
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent stream for trial `trial_index` under `seed`."""
-    return np.random.Generator(
-        np.random.Philox(_key_words()(seed & _MASK64), counter=[0, 0, 0, trial_index])
-    )
+    return _philox(seed, 0, trial_index)
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Stream for trials BLOCK_TRIALS * block_index onwards under `seed`."""
+    return _philox(seed, 1, block_index)
+
+
+def _philox(seed: int, family: int, index: int) -> np.random.Generator:
+    if not 0 <= index < 1 << 63:
+        raise ValueError(f"stream index must lie in 0..2**63 - 1, not {index!r}")
     return np.random.Generator(
-        np.random.Philox(_key_words()(seed & _MASK64), counter=[0, 0, 1, block_index])
-    )
+        np.random.Philox(_key_words()(seed & _MASK64), counter=[0, 0, family, index]))
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,12 @@
 """Batched swap samplers replayed against their scalar references.
 
 `oracle.bell_sample` must return exactly the outcomes of successive
-`bell_measure_collapse` calls on the same state and stream, and
-`bell.swap_outcomes` exactly the outcomes and spectator residuals of fresh
-non-partner `EntangledMatching.measure_pair` swaps. Both must also leave the
-stream where the scalar loop leaves it, so that later draws agree too, and
-the sampled swap check, which calls them chunk by chunk, must count what
-the scalar loops count.
+`bell_measure_collapse` calls on the same state and stream, and leave the
+stream where the scalar loop leaves it, so that later draws agree too. The
+sampled swap check, which draws the oracle's outcomes through it and the
+engine's as one `integers(4, size=k)` call per chunk, must count what
+scalar `bell_measure_collapse` and fresh non-partner
+`EntangledMatching.measure_pair` loops count.
 """
 
 import numpy as np
@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct.bell import (
-    BellLabel,
-    EntangledMatching,
-    ParticleId,
-    Party,
-    swap_outcomes,
-)
+from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
 from qct.crosscheck import SAMPLE_CHUNK, _sampled_swap_counts
 from qct.oracle import bell_measure_collapse, bell_sample, prepare_pairs
 from qct.seeding import session_rng
@@ -34,12 +28,8 @@ def collapse_outcomes(state, q1, q2, rng, size):
 
 def measure_pair_swaps(b1, b2, rng, size):
     u1, u2, v1, v2 = (ParticleId(Party.ALICE, i) for i in range(1, 5))
-    outcomes, residuals = [], []
-    for _ in range(size):
-        matching = EntangledMatching([(u1, u2, b1), (v1, v2, b2)])
-        outcomes.append(matching.measure_pair(u2, v1, rng).value)
-        residuals.append(matching.label_of(u1).value)
-    return outcomes, residuals
+    return [EntangledMatching([(u1, u2, b1), (v1, v2, b2)]).measure_pair(u2, v1, rng).value
+            for _ in range(size)]
 
 
 def assert_same_stream_position(rng_a, rng_b):
@@ -77,32 +67,10 @@ class TestBellSample:
             bell_sample(state, 0, 0, np.random.default_rng(0), 5)
 
 
-class TestSwapOutcomes:
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.sampled_from(list(BellLabel)),
-        st.sampled_from(list(BellLabel)),
-        st.integers(0, 2**32),
-        st.integers(0, 40),
-    )
-    def test_replays_measure_pair(self, b1, b2, seed, size):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes, residuals = swap_outcomes(b1, b2, fast, size)
-        assert (outcomes.tolist(), residuals.tolist()) == measure_pair_swaps(b1, b2, slow, size)
-        assert_same_stream_position(fast, slow)
-
-    def test_empty_and_negative_sizes(self):
-        rng = np.random.default_rng(0)
-        outcomes, residuals = swap_outcomes(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS, rng, 0)
-        assert outcomes.size == residuals.size == 0
-        with pytest.raises(ValueError):
-            swap_outcomes(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS, rng, -3)
-
-
 @pytest.mark.parametrize("samples", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
 def test_sampled_check_counts_match_scalar_loops(samples):
     b1, b2 = BellLabel.PSI_MINUS, BellLabel.PHI_MINUS
-    engine, _ = measure_pair_swaps(b1, b2, session_rng(7), samples)
+    engine = measure_pair_swaps(b1, b2, session_rng(7), samples)
     oracle = collapse_outcomes(prepare_pairs([b1, b2]), 1, 2, session_rng(8), samples)
     engine_counts, oracle_counts = _sampled_swap_counts(samples, seed=7)
     assert engine_counts.tolist() == np.bincount(engine, minlength=4).tolist()

@@ -1,10 +1,11 @@
 """The drivers' plain-int measurement path against `EntangledMatching`.
 
 `protocol.measure_phase` plans a phase's measurements on the partner list
-alone, draws every swap label of a noiseless phase in one call and then
-computes the labels. It must give what successive `measure_pair` calls give on
-the same draws: the same outcomes, the same surviving edges, the same
-stream position afterwards. The batching rests on numpy serving
+alone, draws every swap label of the phase in one call, computes the labels
+and, under noise, passes each record through `apply_noise`. It must give
+what successive `measure_pair` calls and then `apply_noise` on each record
+give on the same draws: the same outcomes, the same surviving edges, the
+same stream position afterwards. The batching rests on numpy serving
 `integers(4, size=k)` from exactly the words of k scalar `integers(4)`
 calls; that identity is pinned here by name.
 """
@@ -106,13 +107,12 @@ def test_int_path_equals_measure_pair_on_identical_draws(script):
     matching = EntangledMatching(
         (_pid(2 * i), _pid(2 * i + 1), BellLabel(b)) for i, b in enumerate(labels))
     ref_rng, rng = session_rng(seed), session_rng(seed)
-    want = tuple([apply_noise(matching.measure_pair(_pid(u), _pid(v), ref_rng), noise, ref_rng)
-                  for u, v in order])
-
     partner = [c ^ 1 for c in range(2 * n)]
     label = [b for b in labels for _ in range(2)]
-    got = ()
+    want = got = ()
     for phase in (order[:split], order[split:]):
+        records = [matching.measure_pair(_pid(u), _pid(v), ref_rng) for u, v in phase]
+        want += tuple([apply_noise(record, noise, ref_rng) for record in records])
         kept, received = [u for u, _ in phase], [v for _, v in phase]
         got += measure_phase(partner, label, kept, received, noise, rng)[0]
 

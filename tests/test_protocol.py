@@ -102,6 +102,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="n_pairs must be an int"):
             SessionConfig(n_pairs)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, False, np.int64(3), "3", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            SessionConfig(2, seed)
+
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)
@@ -175,17 +180,15 @@ class TestTranscriptOrder:
         with pytest.raises(ProtocolOrderError):
             transcript.append(CoinAnnouncement(Party.ALICE, 0))
 
-
     @staticmethod
-    def _outcome(transcript, add, messages):
+    def _error(add):
         try:
-            add(transcript, messages)
-            error = None
+            add()
         except ProtocolOrderError as exc:
-            error = str(exc)
-        return error, list(transcript.messages)
+            return str(exc)
+        return None
 
-    def test_extend_raises_what_append_raises(self):
+    def test_constructor_raises_what_append_raises(self):
         seq = Sequence((1,))
         full = [
             ParticleBatch(Party.ALICE, ()),
@@ -195,6 +198,7 @@ class TestTranscriptOrder:
             VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT),
             CoinAnnouncement(Party.BOB, 1),
         ]
+        # (start, messages): the constructor is given full[:start] + messages
         cases = [
             (0, full),
             (0, full[:5]),
@@ -206,14 +210,25 @@ class TestTranscriptOrder:
             (0, full[:3] + [ResultsAnnouncement(Party.ALICE, ())] + full[4:]),  # misfit
             (0, full[:1] + [seq]),  # not a message
         ]
-        appended = lambda t, ms: [t.append(m) for m in ms]
         for start, messages in cases:
-            outcomes = []
-            for add in (appended, SessionTranscript.extend):
-                transcript = SessionTranscript(SessionConfig(1))
-                transcript.messages.extend(full[:start])
-                outcomes.append(self._outcome(transcript, add, messages))
-            assert outcomes[0] == outcomes[1], (start, messages)
+            given = full[:start] + messages
+            transcript = SessionTranscript(SessionConfig(1))
+            error = self._error(lambda: [transcript.append(m) for m in given])
+            assert self._error(lambda: SessionTranscript(SessionConfig(1), given)) == error, given
+            if error is None:
+                assert SessionTranscript(SessionConfig(1), given).messages == given
+
+    @pytest.mark.parametrize(
+        "messages",
+        [[CoinAnnouncement(Party.BOB, 1), "junk"],
+         [VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT)],
+         [ParticleBatch(Party.BOB, ()), ParticleBatch(Party.ALICE, ())],
+         ["junk"]],
+        ids=["coin-then-junk", "verdict-first", "batches-swapped", "not-a-message"],
+    )
+    def test_constructor_refuses_out_of_order_lists(self, messages):
+        with pytest.raises(ProtocolOrderError):
+            SessionTranscript(SessionConfig(2), messages)
 
 
 class TestPhaseOf:

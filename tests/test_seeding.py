@@ -1,6 +1,7 @@
 """Stream construction: `trial_rng` and `block_rng` yield the words of the
-Philox generator keyed by the masked seed at their counter, and importing
-`qct` leaves `numpy.random` unloaded until the first stream."""
+Philox generator keyed by the masked seed at their counter and refuse any
+index outside 0..2**63 - 1, and importing `qct` leaves `numpy.random`
+unloaded until the first stream."""
 
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from qct.seeding import _key_words, block_rng, trial_rng
 
 MASK64 = (1 << 64) - 1
 SEEDS = (0, 1, -1, 2**63 - 1, 2**64 - 1, 2**70)
-INDICES = (0, 1, 1023, 2**64 - 1)
+INDICES = (0, 1, 1023, 2**63 - 1)
 FAMILIES = {"trial": (trial_rng, 0), "block": (block_rng, 1)}
 
 
@@ -29,9 +30,6 @@ def _same_state(a: dict, b: dict) -> bool:
             == [b[k] for k in ("buffer_pos", "has_uint32", "uinteger")])
 
 
-# numpy casts a counter word of 2**64 - 1 through float64, with a warning;
-# the reference does the same, which is what this test pins.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streams_equal_the_keyed_philox_reference(family, seed):
@@ -43,6 +41,15 @@ def test_streams_equal_the_keyed_philox_reference(family, seed):
         assert got.random() == want.random()
         np.testing.assert_array_equal(got.permutation(11), want.permutation(11))
         assert _same_state(got.bit_generator.state, want.bit_generator.state), index
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("index", [-1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+def test_indices_outside_the_counter_range_are_refused(family, index):
+    # above 2**63 numpy reads the counter through float64 and several
+    # indices would share one stream; -1 would wrap to 2**64 - 1
+    with pytest.raises(ValueError, match="stream index must lie in 0..2\\*\\*63 - 1"):
+        FAMILIES[family][0](2026, index)
 
 
 def test_key_words_refuse_any_other_request():

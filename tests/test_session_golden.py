@@ -3,10 +3,17 @@
 `sessions()` runs honest, noisy, reflect and fake-sequence sessions at
 several pair counts on fixed streams and renders each as one JSON line:
 its messages as `qct toss --out` writes them, both parties' outcome
-records, the verdict, the coin and the driver's own result. The lines in
-`golden/sessions.jsonl` and the bytes of `golden/toss_n11_g0.9_seed5.jsonl`
-were written by the dictionary engine on `BellLabel` objects; the int-label
-engine consumes the same draws in the same order, so nothing may move.
+records, the verdict, the coin and the driver's own result. The noiseless
+lines in `golden/sessions.jsonl` were written by the dictionary engine on
+`BellLabel` objects; the int-label engine consumes the same draws in the
+same order, so they may not move. The noisy lines and the bytes of
+`golden/toss_n11_g0.9_seed5.jsonl` were regenerated on purpose when a noisy
+phase began to draw all its swap labels first and then its noise through
+`apply_noise`. That also moved one noiseless line, the first honest N = 32
+session: it shares the honest stream with the noisy N = 11 sessions before
+it, whose new noise draws end one 32-bit half-word later in that stream, so
+its sequence draw starts half a word later. Its outcomes did not move, and
+the stream agrees again from the next session on.
 
 Regenerate a golden file only for a deliberate change to the streams:
 ``PYTHONPATH=src python tests/test_session_golden.py``.
