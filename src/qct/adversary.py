@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bell import PauliLabel
+from .bell import PauliLabel, parity
 from .protocol import (
     SessionConfig,
     SessionRun,
@@ -123,7 +123,7 @@ class ReflectBlock(NamedTuple):
     alice: np.ndarray
     bob: np.ndarray
     passed: np.ndarray  # (B,) bool
-    coin: np.ndarray  # (B,) int64
+    coin: np.ndarray  # (B,) int8
 
 
 def draw_reflect_block(rng: np.random.Generator, n: int) -> ReflectDraws:
@@ -176,7 +176,7 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     alice ^= np.where(draws.noise >= gamma, draws.corrupt, np.int8(0))
     bob = np.where(lo == index, edge ^ (acc >> 2) ^ draws.guess, draws.guess)
     passed = (alice == bob).all(axis=1)
-    coin = ((alice ^ (alice >> 1)) & 1).sum(axis=1) & 1
+    coin = parity(np.bitwise_xor.reduce(alice, axis=1))
     return ReflectBlock(alice, bob, passed, coin)
 
 

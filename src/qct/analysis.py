@@ -176,6 +176,9 @@ def min_pairs_for_bias(target: BiasTarget) -> int:
 
     The bound holds against the two modelled attacks (reflection and fake
     sequence) only, not against every cheater: ideal quantum coin tossing
-    is impossible (Lo & Chau, quant-ph/9711065).
+    is impossible (Lo & Chau, quant-ph/9711065), and by Kitaev's bound some
+    cheater of any quantum strong coin-flipping protocol reaches a bias of
+    1/sqrt(2) - 1/2 ~ 0.207 (Chailloux & Kerenidis, arXiv:0904.1511), so a
+    target below 0.207 holds only against the two modelled attacks.
     """
     return min_pairs_for_threshold(2.0 * target.xi)

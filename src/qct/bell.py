@@ -4,9 +4,10 @@ The four Bell states are tracked as two classical bits (hi, lo): hi is the
 bit-flip component, lo the phase-flip component.  Under this encoding a Pauli
 applied to either particle of a pair is a XOR on the label, and a Bell
 measurement that joins two different pairs (entanglement swapping) leaves the
-two spectator particles in the state ``b1 ^ b2 ^ outcome``.  Both facts are
-certified against a dense statevector simulation in the test suite; the
-engine itself never touches amplitudes.
+two spectator particles in the state ``b1 ^ b2 ^ outcome`` (`residual`). That
+rule and a label's `parity` are the functions every engine and `qct verify`
+call. Both facts are certified against a dense statevector simulation in the
+test suite; the engine itself never touches amplitudes.
 
 `schedule_outcomes` is the batched form of a whole measurement schedule: a
 frame of one ``partner``/``label`` int row per schedule, where one Bell
@@ -16,6 +17,8 @@ measurement is fancy indexing plus XOR across every row at once.
 from __future__ import annotations
 
 from enum import Enum, IntEnum
+from functools import reduce
+from operator import xor
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,9 +35,22 @@ __all__ = [
     "AlreadyMeasuredError",
     "SelfMeasurementError",
     "apply_pauli",
+    "parity",
+    "residual",
     "schedule_outcomes",
     "total_parity",
 ]
+
+
+def parity(value):
+    """hi XOR lo of a label value, or of each value of an int array; for a
+    Pauli value, the parity change its flip causes on any Bell label."""
+    return ((value >> 1) ^ value) & 1
+
+
+def residual(b1, b2, outcome):
+    """Spectator label after swapping pairs in b1 and b2 with `outcome`."""
+    return b1 ^ b2 ^ outcome
 
 
 class BellLabel(IntEnum):
@@ -47,8 +63,7 @@ class BellLabel(IntEnum):
 
     @property
     def parity(self) -> int:
-        """hi XOR lo.  Phi+ and Psi- are even; Phi- and Psi+ are odd."""
-        return ((self.value >> 1) ^ self.value) & 1
+        return parity(self.value)
 
     @property
     def bits(self) -> str:
@@ -79,14 +94,12 @@ class PauliLabel(IntEnum):
 
     @property
     def parity(self) -> int:
-        """Parity change this flip causes on any Bell label (x XOR z)."""
-        return ((self.value >> 1) ^ self.value) & 1
+        return parity(self.value)
 
 
 # BELL_LABELS[v] is the BellLabel of value v. The engine keeps plain int
 # values and hands out these singletons at its edge.
 BELL_LABELS: tuple[BellLabel, ...] = tuple(BellLabel)
-_PARITY = (0, 1, 1, 0)  # _PARITY[v] = hi XOR lo of label value v
 
 
 def apply_pauli(label: BellLabel, pauli: PauliLabel) -> BellLabel:
@@ -99,16 +112,9 @@ def apply_pauli(label: BellLabel, pauli: PauliLabel) -> BellLabel:
 
 
 def total_parity(outcomes: Iterable[BellLabel]) -> int:
-    """XOR of the parities of `outcomes`; 0 for an empty collection."""
-    acc = 0
-    for label in outcomes:
-        acc ^= _PARITY[label]
-    return acc
-
-
-def _residual(b1, b2, outcome):
-    """Spectator label after swapping pairs in b1 and b2 with `outcome`."""
-    return b1 ^ b2 ^ outcome
+    """XOR of the parities of `outcomes`, which is the parity of their XOR
+    (parity is linear); 0 for an empty collection."""
+    return parity(reduce(xor, outcomes, 0))
 
 
 def schedule_outcomes(
@@ -146,7 +152,7 @@ def schedule_outcomes(
         outcome = np.where(pu == v, b1, swap[:, k : k + 1])
         # on partner rows the spectators are v and u themselves, zeroed below
         partner[row, pu], partner[row, pv] = pv, pu
-        label[row, pu] = label[row, pv] = _residual(b1, b2, outcome)
+        label[row, pu] = label[row, pv] = residual(b1, b2, outcome)
         # measured particles keep label 0: no schedule measures them again
         label[row, u] = label[row, v] = 0
         outcomes[:, k] = outcome[:, 0]

@@ -45,6 +45,8 @@ __all__ = ["main", "transcript_to_jsonl"]
 _FORMATS = ("text", "json", "csv")
 _ROW_FIELDS = ("n_pairs", "model", "value", "ci_low", "ci_high", "trials", "seed")
 _ROW_ORDER = operator.itemgetter("n_pairs", "model")  # sort key of model rows
+# Largest --n-pairs per command, from the time and memory measured there (README)
+_MAX_PAIRS = {"toss": 100_000, "cheat": 1024, "analyze": 256}
 
 
 def _payload(message: Message) -> dict[str, Any]:
@@ -310,7 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: TypingSequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = _MAX_PAIRS.get(args.command)
     try:
+        if limit is not None and args.n_pairs > limit:
+            raise ValueError(f"{args.command} takes at most {limit} pairs, not {args.n_pairs}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,14 +8,16 @@ sampled distributions (total-variation distance), and confirm parity
 conservation on random maximal measurement schedules in engine and oracle
 alike. `run_all` powers the `verify` CLI subcommand.
 
-The sampled-distribution check draws the engine's swap outcomes as
-``rng.integers(4, size=k)``, the words of k `EntangledMatching.measure_pair`
-swaps, and the oracle's through the batched sampler `oracle.bell_sample`;
-the parity-conservation checks run their schedules through the batched
-kernels `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests
-replay each against `measure_pair` or `oracle.bell_measure_collapse` on
-identical draws. The residual check runs through `bell_measure_collapse`
-itself.
+The sampled-distribution check tests numpy's sampler against the oracle's,
+not an engine: its "engine" outcomes are a bare ``rng.integers(4,
+size=k)``, the words k `EntangledMatching.measure_pair` swaps would draw,
+and the oracle's come from the batched sampler `oracle.bell_sample`. The
+parity-conservation checks run their schedules through the batched kernels
+`bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
+each against `measure_pair` or `oracle.bell_measure_collapse` on identical
+draws. The residual check takes its engine answer from `bell.residual`,
+the swap rule `protocol.measure_phase` and `bell.schedule_outcomes` run,
+and its oracle answer from `bell_measure_collapse` itself.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules (ENGINE_CHUNK
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel, apply_pauli
+from .bell import BellLabel, PauliLabel, apply_pauli, parity, residual
 from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
@@ -135,7 +137,7 @@ class _ForcedBranch:
 
 
 def check_residual_rule(fault_injection: bool = False) -> CheckResult:
-    """All 64 (b1, b2, outcome) swap cases: engine XOR rule vs oracle.
+    """All 64 (b1, b2, outcome) swap cases: the swap rule `bell.residual` vs oracle.
 
     With fault_injection the engine's residual is deliberately corrupted,
     so a passing suite must report this check as failed.
@@ -144,7 +146,7 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     for b1 in BellLabel:
         for b2 in BellLabel:
             for outcome in BellLabel:
-                engine = BellLabel(b1.value ^ b2.value ^ outcome.value)
+                engine = BellLabel(residual(b1.value, b2.value, outcome.value))
                 if fault_injection:
                     engine = BellLabel(engine.value ^ 0b01)
                 oracle = _oracle_residual(b1, b2, outcome)
@@ -197,13 +199,13 @@ def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarra
 def check_swap_distribution_sampled(
     samples: int = 100_000, seed: int = 20_26, threshold: float = 0.02
 ) -> CheckResult:
-    """Sampled swap outcomes: engine vs oracle vs exact, TV below threshold.
+    """Sampled swap outcomes: numpy's sampler vs oracle vs exact, TV below threshold.
 
     Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
-    outcomes are uniform) in batches: the engine as ``rng.integers(4,
+    outcomes are uniform) in batches: the "engine" side as ``rng.integers(4,
     size=k)``, the oracle through `bell_sample`. Each consumes its stream as
     `samples` scalar `measure_pair` or `bell_measure_collapse` calls would,
-    so the counts are those of the scalar loops.
+    so the counts are those of the scalar loops. No engine runs here.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (got {samples})")
@@ -222,18 +224,6 @@ def check_swap_distribution_sampled(
     )
 
 
-def _require_schedules(max_pairs: int, sequences: int) -> None:
-    if not 1 <= max_pairs <= MAX_QUBITS // 2:
-        raise ValueError(f"max_pairs must lie in 1..{MAX_QUBITS // 2} (got {max_pairs})")
-    if sequences < 1:
-        raise ValueError(f"sequences must be at least 1 (got {sequences})")
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """hi XOR lo of label values, elementwise."""
-    return (values ^ (values >> 1)) & 1
-
-
 def _schedule_check(
     name: str,
     max_pairs: int,
@@ -247,7 +237,10 @@ def _schedule_check(
     ``run(rng, labels, order) -> (outcomes, conserved)``, which draws what
     its kernel needs next. The first failing schedule's result, or None if
     every schedule conserves parity."""
-    _require_schedules(max_pairs, sequences)
+    if not 1 <= max_pairs <= MAX_QUBITS // 2:
+        raise ValueError(f"max_pairs must lie in 1..{MAX_QUBITS // 2} (got {max_pairs})")
+    if sequences < 1:
+        raise ValueError(f"sequences must be at least 1 (got {sequences})")
     rng = session_rng(seed)
     for n in range(1, max_pairs + 1):
         rows = chunk_rows(n)
@@ -257,7 +250,7 @@ def _schedule_check(
             order = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (size, 1)), axis=1)
             order = np.sort(order.reshape(size, n, 2), axis=2).reshape(size, 2 * n)
             outcomes, conserved = run(rng, labels, order)
-            same = _parity(np.bitwise_xor.reduce(outcomes, axis=1)) == _parity(
+            same = parity(np.bitwise_xor.reduce(outcomes, axis=1)) == parity(
                 np.bitwise_xor.reduce(labels, axis=1)
             )
             failed = np.flatnonzero(~(conserved & same))

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence as TypingSequence, Union
 import numpy as np
 
 from .bell import BELL_LABELS, AlreadyMeasuredError, BellLabel, ParticleId, Party, PauliLabel
-from .bell import SelfMeasurementError, total_parity
+from .bell import SelfMeasurementError, residual, total_parity
 from .seeding import session_rng
 
 __all__ = [
@@ -107,8 +107,8 @@ class Sequence:
     """Transmission order: order[slot - 1] = 1-based pair index in that slot."""
 
     order: tuple[int, ...]
-    # _slots[pair - 1] = slot of pair: the inverse permutation, for O(1) slot_of
-    _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # slots[pair - 1] = 1-based slot in which pair travels: the inverse permutation
+    slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.order)
@@ -124,13 +124,7 @@ class Sequence:
         # only n distinct pairs of 1..n fill every slot: a repeat leaves one empty
         if not slots or 0 in slots:
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
-        object.__setattr__(self, "_slots", tuple(slots))
-
-    def slot_of(self, pair: int) -> int:
-        """1-based slot in which `pair` travels."""
-        if not 1 <= pair <= len(self._slots):
-            raise ValueError(f"pair {pair} is not in 1..{len(self._slots)}")
-        return self._slots[pair - 1]
+        object.__setattr__(self, "slots", tuple(slots))
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
@@ -357,7 +351,7 @@ def measure_phase(
             outcome = label[u]
         else:
             outcome = next(draws)
-            label[pu] = label[pv] = label[u] ^ label[v] ^ outcome
+            label[pu] = label[pv] = residual(label[u], label[v], outcome)
         out.append(BELL_LABELS[outcome])
     if noise is not None:
         out = [apply_noise(outcome, noise, rng) for outcome in out]
@@ -417,37 +411,38 @@ class Strategy:
         return cls(StrategyKind.FAKE_SEQUENCE, desired=desired)
 
 
-def cycle_structure(seq: Sequence) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the permutation m -> seq.order[m - 1] over pair indices, each
-    a tuple of 1-based pair indices starting at its smallest member, listed
-    in ascending order of that member.
+def cycle_structure(order: TypingSequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation m -> order[m - 1] of the pair indices 1..N,
+    each a tuple of 1-based pair indices starting at its smallest member,
+    listed in ascending order of that member.
 
     For the order in which Bob returns Alice's pairs, the measurement at
-    index m consumes pair seq.order[m - 1]'s travelling half. The identity
-    order gives N fixed points; a swap of two slots gives one 2-cycle.
+    index m consumes pair order[m - 1]'s travelling half. The identity
+    order gives N fixed points; a swap of two slots gives one 2-cycle. An
+    order that is no permutation raises ValueError, or IndexError or
+    TypeError at an entry that indexes no pair.
     """
-    order = seq.order
     n = len(order)
     seen = [False] * (n + 1)
     cycles: list[tuple[int, ...]] = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
-        cycle = [start]
-        seen[start] = True
-        nxt = order[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = order[nxt - 1]
+        cycle, m = [], start
+        while not seen[m]:
+            seen[m] = True
+            cycle.append(m)
+            m = order[m - 1]
+        if m != start:  # the walk did not close: order is no permutation
+            raise ValueError(f"not a permutation of 1..{n}: {tuple(order)}")
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
 
 def best_guess_results(
     cycles: tuple[tuple[int, ...], ...],
-    rng: np.random.Generator,
-    targets: dict[int, BellLabel] | None = None,
+    labels: TypingSequence[int],
+    targets: dict[int, int] | None = None,
 ) -> list[BellLabel]:
     """Optimal fabricated results for the verifier's check, indexed by pair,
     for the cycles `cycle_structure` returns.
@@ -457,17 +452,13 @@ def best_guess_results(
     (all Phi+ unless `targets` overrides a cycle, keyed by its smallest
     member). Sampling uniformly from that consistent set maximises the
     per-cycle match probability at 4**(1 - length); a fixed point is
-    guessed exactly.
+    guessed exactly. The free guesses are `labels`, uniform label values,
+    one per cycle member after the first, cycle by cycle in orbit order.
     """
-    return _guesses(cycles, draw_labels(rng, sum(len(c) - 1 for c in cycles)), targets)
-
-
-def _guesses(
-    cycles: tuple[tuple[int, ...], ...], labels: list[int], targets: dict[int, int] | None
-) -> list[BellLabel]:
-    """`best_guess_results` with its free guesses taken from `labels`, one
-    per cycle member after the first, cycle by cycle in orbit order."""
-    guess = [0] * sum(map(len, cycles))  # guess[m - 1] for pair m
+    n = sum(map(len, cycles))
+    if len(labels) != n - len(cycles):
+        raise ValueError(f"{len(labels)} labels for {n - len(cycles)} free guesses")
+    guess = [0] * n  # guess[m - 1] for pair m
     free = iter(labels)
     for cycle in cycles:
         acc = int(targets.get(cycle[0], 0)) if targets else 0
@@ -518,21 +509,21 @@ def run_session(
     if kind is _REFLECT:
         return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
         # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
-        arrived = Sequence(tuple([alice_seq.order[r] for r in return_order.tolist()]))
+        arrived = [alice_seq.order[r] for r in return_order.tolist()]
         cycles = cycle_structure(arrived)
-        bob_batch = tuple([alice_ids[m - 1] for m in arrived.order])
-        returned = [alice_odd[m - 1] for m in arrived.order]  # returned[s - 1] in return slot s
+        bob_batch = tuple([alice_ids[m - 1] for m in arrived])
+        returned = [alice_odd[m - 1] for m in arrived]  # returned[s - 1] in return slot s
         # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
         label[returned[0]] = label[returned[0] ^ 1] = flip = int(strategy.flip)
 
         # Alice measures her kept half of pair m against return slot m, which
-        # carries pair arrived.order[m - 1]. Bob knows the cycles this makes and
+        # carries pair arrived[m - 1]. Bob knows the cycles this makes and
         # fabricates his results, one free guess per measurement that swaps.
         alice_results, guesses = measure_phase(
             partner, label, alice_even, returned, config.noise, rng, then=n - len(cycles))
         # the flip sets the target XOR of the cycle holding return slot 1's pair
-        targets = {c[0]: flip for c in cycles if arrived.order[0] in c}
-        bob_results = tuple(_guesses(cycles, guesses, targets))
+        targets = {c[0]: flip for c in cycles if arrived[0] in c}
+        bob_results = tuple(best_guess_results(cycles, guesses, targets))
     else:
         bob_batch = travelling(_BOB, n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
@@ -546,7 +537,7 @@ def run_session(
         claimed = alice_odd
         if announced is not alice_seq:
             sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
-            claimed = [sent[t - 1] for t in announced._slots]  # pair m's slot at m - 1
+            claimed = [sent[t - 1] for t in announced.slots]  # pair m's slot at m - 1
         bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
 
     if fake:

@@ -25,7 +25,7 @@ from qct.bell import (
     PauliLabel,
     total_parity,
 )
-from qct.protocol import Sequence, SessionConfig
+from qct.protocol import SessionConfig
 from qct.seeding import session_rng
 
 
@@ -79,18 +79,28 @@ def _independent_cycle_count(tau: dict[int, int]) -> int:
 
 class TestCycleDecomposition:
     def test_identity_order_gives_fixed_points(self):
-        assert cycle_structure(Sequence((1, 2, 3))) == ((1,), (2,), (3,))
+        assert cycle_structure((1, 2, 3)) == ((1,), (2,), (3,))
 
     def test_two_slot_swap_gives_one_transposition(self):
-        assert cycle_structure(Sequence((2, 1))) == ((1, 2),)
+        assert cycle_structure([2, 1]) == ((1, 2),)
 
     def test_cycles_listed_by_smallest_member(self):
-        assert cycle_structure(Sequence((3, 5, 1, 4, 2))) == ((1, 3), (2, 5), (4,))
+        assert cycle_structure((3, 5, 1, 4, 2)) == ((1, 3), (2, 5), (4,))
+
+    @pytest.mark.parametrize("order", [(1, 1), (2, 2, 1), (0, 1), (-1, 1), (2, 1, 2, 5)])
+    def test_non_permutations_rejected(self, order):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\."):
+            cycle_structure(order)
+
+    @pytest.mark.parametrize("order, error", [((2, 3), IndexError), ((1.0,), TypeError)])
+    def test_entries_that_index_no_pair_rejected(self, order, error):
+        with pytest.raises(error):
+            cycle_structure(order)
 
     @settings(deadline=None)
     @given(st.permutations(list(range(1, 8))))
     def test_against_independent_decomposition(self, order):
-        cycles = cycle_structure(Sequence(tuple(order)))
+        cycles = cycle_structure(order)
         assert sum(map(len, cycles)) == 7
         tau = {m: order[m - 1] for m in range(1, 8)}
         assert len(cycles) == _independent_cycle_count(tau)
@@ -103,35 +113,40 @@ class TestCycleDecomposition:
 class TestBestGuess:
     def test_fixed_points_guessed_exactly(self):
         cycles = ((1,), (2,), (3,))
-        rng = session_rng(0)
-        assert best_guess_results(cycles, rng) == [BellLabel.PHI_PLUS] * 3
+        assert best_guess_results(cycles, []) == [BellLabel.PHI_PLUS] * 3
 
     def test_cycle_xor_matches_target(self):
         rng = session_rng(1)
         cycles = ((1, 3, 4), (2, 5))
         targets = {1: BellLabel.PSI_PLUS}
         for _ in range(200):
-            guess = best_guess_results(cycles, rng, targets)
+            guess = best_guess_results(cycles, rng.integers(4, size=3).tolist(), targets)
             xor_a = guess[0].value ^ guess[2].value ^ guess[3].value
             xor_b = guess[1].value ^ guess[4].value
             assert BellLabel(xor_a) is BellLabel.PSI_PLUS
             assert BellLabel(xor_b) is BellLabel.PHI_PLUS
 
     @pytest.mark.parametrize("cycles", [((1,), (2,)), ((1, 3, 4), (2, 5)), ((1, 2, 3, 4, 5, 6),)])
-    def test_one_scalar_draw_per_free_guess(self, cycles):
-        # the free guesses are the stream's next labels, cycle by cycle in
-        # orbit order, and nothing more is drawn
-        rng, ref = session_rng(3), session_rng(3)
-        guess = best_guess_results(cycles, rng, {1: BellLabel.PSI_MINUS})
+    def test_free_guesses_taken_in_orbit_order(self, cycles):
+        # one given label per cycle member after the first, cycle by cycle
+        # in orbit order
+        free = [(5 * k + 2) % 4 for k in range(sum(len(c) - 1 for c in cycles))]
+        guess = best_guess_results(cycles, free, {1: BellLabel.PSI_MINUS})
         want = [0] * sum(len(c) for c in cycles)
+        labels = iter(free)
         for cycle in cycles:
             acc = 3 if cycle[0] == 1 else 0
             for m in cycle[1:]:
-                want[m - 1] = int(ref.integers(4))
+                want[m - 1] = next(labels)
                 acc ^= want[m - 1]
             want[cycle[0] - 1] = acc
         assert guess == [BellLabel(v) for v in want]
-        assert rng.random() == ref.random()
+
+    def test_one_label_per_free_guess(self):
+        cycles = ((1, 3, 4), (2, 5))
+        for free in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match=f"{len(free)} labels for 3 free guesses"):
+                best_guess_results(cycles, free)
 
     def test_two_cycle_uniform_over_equal_pairs(self):
         # consistent set for a 2-cycle with target 00 = the four equal pairs
@@ -140,7 +155,7 @@ class TestBestGuess:
         counts = {label: 0 for label in BellLabel}
         trials = 20_000
         for _ in range(trials):
-            a, b = best_guess_results(cycles, rng)
+            a, b = best_guess_results(cycles, [int(rng.integers(4))])
             assert a is b
             counts[a] += 1
         result = stats.chisquare(list(counts.values()))
@@ -178,7 +193,7 @@ class TestReflectAttack:
     def test_per_cycle_match_rate(self, length):
         """A single cycle of length L matches with probability 4**(1-L)."""
         rng = session_rng(31 + length)
-        arrived = Sequence(tuple((m % length) + 1 for m in range(1, length + 1)))
+        arrived = [(m % length) + 1 for m in range(1, length + 1)]
         cycles = cycle_structure(arrived)
         assert tuple(map(len, cycles)) == (length,)
         trials = 40_000 if length > 1 else 500
@@ -195,12 +210,12 @@ class TestReflectAttack:
             outcomes = [
                 matching.measure_pair(
                     ParticleId(Party.ALICE, 2 * m),
-                    ParticleId(Party.ALICE, 2 * arrived.order[m - 1] - 1),
+                    ParticleId(Party.ALICE, 2 * arrived[m - 1] - 1),
                     rng,
                 )
                 for m in range(1, length + 1)
             ]
-            if best_guess_results(cycles, rng) == outcomes:
+            if best_guess_results(cycles, rng.integers(4, size=length - 1).tolist()) == outcomes:
                 hits += 1
         p = 4.0 ** (1 - length)
         sigma = (p * (1 - p) / trials) ** 0.5

@@ -359,6 +359,29 @@ class TestErrors:
         assert out == ""
         assert err == "error: n_pairs must be at least 1\n"
 
+    @pytest.mark.parametrize("command", ["toss", "cheat", "analyze"])
+    def test_pairs_above_the_limit_exit_two_before_any_work(self, capsys, monkeypatch, command):
+        def no_work(*args):
+            raise AssertionError("an oversized run started")
+
+        for name in ("run_honest", "run_cheat_experiment", "_reference_rows"):
+            monkeypatch.setattr(cli, name, no_work)
+        limit = cli._MAX_PAIRS[command]
+        for n in (limit + 1, 10**9):
+            code, out, err = _run_inproc([command, "--n-pairs", str(n)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {command} takes at most {limit} pairs, not {n}\n"
+        # below 1 the message is the one it was before the limits
+        assert _run_inproc([command, "--n-pairs", "0"], capsys) == (
+            2, "", "error: n_pairs must be at least 1\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["toss"], ["cheat", "--trials", "20"], ["analyze"]], ids=["toss", "cheat", "analyze"])
+    def test_pairs_at_the_limit_run(self, capsys, monkeypatch, argv):
+        monkeypatch.setitem(cli._MAX_PAIRS, argv[0], 3)
+        assert _run_inproc(argv + ["--n-pairs", "3"], capsys)[0] == 0
+        assert _run_inproc(argv + ["--n-pairs", "4"], capsys)[:2] == (2, "")
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--n-pairs", "7"], ["verify", "--gamma", "5"], ["analyze", "--gamma", "0.5"]],

@@ -6,7 +6,9 @@
 exactly the outcomes of successive `bell_measure_collapse` calls fed the
 same uniforms, with the same collapsed amplitudes. The parity checks in
 `crosscheck` must draw their documented stream, give the same verdict at
-every chunk boundary, stay bounded in memory and catch a broken kernel.
+every chunk boundary, stay bounded in memory and catch a broken kernel. The
+residual check and the session engine must both run the shared swap rule
+`bell.residual`, so that a broken rule fails `qct verify`.
 """
 
 import tracemalloc
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import bell, crosscheck, oracle
+from qct import bell, crosscheck, oracle, protocol
 from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
 from qct.crosscheck import (
     ENGINE_CHUNK,
@@ -24,6 +26,7 @@ from qct.crosscheck import (
     CheckResult,
     check_parity_conservation_engine,
     check_parity_conservation_oracle,
+    check_residual_rule,
 )
 from qct.oracle import bell_measure_collapse, prepare_pairs
 from qct.seeding import session_rng
@@ -259,10 +262,38 @@ class TestNegativeControls:
     # a flip by 3 keeps every parity, so only the per-step invariant sees it
     @pytest.mark.parametrize("flip", [1, 2, 3])
     def test_wrong_residual_breaks_the_engine_check(self, monkeypatch, flip):
-        monkeypatch.setattr(bell, "_residual", lambda b1, b2, outcome: b1 ^ b2 ^ outcome ^ flip)
+        monkeypatch.setattr(bell, "residual", lambda b1, b2, outcome: b1 ^ b2 ^ outcome ^ flip)
         result = check_parity_conservation_engine(max_pairs=3, sequences=50)
         # n = 1 has no swaps, so the first broken schedule has two pairs
         assert result == CheckResult("parity-conservation-engine", False, "invariant broke at n=2")
+
+    @pytest.mark.parametrize("flip", [1, 2, 3])
+    def test_wrong_shared_swap_rule_breaks_verify_and_the_sessions(self, monkeypatch, flip):
+        # the check and the session engine call the one rule, not a copy
+        assert crosscheck.residual is bell.residual
+        assert protocol.residual is bell.residual
+
+        def wrong(b1, b2, outcome):
+            return b1 ^ b2 ^ outcome ^ flip
+
+        for module in (bell, crosscheck, protocol):
+            monkeypatch.setattr(module, "residual", wrong)
+        result = check_residual_rule()
+        assert not result.passed
+        assert result.detail.startswith("64 mismatches: ")
+        # pairs (0, 1), (2, 3), (4, 5) in Phi+: swap 1 with 2, then read the
+        # spectators 0 and 3 as partners, which reports the residual itself
+        kept, received = [1, 0], [2, 3]
+        particles = [ParticleId(Party.ALICE, c + 1) for c in range(6)]
+        matching = EntangledMatching(
+            (particles[2 * i], particles[2 * i + 1], BellLabel.PHI_PLUS) for i in range(3))
+        ref_rng = session_rng(5)
+        want = [matching.measure_pair(particles[u], particles[v], ref_rng)
+                for u, v in zip(kept, received)]
+        partner, label = [c ^ 1 for c in range(6)], [0] * 6
+        got = protocol.measure_phase(partner, label, kept, received, None, session_rng(5))[0]
+        assert got[0] is want[0]
+        assert got[1] == want[1] ^ flip
 
     def test_wrong_outcome_mapping_breaks_the_oracle_check(self, monkeypatch):
         kernel = crosscheck.oracle_schedule_outcomes

@@ -50,12 +50,15 @@ class ReplayRng:
     """Minimal rng stand-in that serves `run_reflect_attack` the draws of one
     recorded row, in the order the scalar session asks for them.
 
-    The session draws Alice's sequence and Bob's return order, then at each
-    index m in turn a swap outcome (unless the measurement closes its cycle,
-    at the cycle's largest index), a noise uniform and, when the record is
-    corrupted, a corruption label; last come Bob's guesses, cycle by cycle
-    in orbit order, skipping each cycle's smallest index. A label draw may
-    come as one `integers(4, size=k)` call, which pops the next k labels.
+    The session draws Alice's sequence and Bob's return order; then the
+    phase's swap labels, one per index m in order except where the
+    measurement closes its cycle (at the cycle's largest index); then Bob's
+    guesses, cycle by cycle in orbit order, skipping each cycle's smallest
+    index; then, under noise, the noise on the records: at each index m in
+    order a noise uniform and, when the record is corrupted, a corruption
+    label. The swap labels and guesses may come as one `integers(4,
+    size=k)` call, which pops the next k labels. A label asked for after the
+    first noise uniform fails the replay.
     """
 
     def __init__(self, row: ReflectDraws):
@@ -77,6 +80,7 @@ class ReplayRng:
         if high is None:
             low, high = 0, low
         if (low, high) == (0, 4):
+            assert self._index == -1, "a label drawn after the noise"
             if size is None:
                 return self._labels.pop(0)
             # a batched draw serves the labels of `size` scalar draws, in order
