@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "BiasTarget",
@@ -78,7 +77,11 @@ def pass_prob_composition_sum(n: int) -> float:
     return float(pass_prob_composition_sum_exact(n))
 
 
-@lru_cache(maxsize=None)
+# Rows c(n, .) built so far, by n: a new row extends the largest one below
+# it, so asking for n = 1, 2, ..., N in turn costs O(N^2) additions.
+_STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+
+
 def stirling_first_kind(n: int) -> tuple[int, ...]:
     """Signless Stirling numbers of the first kind c(n, m) for m = 0..n.
 
@@ -87,14 +90,13 @@ def stirling_first_kind(n: int) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    row = [1]  # c(0, 0)
-    for k in range(n):
-        new = [0] * (len(row) + 1)
-        for m, val in enumerate(row):
-            new[m] += k * val
-            new[m + 1] += val
-        row = new
-    return tuple(row)
+    if n not in _STIRLING_ROWS:
+        k = max(m for m in _STIRLING_ROWS if m < n)
+        row = _STIRLING_ROWS[k]
+        for k in range(k, n):
+            row = tuple(a + k * b for a, b in zip((0,) + row, row + (0,)))
+        _STIRLING_ROWS[n] = row
+    return _STIRLING_ROWS[n]
 
 
 def pass_prob_permutation_model_exact(n: int) -> Fraction:

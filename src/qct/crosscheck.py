@@ -27,6 +27,9 @@ schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
 int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
 random permutation read in pairs is a uniform random maximal schedule.
+ORACLE_CHUNK_AMPLITUDES is 4096. At its earlier 2048 the oracle chunks at
+n <= 5 held half as many schedules, so a seed's collapse uniforms went to
+other schedules; a passing check prints nothing that depends on them.
 
 The residual-rule check accepts a fault injection that corrupts the
 engine's answer on purpose; it must then fail, proving the suite can catch
@@ -57,7 +60,7 @@ from .seeding import session_rng
 # checks: memory stays flat in the sample and schedule counts.
 SAMPLE_CHUNK = 8192
 ENGINE_CHUNK = 1024
-ORACLE_CHUNK_AMPLITUDES = 2048
+ORACLE_CHUNK_AMPLITUDES = 4096
 
 __all__ = [
     "CheckResult",
@@ -106,23 +109,6 @@ def check_pauli_action() -> CheckResult:
     )
 
 
-def _oracle_residual(
-    b1: BellLabel, b2: BellLabel, outcome: BellLabel
-) -> BellLabel | None:
-    """Residual label after measuring qubits (1, 2) of b1 (x) b2 with the
-    given outcome, from the collapsed statevector; None if not a point mass
-    or the outcome has zero probability."""
-    state = prepare_pairs([b1, b2])
-    probs = bell_distribution(state, 1, 2)
-    if probs[outcome.value] <= 1e-12:
-        return None
-    # project deterministically on the requested branch
-    rng = _ForcedBranch(probs, outcome.value)
-    got, post = bell_measure_collapse(state, 1, 2, rng)
-    assert got is outcome
-    return _point_mass(bell_distribution(post, 0, 3))
-
-
 class _ForcedBranch:
     """Minimal rng stand-in whose single uniform draw lands in a chosen
     branch of a cumulative distribution (for deterministic collapse)."""
@@ -145,11 +131,21 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     failures = []
     for b1 in BellLabel:
         for b2 in BellLabel:
+            state = prepare_pairs([b1, b2])
+            probs = bell_distribution(state, 1, 2)
             for outcome in BellLabel:
                 engine = BellLabel(residual(b1.value, b2.value, outcome.value))
                 if fault_injection:
                     engine = BellLabel(engine.value ^ 0b01)
-                oracle = _oracle_residual(b1, b2, outcome)
+                # project deterministically on the requested branch and
+                # read the residual on (0, 3); None for a zero-probability
+                # branch or a residual that is not a point mass
+                oracle = None
+                if probs[outcome.value] > 1e-12:
+                    rng = _ForcedBranch(probs, outcome.value)
+                    got, post = bell_measure_collapse(state, 1, 2, rng)
+                    assert got is outcome
+                    oracle = _point_mass(bell_distribution(post, 0, 3))
                 if oracle is not engine:
                     failures.append(
                         f"{b1.symbol}x{b2.symbol}|{outcome.symbol}: "

@@ -13,8 +13,12 @@ state from a single Born distribution. Both map a uniform draw to an
 outcome through `_outcomes_of`, so `bell_sample(state, q1, q2, rng, k)`
 returns exactly the outcomes of k successive collapses of `state`.
 `schedule_outcomes` runs whole measurement schedules on a batch of
-product states, one gathered collapse per step for every row, with the
-same outcome rule and the same normalisation check as a `QuantumState`.
+product states, with the same outcome rule and the same normalisation
+check as a `QuantumState`. Each step reads every row's pair view out of
+the flat amplitudes with one `take` and writes the collapsed branch back
+with one `put`, scaling it by the real 1 / sqrt(p) as numpy's complex /
+real division does, so the amplitudes are `bell_measure_collapse`'s bit
+for bit.
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -93,9 +97,9 @@ def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
         raise ValueError("at least one pair is required")
     if 2 * len(labels) > MAX_QUBITS:
         raise ValueError(f"{len(labels)} pairs exceed the {MAX_QUBITS}-qubit limit")
-    amps = np.array([1.0], dtype=np.complex128)
-    for label in labels:
-        amps = np.kron(amps, _BELL_MATRIX[label.value])
+    amps = np.ones(1, dtype=np.complex128)
+    for label in labels:  # np.kron's products, without its reshaping
+        amps = np.multiply.outer(amps, _BELL_MATRIX[label.value]).reshape(-1)
     return QuantumState(amps, 2 * len(labels))
 
 
@@ -220,19 +224,20 @@ def schedule_outcomes(
         amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
     _require_normalized(amps)
     row = np.arange(rows)
+    # flat index of row r's amplitude j is r * 4**n + j; `flat` is a view
+    flat, offset = amps.reshape(-1), (row * amps.shape[1])[:, None, None]
+    bell_conj = _BELL_MATRIX.conj()
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     for k in range(steps):
-        where = _pair_indices(2 * n, order[:, 2 * k], order[:, 2 * k + 1])
-        coeffs = _BELL_MATRIX.conj() @ amps[row[:, None, None], where]
+        where = _pair_indices(2 * n, order[:, 2 * k], order[:, 2 * k + 1]) + offset
+        coeffs = bell_conj @ flat.take(where)
         probs = np.sum(np.abs(coeffs) ** 2, axis=2).real
         cumulative = _cumulative(probs)
         # searchsorted(side="right") of each row, as in _outcomes_of
         outcome = np.sum(cumulative <= uniforms[:, k : k + 1] * cumulative[:, -1:], axis=1)
-        p = probs[row, outcome]
-        projected = (
-            _BELL_MATRIX[outcome][:, :, None] * coeffs[row, outcome][:, None, :]
-        ) / np.sqrt(p)[:, None, None]
-        amps[row[:, None, None], where] = projected
+        projected = _BELL_MATRIX[outcome][:, :, None] * coeffs[row, outcome][:, None, :]
+        projected.view(np.float64)[...] *= (1.0 / np.sqrt(probs[row, outcome]))[:, None, None]
+        flat.put(where, projected)
         _require_normalized(amps)
         outcomes[:, k] = outcome
     return outcomes, amps

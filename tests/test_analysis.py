@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qct import analysis
 from qct.analysis import (
     BiasTarget,
     RobustnessQuery,
@@ -22,6 +23,18 @@ from qct.analysis import (
     robustness_ok,
     stirling_first_kind,
 )
+
+
+def _fresh_stirling(n: int) -> tuple[int, ...]:
+    """Row n of the rising-factorial recurrence, built from c(0, 0)."""
+    row = [1]
+    for k in range(n):
+        new = [0] * (len(row) + 1)
+        for m, val in enumerate(row):
+            new[m] += k * val
+            new[m + 1] += val
+        row = new
+    return tuple(row)
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -80,6 +93,17 @@ class TestStirling:
         assert stirling_first_kind(0) == (1,)
         assert stirling_first_kind(1) == (0, 1)
         assert stirling_first_kind(4) == (0, 6, 11, 6, 1)
+
+    def test_equals_a_fresh_recurrence(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_STIRLING_ROWS", {0: (1,)})
+        for n in range(65):
+            assert stirling_first_kind(n) == _fresh_stirling(n), n
+
+    def test_out_of_order_calls_extend_the_right_row(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_STIRLING_ROWS", {0: (1,)})
+        for n in (12, 5, 30, 5, 0, 31):
+            assert stirling_first_kind(n) == _fresh_stirling(n), n
+        assert set(analysis._STIRLING_ROWS) == {0, 5, 12, 30, 31}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_row_sums_to_factorial(self, n):

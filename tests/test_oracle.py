@@ -1,5 +1,7 @@
 """Statevector oracle tests: frozen amplitudes, Born probabilities, collapse."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ class TestPreparation:
         state = prepare_pairs([BellLabel.PHI_PLUS, BellLabel.PSI_PLUS])
         assert bell_distribution(state, 0, 1)[BellLabel.PHI_PLUS.value] == pytest.approx(1.0)
         assert bell_distribution(state, 2, 3)[BellLabel.PSI_PLUS.value] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_equals_the_kron_product_bit_for_bit(self, n):
+        # every label tuple up to three pairs, a few random ones at eight
+        tuples = (product(range(4), repeat=n) if n <= 3
+                  else np.random.default_rng(n).integers(4, size=(6, n)).tolist())
+        for values in tuples:
+            want = np.array([1.0], dtype=np.complex128)
+            for value in values:
+                want = np.kron(want, _BELL_MATRIX[value])
+            got = prepare_pairs([BellLabel(int(v)) for v in values]).amplitudes
+            assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
     def test_qubit_budget(self):
         prepare_pairs([BellLabel.PHI_PLUS] * (MAX_QUBITS // 2))  # exactly at the cap

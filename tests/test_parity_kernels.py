@@ -151,7 +151,7 @@ class TestOracleKernel:
             outcomes, amps = oracle.schedule_outcomes(labels, order[:, : 2 * steps], uniforms)
             want, states = collapse_outcomes(labels, order[:, : 2 * steps], uniforms)
             assert outcomes.tolist() == want.tolist()
-            assert np.allclose(amps, states, rtol=0.0, atol=1e-12)
+            assert np.array_equal(amps, states)
 
     def test_partner_first_never_leaves_the_label(self):
         # the first measurement is a point mass on the pair's label: the
@@ -237,8 +237,9 @@ def test_engine_check_chunks(monkeypatch, sequences):
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
 
-# 64 amplitudes give chunks of 16, 4 and 1 schedules at n = 1, 2, 3
-@pytest.mark.parametrize("amplitudes", [64, ORACLE_CHUNK_AMPLITUDES])
+# 64 amplitudes give chunks of 16, 4 and 1 schedules at n = 1, 2, 3; 2048
+# is the stream layout of the earlier, smaller batches
+@pytest.mark.parametrize("amplitudes", [64, 2048, ORACLE_CHUNK_AMPLITUDES])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_oracle_check_chunks(monkeypatch, amplitudes, offset):
     monkeypatch.setattr(crosscheck, "ORACLE_CHUNK_AMPLITUDES", amplitudes)
@@ -327,6 +328,12 @@ def test_oracle_check_memory_bounded_at_sixteen_qubits():
     result, peak = traced_peak(lambda: check_parity_conservation_oracle(max_pairs=8, sequences=2))
     assert result.passed
     assert peak < 8 * 2**20
+
+
+def test_verify_at_its_defaults_stays_below_one_mib():
+    results, peak = traced_peak(crosscheck.run_all)
+    assert all(r.passed for r in results)
+    assert peak < 2**20
 
 
 def test_engine_check_memory_flat_in_schedules():
