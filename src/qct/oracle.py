@@ -14,11 +14,11 @@ outcome through `_outcomes_of`, so `bell_sample(state, q1, q2, rng, k)`
 returns exactly the outcomes of k successive collapses of `state`.
 `schedule_outcomes` runs whole measurement schedules on a batch of
 product states, with the same outcome rule and the same normalisation
-check as a `QuantumState`. Each step reads every row's pair view out of
-the flat amplitudes with one `take` and writes the collapsed branch back
-with one `put`, scaling it by the real 1 / sqrt(p) as numpy's complex /
-real division does, so the amplitudes are `bell_measure_collapse`'s bit
-for bit.
+check as a `QuantumState`; each step gathers the rows' pair views through
+index tables cached per qubit count and divides the collapsed branch by
+sqrt(p), as `bell_measure_collapse` does, bit for bit. Amplitudes are
+float64: Bell states and real-Y Paulis never leave the reals, and the real
+Bell matrix is its own conjugate (the scalar functions take complex too).
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -27,6 +27,7 @@ index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,15 +56,15 @@ _BELL_MATRIX = np.array(
         [0.0, _SQ2, _SQ2, 0.0],   # Psi+ = (|01> + |10>)/sqrt2
         [0.0, _SQ2, -_SQ2, 0.0],  # Psi- = (|01> - |10>)/sqrt2
     ],
-    dtype=np.complex128,
+    dtype=np.float64,
 )
 
 # The real Y = X @ Z keeps every matrix in this table real.
 _PAULI_MATRICES = {
-    PauliLabel.I: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
-    PauliLabel.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    PauliLabel.Y: np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128),
-    PauliLabel.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+    PauliLabel.I: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64),
+    PauliLabel.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float64),
+    PauliLabel.Y: np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.float64),
+    PauliLabel.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.float64),
 }
 
 
@@ -78,7 +79,7 @@ def _require_normalized(amplitudes: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Immutable n-qubit statevector with 2**n amplitudes."""
+    """Immutable n-qubit statevector with 2**n amplitudes (a read-only view)."""
 
     amplitudes: np.ndarray
     qubit_count: int
@@ -89,6 +90,8 @@ class QuantumState:
         if self.amplitudes.shape != (2**self.qubit_count,):
             raise ValueError("amplitude vector has the wrong length")
         _require_normalized(self.amplitudes)
+        object.__setattr__(self, "amplitudes", self.amplitudes.view())
+        self.amplitudes.flags.writeable = False
 
 
 def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
@@ -97,10 +100,16 @@ def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
         raise ValueError("at least one pair is required")
     if 2 * len(labels) > MAX_QUBITS:
         raise ValueError(f"{len(labels)} pairs exceed the {MAX_QUBITS}-qubit limit")
-    amps = np.ones(1, dtype=np.complex128)
+    amps = np.ones(1)
     for label in labels:  # np.kron's products, without its reshaping
         amps = np.multiply.outer(amps, _BELL_MATRIX[label.value]).reshape(-1)
     return QuantumState(amps, 2 * len(labels))
+
+
+def _to_front(n: int, *qubits: int) -> tuple[list[int], list[int]]:
+    """Axis permutation moving `qubits` to the front, others kept in order, and its inverse."""
+    forward = [*qubits, *(q for q in range(n) if q not in qubits)]
+    return forward, sorted(range(n), key=forward.__getitem__)
 
 
 def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
@@ -111,15 +120,13 @@ def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     if q1 == q2:
         raise ValueError("measurement qubits must be distinct")
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.moveaxis(tensor, (q1, q2), (0, 1))
-    return tensor.reshape(4, -1)
+    return state.amplitudes.reshape([2] * n).transpose(_to_front(n, q1, q2)[0]).reshape(4, -1)
 
 
 def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
     """Bell-basis coefficients (4, rest) and their Born probabilities."""
-    coeffs = _BELL_MATRIX.conj() @ _pair_view(state, q1, q2)
-    return coeffs, np.sum(np.abs(coeffs) ** 2, axis=1).real
+    coeffs = _BELL_MATRIX @ _pair_view(state, q1, q2)
+    return coeffs, np.sum(np.abs(coeffs) ** 2, axis=1)
 
 
 # Born probabilities at or below this are rounding residue of an exact zero
@@ -164,8 +171,7 @@ def bell_measure_collapse(
     outcome = BellLabel(int(_outcomes_of(probs, rng.random())))
     p = probs[outcome.value]
     projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value]) / np.sqrt(p)
-    tensor = projected.reshape([2, 2] + [2] * (n - 2))
-    tensor = np.moveaxis(tensor, (0, 1), (q1, q2))
+    tensor = projected.reshape([2] * n).transpose(_to_front(n, q1, q2)[1])
     return outcome, QuantumState(tensor.reshape(-1), n)
 
 
@@ -182,19 +188,19 @@ def bell_sample(
     return _outcomes_of(bell_distribution(state, q1, q2), rng.random(size))
 
 
-def _pair_indices(qubits: int, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Basis indices of each row's (q1, q2) view: ``[r, 2a + b, j]`` is the
-    index with qubit q1 = a, qubit q2 = b and the other qubits spelling j
-    in order, as `_pair_view` lays them out."""
-    bit1 = qubits - 1 - q1.astype(np.intp)[:, None]
-    bit2 = qubits - 1 - q2.astype(np.intp)[:, None]
-    low, high = np.minimum(bit1, bit2), np.maximum(bit1, bit2)
-    rest = np.arange(2 ** (qubits - 2))[None, :]
-    # open a zero bit at `low`, then one at `high`
-    rest = ((rest >> low) << (low + 1)) | (rest & ((1 << low) - 1))
-    rest = ((rest >> high) << (high + 1)) | (rest & ((1 << high) - 1))
-    pair = np.arange(4)[None, :, None]
-    return rest[:, None, :] | ((pair >> 1) << bit1[:, :, None]) | ((pair & 1) << bit2[:, :, None])
+@lru_cache(maxsize=None)
+def _gather_tables(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair view tables, row ``q1 * qubits + q2`` (a placeholder at q1 = q2): `_pair_view`'s
+    ``[2a + b, h * low.shape[1] + l]`` is ``pair[id, 2a + b] + high[id, h] + low[id, l]``,
+    `high` spreading the leading half of the other qubits and `low` the rest."""
+    q1, q2 = np.divmod(np.arange(qubits * qubits), qubits)
+    weight = 1 << np.arange(qubits - 1, -1, -1)
+    pair = np.outer(weight[q1], [0, 0, 1, 1]) + np.outer(weight[q2], [0, 1, 0, 1])
+    qubit = np.arange(qubits)  # the other qubits in order (one extra on a placeholder)
+    others = np.sort(np.where((qubit == q1[:, None]) | (qubit == q2[:, None]), qubits, qubit))
+    halves = np.split(weight[others[:, : qubits - 2]], [(qubits - 1) // 2], axis=1)
+    bits = [np.arange(2 ** h.shape[1])[:, None] >> np.arange(h.shape[1])[::-1] & 1 for h in halves]
+    return pair, halves[0] @ bits[0].T, halves[1] @ bits[1].T
 
 
 def schedule_outcomes(
@@ -219,25 +225,30 @@ def schedule_outcomes(
         raise ValueError("labels, order and uniforms disagree in shape")
     if 2 * n > MAX_QUBITS:
         raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
-    amps = np.ones((rows, 1), dtype=np.complex128)
+    outside = order[(order < 0) | (order >= 2 * n)]
+    if outside.size:
+        raise ValueError(f"qubit {outside[0]} out of range for {2 * n}-qubit state")
+    if (order[:, 0::2] == order[:, 1::2]).any():
+        raise ValueError("measurement qubits must be distinct")
+    amps = np.ones((rows, 1))
     for i in range(n):  # np.kron's outer product, row by row
         amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
     _require_normalized(amps)
-    row = np.arange(rows)
-    # flat index of row r's amplitude j is r * 4**n + j; `flat` is a view
-    flat, offset = amps.reshape(-1), (row * amps.shape[1])[:, None, None]
-    bell_conj = _BELL_MATRIX.conj()
+    row, flat = np.arange(rows), amps.reshape(-1)  # a view: amps[r, j] is flat[r * 4**n + j]
+    pair, high, low = _gather_tables(2 * n)
+    ids = order[:, 0::2].astype(np.intp) * (2 * n) + order[:, 1::2]
+    corner = (pair.take(ids, axis=0) + (row * amps.shape[1])[:, None, None])[..., None, None]
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     for k in range(steps):
-        where = _pair_indices(2 * n, order[:, 2 * k], order[:, 2 * k + 1]) + offset
-        coeffs = bell_conj @ flat.take(where)
-        probs = np.sum(np.abs(coeffs) ** 2, axis=2).real
+        spread = high.take(ids[:, k], axis=0)[:, :, None] + low.take(ids[:, k], axis=0)[:, None]
+        where = (corner[:, k] + spread[:, None]).reshape(rows, 4, -1)
+        coeffs = _BELL_MATRIX @ flat.take(where)
+        probs = np.sum(np.abs(coeffs) ** 2, axis=2)
         cumulative = _cumulative(probs)
         # searchsorted(side="right") of each row, as in _outcomes_of
         outcome = np.sum(cumulative <= uniforms[:, k : k + 1] * cumulative[:, -1:], axis=1)
         projected = _BELL_MATRIX[outcome][:, :, None] * coeffs[row, outcome][:, None, :]
-        projected.view(np.float64)[...] *= (1.0 / np.sqrt(probs[row, outcome]))[:, None, None]
-        flat.put(where, projected)
+        flat[where] = projected / np.sqrt(probs[row, outcome])[:, None, None]
         _require_normalized(amps)
         outcomes[:, k] = outcome
     return outcomes, amps
@@ -248,8 +259,7 @@ def apply_pauli_gate(state: QuantumState, pauli: PauliLabel, qubit: int) -> Quan
     n = state.qubit_count
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.moveaxis(tensor, qubit, 0).reshape(2, -1)
-    tensor = _PAULI_MATRICES[pauli] @ tensor
-    tensor = np.moveaxis(tensor.reshape([2] * n), 0, qubit)
+    forward, inverse = _to_front(n, qubit)
+    tensor = state.amplitudes.reshape([2] * n).transpose(forward).reshape(2, -1)
+    tensor = (_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n).transpose(inverse)
     return QuantumState(tensor.reshape(-1), n)

@@ -5,9 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qct import oracle
 from qct.bell import BellLabel, PauliLabel
 from qct.oracle import (
     _BELL_MATRIX,
+    _PAULI_MATRICES,
     MAX_QUBITS,
     QuantumState,
     apply_pauli_gate,
@@ -44,11 +46,19 @@ class TestPreparation:
         tuples = (product(range(4), repeat=n) if n <= 3
                   else np.random.default_rng(n).integers(4, size=(6, n)).tolist())
         for values in tuples:
-            want = np.array([1.0], dtype=np.complex128)
+            real, full = np.array([1.0]), np.array([1.0], dtype=np.complex128)
             for value in values:
-                want = np.kron(want, _BELL_MATRIX[value])
+                real = np.kron(real, _BELL_MATRIX[value])
+                full = np.kron(full, _BELL_MATRIX[value].astype(np.complex128))
             got = prepare_pairs([BellLabel(int(v)) for v in values]).amplitudes
-            assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+            assert got.dtype == np.float64
+            assert got.tobytes() == real.tobytes()
+            # the complex product is the same state: its imaginary part is
+            # exactly zero and its real part equals the amplitudes, up to the
+            # sign of zero amplitudes, which complex products do not keep
+            # (x*y - 0*0 is +0.0 where x*y is -0.0)
+            assert not full.imag.any()
+            assert np.array_equal(got, full.real)
 
     def test_qubit_budget(self):
         prepare_pairs([BellLabel.PHI_PLUS] * (MAX_QUBITS // 2))  # exactly at the cap
@@ -64,6 +74,18 @@ class TestPreparation:
             QuantumState(np.zeros(3, dtype=complex), 2)
         with pytest.raises(ValueError, match="nan"):
             QuantumState(np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex), 2)
+
+    def test_amplitudes_are_read_only(self):
+        state = prepare_pairs([BellLabel.PHI_PLUS])
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 5
+        assert bell_distribution(state, 0, 1).sum() == pytest.approx(1.0, abs=1e-12)
+        # the caller's own array stays writable and is not copied
+        amps = np.array([SQ2, 0.0, 0.0, SQ2])
+        held = QuantumState(amps, 2).amplitudes
+        assert amps.flags.writeable and np.shares_memory(held, amps)
+        with pytest.raises(ValueError, match="read-only"):
+            held[1] = 1.0
 
 
 class TestDistribution:
@@ -166,9 +188,93 @@ class TestResidualRuleCertification:
 
 class TestPauliGate:
     def test_y_is_real(self):
-        state = apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS]), PauliLabel.Y, 0)
-        assert np.allclose(state.amplitudes.imag, 0.0)
+        # the real Y is X @ Z: Z first, then X, on real amplitudes
+        state = prepare_pairs([BellLabel.PHI_PLUS])
+        y = apply_pauli_gate(state, PauliLabel.Y, 0).amplitudes
+        xz = apply_pauli_gate(apply_pauli_gate(state, PauliLabel.Z, 0), PauliLabel.X, 0).amplitudes
+        assert y.dtype == np.float64
+        assert np.array_equal(y, xz) and not np.array_equal(y, state.amplitudes)
 
     def test_invalid_qubit(self):
         with pytest.raises(ValueError):
             apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS]), PauliLabel.X, 2)
+
+
+def pair_indices(qubits, q1, q2):
+    """Reference basis indices of each row's (q1, q2) view: ``[r, 2a + b, j]``
+    is the index with qubit q1 = a, qubit q2 = b and the other qubits
+    spelling j in order, as `_pair_view` lays them out (bit arithmetic)."""
+    bit1 = qubits - 1 - q1.astype(np.intp)[:, None]
+    bit2 = qubits - 1 - q2.astype(np.intp)[:, None]
+    low, high = np.minimum(bit1, bit2), np.maximum(bit1, bit2)
+    rest = np.arange(2 ** (qubits - 2))[None, :]
+    # open a zero bit at `low`, then one at `high`
+    rest = ((rest >> low) << (low + 1)) | (rest & ((1 << low) - 1))
+    rest = ((rest >> high) << (high + 1)) | (rest & ((1 << high) - 1))
+    pair = np.arange(4)[None, :, None]
+    return rest[:, None, :] | ((pair >> 1) << bit1[:, :, None]) | ((pair & 1) << bit2[:, :, None])
+
+
+@pytest.mark.parametrize("qubits", range(2, MAX_QUBITS + 1))
+def test_gather_tables_match_the_bit_arithmetic(qubits):
+    pair, high, low = oracle._gather_tables(qubits)
+    assert pair.shape == (qubits * qubits, 4)
+    assert high.shape[1] * low.shape[1] == 2 ** (qubits - 2)
+    # each half is about the square root of the view, never the full table
+    assert max(high.shape[1], low.shape[1]) <= 2 ** (qubits // 2)
+    for q1 in range(qubits):  # one first qubit at a time keeps the reference small
+        q2 = np.array([q for q in range(qubits) if q != q1])
+        ids = q1 * qubits + q2
+        got = (pair[ids][:, :, None, None] + high[ids][:, None, :, None]
+               + low[ids][:, None, None, :]).reshape(len(ids), 4, -1)
+        assert np.array_equal(got, pair_indices(qubits, np.full_like(q2, q1), q2))
+
+
+def moved_view(amplitudes, q1, q2):
+    """`_pair_view` through np.moveaxis."""
+    n = int(amplitudes.size).bit_length() - 1
+    return np.moveaxis(amplitudes.reshape([2] * n), (q1, q2), (0, 1)).reshape(4, -1)
+
+
+def random_states(n, seed):
+    """A normalised random real state and complex state on n qubits."""
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal(2**n)
+    full = real + 1j * rng.standard_normal(2**n)
+    return [QuantumState(v / np.linalg.norm(v), n) for v in (real, full)]
+
+
+class FixedRng:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_axis_permutations_equal_moveaxis(n):
+    """`_pair_view`, `bell_measure_collapse` and `apply_pauli_gate` give the
+    np.moveaxis results bit for bit, for every qubit pair and qubit."""
+    uniforms = np.random.default_rng(100 + n).random(n * n)
+    for state in random_states(n, n):
+        amps = state.amplitudes
+        for (q1, q2), u in zip(((a, b) for a in range(n) for b in range(n) if a != b), uniforms):
+            view = moved_view(amps, q1, q2)
+            assert oracle._pair_view(state, q1, q2).tobytes() == view.tobytes()
+            outcome, post = bell_measure_collapse(state, q1, q2, FixedRng(u))
+            coeffs = _BELL_MATRIX @ view
+            probs = np.sum(np.abs(coeffs) ** 2, axis=1)
+            assert outcome.value == oracle._outcomes_of(probs, u)
+            projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value])
+            projected = projected / np.sqrt(probs[outcome.value])
+            want = np.moveaxis(projected.reshape([2] * n), (0, 1), (q1, q2)).reshape(-1)
+            assert post.amplitudes.dtype == amps.dtype
+            assert post.amplitudes.tobytes() == want.tobytes()
+        for qubit in range(n):
+            tensor = np.moveaxis(amps.reshape([2] * n), qubit, 0).reshape(2, -1)
+            for pauli in PauliLabel:
+                moved = (_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n)
+                want = np.moveaxis(moved, 0, qubit).reshape(-1)
+                got = apply_pauli_gate(state, pauli, qubit).amplitudes
+                assert got.tobytes() == want.tobytes()

@@ -164,6 +164,18 @@ class TestOracleKernel:
         assert outcomes[:, 0].tolist() == labels[np.arange(200), first].tolist()
         assert outcomes.tolist() == collapse_outcomes(labels, order, uniforms)[0].tolist()
 
+    @pytest.mark.parametrize("bad", [[0, 5, 1, 2], [0, 9, 1, 2], [0, 0, 1, 2], [-1, 2, 0, 1]])
+    def test_refuses_the_qubits_the_scalar_path_refuses(self, bad):
+        # the second row is bad, with the error the scalar measurement gives
+        labels = np.zeros((2, 2), dtype=np.int8)
+        order = np.array([[0, 1, 2, 3], bad], dtype=np.int8)
+        with pytest.raises(ValueError) as scalar:
+            bell_measure_collapse(prepare_pairs([BellLabel.PHI_PLUS] * 2), bad[0], bad[1], None)
+        with pytest.raises(ValueError) as batched:
+            oracle.schedule_outcomes(labels, order, np.full((2, 2), 0.5))
+        assert str(batched.value) == str(scalar.value)
+        assert "out of range" in str(scalar.value) or "distinct" in str(scalar.value)
+
     def test_normalisation_checked_on_every_row_after_every_step(self, monkeypatch):
         amps = np.full((3, 4), 0.5, dtype=complex)
         oracle._require_normalized(amps)
