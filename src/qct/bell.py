@@ -12,6 +12,9 @@ test suite; the engine itself never touches amplitudes.
 `schedule_outcomes` is the batched form of a whole measurement schedule: a
 frame of one ``partner``/``label`` int row per schedule, where one Bell
 measurement is fancy indexing plus XOR across every row at once.
+`validate_schedule` is the input check it shares with the statevector
+kernel `qct.oracle.schedule_outcomes`, so both refuse the same schedules
+with the same messages.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ __all__ = [
     "residual",
     "schedule_outcomes",
     "total_parity",
+    "validate_labels",
+    "validate_schedule",
 ]
 
 
@@ -117,6 +122,38 @@ def total_parity(outcomes: Iterable[BellLabel]) -> int:
     return parity(reduce(xor, outcomes, 0))
 
 
+def validate_labels(labels: np.ndarray) -> None:
+    """Raise ValueError unless every entry of `labels` is a Bell label value 0..3."""
+    bad = labels[(labels < 0) | (labels > 3)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} is not a Bell label value 0..3")
+
+
+def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
+    """Raise ValueError unless row r of `order` is a schedule on the pairs
+    ``labels[r]`` with one draw per step in ``draws[r]``; returns the step count.
+
+    A schedule measures particles (qubits) ``order[r, 2k]`` and
+    ``order[r, 2k + 1]`` at step k, each particle of the row at most once.
+    """
+    if labels.ndim != 2 or order.ndim != 2 or draws.ndim != 2:
+        raise ValueError("labels, order and draws must be two-dimensional")
+    rows, n = labels.shape
+    steps = order.shape[1] // 2
+    if order.shape != (rows, 2 * steps) or draws.shape[0] != rows or steps > n:
+        raise ValueError("labels, order and draws disagree in shape")
+    if draws.shape[1] < steps:
+        raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
+    validate_labels(labels)
+    outside = order[(order < 0) | (order >= 2 * n)]
+    if outside.size:
+        raise ValueError(f"qubit {outside[0]} out of range for {2 * n}-qubit state")
+    # each (row, particle) counted once: a repeat within a row counts twice
+    if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
+        raise ValueError("measurement qubits must be distinct")
+    return steps
+
+
 def schedule_outcomes(
     labels: np.ndarray, order: np.ndarray, swap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,12 +168,11 @@ def schedule_outcomes(
     invariant of `EntangledMatching.conservation_ok`.
 
     Returns the outcome label values, shape ``(rows, steps)``, and per row
-    whether the invariant held after every step.
+    whether the invariant held after every step. Inputs `validate_schedule`
+    refuses raise its ValueError.
     """
+    steps = validate_schedule(labels, order, swap)
     rows, n = labels.shape
-    steps = order.shape[1] // 2
-    if order.shape != (rows, 2 * steps) or swap.shape[0] != rows or steps > n:
-        raise ValueError("labels, order and swap disagree in shape")
     index = np.arange(2 * n)
     row = np.arange(rows)[:, None]
     partner = np.broadcast_to(index ^ 1, (rows, 2 * n)).copy()

@@ -16,8 +16,18 @@ parity-conservation checks run their schedules through the batched kernels
 `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
 each against `measure_pair` or `oracle.bell_measure_collapse` on identical
 draws. The residual check takes its engine answer from `bell.residual`,
-the swap rule `protocol.measure_phase` and `bell.schedule_outcomes` run,
-and its oracle answer from `bell_measure_collapse` itself.
+the swap rule `protocol.measure_phase` and `bell.schedule_outcomes` run.
+
+The three exhaustive checks, `pauli-action-16`, `residual-rule-64` and
+`swap-distribution-exact`, build all their cases as one batch of states
+through the oracle's batched entry points (`oracle.prepare_states`,
+`apply_pauli_gates`, `bell_project`, `bell_distributions`) and read one
+Born distribution per measured pair. The residual check's oracle answer is
+`bell_project`'s collapse of each case on its outcome, read on qubits
+(0, 3). The tests hold every case to the scalar `prepare_pairs`,
+`apply_pauli_gate`, `bell_distribution` and `bell_measure_collapse`, bit
+for bit. This module keeps the cases' order, the comparisons and the
+detail texts.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules (ENGINE_CHUNK
@@ -27,8 +37,9 @@ schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
 int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
 random permutation read in pairs is a uniform random maximal schedule.
-ORACLE_CHUNK_AMPLITUDES is 4096. At its earlier 2048 the oracle chunks at
-n <= 5 held half as many schedules, so a seed's collapse uniforms went to
+ORACLE_CHUNK_AMPLITUDES is 8192. At its earlier 4096 the oracle chunks at
+n <= 6 held half as many schedules, and at 2048, before that, those at
+n <= 5 held half as many again, so a seed's collapse uniforms went to
 other schedules; a passing check prints nothing that depends on them.
 
 The residual-rule check accepts a fault injection that corrupts the
@@ -42,15 +53,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel, apply_pauli, parity, residual
+from .bell import BELL_LABELS, BellLabel, PauliLabel, apply_pauli, parity, residual
 from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
-    apply_pauli_gate,
-    bell_distribution,
-    bell_measure_collapse,
+    apply_pauli_gates,
+    bell_distributions,
+    bell_project,
     bell_sample,
     prepare_pairs,
+    prepare_states,
 )
 from .oracle import schedule_outcomes as oracle_schedule_outcomes
 from .seeding import session_rng
@@ -60,7 +72,7 @@ from .seeding import session_rng
 # checks: memory stays flat in the sample and schedule counts.
 SAMPLE_CHUNK = 8192
 ENGINE_CHUNK = 1024
-ORACLE_CHUNK_AMPLITUDES = 4096
+ORACLE_CHUNK_AMPLITUDES = 8192
 
 __all__ = [
     "CheckResult",
@@ -85,23 +97,33 @@ class CheckResult:
 _TOL = 1e-9
 
 
-def _point_mass(dist: np.ndarray) -> BellLabel | None:
-    """The label holding all probability mass, or None if spread out."""
-    idx = int(np.argmax(dist))
-    return BellLabel(idx) if abs(dist[idx] - 1.0) <= _TOL else None
+def _point_masses(dists: np.ndarray) -> np.ndarray:
+    """Per row, the label value holding all probability mass, or -1 if the
+    row is spread out (or NaN)."""
+    best = np.argmax(dists, axis=1)
+    mass = dists[np.arange(len(dists)), best]
+    return np.where(np.abs(mass - 1.0) <= _TOL, best, -1)
+
+
+def _label(value: int) -> BellLabel | None:
+    return BELL_LABELS[value] if value >= 0 else None
 
 
 def check_pauli_action() -> CheckResult:
     """All 16 (label, pauli) cases: XOR rule vs statevector, on either qubit."""
+    # case c is label c >> 3, pauli (c >> 1) & 3 and qubit c & 1, in the
+    # order failures are listed
+    case = np.arange(32)
+    labels, paulis, qubits = case >> 3, (case >> 1) & 3, case & 1
+    states = apply_pauli_gates(prepare_states(labels[:, None]), paulis, qubits)
+    oracle = _point_masses(bell_distributions(states, 0, 1))
     failures = []
-    for label in BellLabel:
-        for pauli in PauliLabel:
-            expected = apply_pauli(label, pauli)
-            for qubit in (0, 1):
-                state = apply_pauli_gate(prepare_pairs([label]), pauli, qubit)
-                got = _point_mass(bell_distribution(state, 0, 1))
-                if got is not expected:
-                    failures.append(f"{label.symbol},{pauli.name},q{qubit}->{got}")
+    for c in range(32):
+        label, pauli = BELL_LABELS[labels[c]], PauliLabel(paulis[c])
+        expected = apply_pauli(label, pauli)
+        got = _label(oracle[c])
+        if got is not expected:
+            failures.append(f"{label.symbol},{pauli.name},q{qubits[c]}->{got}")
     return CheckResult(
         "pauli-action-16",
         not failures,
@@ -109,62 +131,44 @@ def check_pauli_action() -> CheckResult:
     )
 
 
-class _ForcedBranch:
-    """Minimal rng stand-in whose single uniform draw lands in a chosen
-    branch of a cumulative distribution (for deterministic collapse)."""
-
-    def __init__(self, probs: np.ndarray, index: int):
-        cumulative = np.cumsum(probs)
-        low = cumulative[index - 1] if index else 0.0
-        self._value = (low + cumulative[index]) / 2.0 / cumulative[-1]
-
-    def random(self) -> float:
-        return self._value
-
-
 def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     """All 64 (b1, b2, outcome) swap cases: the swap rule `bell.residual` vs oracle.
 
+    The oracle collapses each (b1, b2) state on the case's outcome of the
+    swap on qubits (1, 2) and reads the residual on (0, 3): a point mass,
+    or none for a spread-out residual or a branch of probability at or
+    below 1e-12, which `bell_project` leaves without a state.
     With fault_injection the engine's residual is deliberately corrupted,
     so a passing suite must report this check as failed.
     """
-    failures = []
-    for b1 in BellLabel:
-        for b2 in BellLabel:
-            state = prepare_pairs([b1, b2])
-            probs = bell_distribution(state, 1, 2)
-            for outcome in BellLabel:
-                engine = BellLabel(residual(b1.value, b2.value, outcome.value))
-                if fault_injection:
-                    engine = BellLabel(engine.value ^ 0b01)
-                # project deterministically on the requested branch and
-                # read the residual on (0, 3); None for a zero-probability
-                # branch or a residual that is not a point mass
-                oracle = None
-                if probs[outcome.value] > 1e-12:
-                    rng = _ForcedBranch(probs, outcome.value)
-                    got, post = bell_measure_collapse(state, 1, 2, rng)
-                    assert got is outcome
-                    oracle = _point_mass(bell_distribution(post, 0, 3))
-                if oracle is not engine:
-                    failures.append(
-                        f"{b1.symbol}x{b2.symbol}|{outcome.symbol}: "
-                        f"engine {engine.symbol} oracle {oracle and oracle.symbol}"
-                    )
+    # case c is b1 = c >> 4, b2 = (c >> 2) & 3 and outcome c & 3, in the
+    # order failures are listed
+    case = np.arange(64)
+    b1, b2, outcome = case >> 4, (case >> 2) & 3, case & 3
+    engine = residual(b1, b2, outcome)
+    if fault_injection:
+        engine = engine ^ 0b01
+    _, collapsed = bell_project(prepare_states(np.stack([b1, b2], axis=1)), 1, 2, outcome)
+    oracle = _point_masses(bell_distributions(collapsed, 0, 3))
+    failures = np.flatnonzero(oracle != engine)
+    shown = []
+    for c in failures[:4]:
+        pair = "x".join(BELL_LABELS[b].symbol for b in (b1[c], b2[c]))
+        got = _label(oracle[c])
+        shown.append(f"{pair}|{BELL_LABELS[outcome[c]].symbol}: "
+                     f"engine {BellLabel(engine[c]).symbol} oracle {got and got.symbol}")
     return CheckResult(
         "residual-rule-64",
-        not failures,
-        "64 cases agree" if not failures else f"{len(failures)} mismatches: " + "; ".join(failures[:4]),
+        not failures.size,
+        f"{failures.size} mismatches: " + "; ".join(shown) if failures.size else "64 cases agree",
     )
 
 
 def check_swap_distribution_exact() -> CheckResult:
     """Cross-pair Bell outcome distribution is uniform for all 16 label pairs."""
-    worst = 0.0
-    for b1 in BellLabel:
-        for b2 in BellLabel:
-            probs = bell_distribution(prepare_pairs([b1, b2]), 1, 2)
-            worst = max(worst, float(np.max(np.abs(probs - 0.25))))
+    pair = np.arange(16)
+    states = prepare_states(np.stack([pair >> 2, pair & 3], axis=1))
+    worst = float(np.max(np.abs(bell_distributions(states, 1, 2) - 0.25)))
     return CheckResult(
         "swap-distribution-exact",
         worst <= _TOL,

@@ -16,9 +16,20 @@ returns exactly the outcomes of k successive collapses of `state`.
 product states, with the same outcome rule and the same normalisation
 check as a `QuantumState`; each step gathers the rows' pair views through
 index tables cached per qubit count and divides the collapsed branch by
-sqrt(p), as `bell_measure_collapse` does, bit for bit. Amplitudes are
-float64: Bell states and real-Y Paulis never leave the reals, and the real
-Bell matrix is its own conjugate (the scalar functions take complex too).
+sqrt(p), as `bell_measure_collapse` does, bit for bit. It refuses the
+schedules the engine's kernel refuses, through the shared
+`bell.validate_schedule`.
+
+The batched entry points hold many states as the rows of one ``(rows,
+2**n)`` array: `prepare_states` (of `prepare_pairs`), `apply_pauli_gates`
+(of `apply_pauli_gate`, one Pauli and qubit per row), `bell_distributions`
+(of `bell_distribution`) and `bell_project`, which collapses each row on a
+chosen outcome, as `bell_measure_collapse` does on the branch its uniform
+picks. They give the scalar functions' amplitudes and probabilities bit
+for bit and check every state they build for normalisation, but build no
+`QuantumState` per row. Amplitudes are float64: Bell states and real-Y
+Paulis never leave the reals, and the real Bell matrix is its own conjugate
+(the scalar and batched functions take complex too).
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -31,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel
+from .bell import BellLabel, PauliLabel, validate_labels, validate_schedule
 
 __all__ = [
     "MAX_QUBITS",
@@ -42,6 +53,10 @@ __all__ = [
     "bell_sample",
     "schedule_outcomes",
     "apply_pauli_gate",
+    "prepare_states",
+    "bell_distributions",
+    "bell_project",
+    "apply_pauli_gates",
 ]
 
 MAX_QUBITS = 16
@@ -59,13 +74,16 @@ _BELL_MATRIX = np.array(
     dtype=np.float64,
 )
 
-# The real Y = X @ Z keeps every matrix in this table real.
-_PAULI_MATRICES = {
-    PauliLabel.I: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64),
-    PauliLabel.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float64),
-    PauliLabel.Y: np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.float64),
-    PauliLabel.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.float64),
-}
+# Indexed by PauliLabel value; the real Y = X @ Z keeps every matrix real.
+_PAULI_MATRICES = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],   # I
+        [[1.0, 0.0], [0.0, -1.0]],  # Z
+        [[0.0, 1.0], [1.0, 0.0]],   # X
+        [[0.0, -1.0], [1.0, 0.0]],  # Y
+    ],
+    dtype=np.float64,
+)
 
 
 def _require_normalized(amplitudes: np.ndarray) -> None:
@@ -112,14 +130,18 @@ def _to_front(n: int, *qubits: int) -> tuple[list[int], list[int]]:
     return forward, sorted(range(n), key=forward.__getitem__)
 
 
-def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
-    """Amplitudes reshaped to (4, rest) with (q1, q2) as the leading axes."""
-    n = state.qubit_count
+def _check_pair(n: int, q1: int, q2: int) -> None:
     for q in (q1, q2):
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     if q1 == q2:
         raise ValueError("measurement qubits must be distinct")
+
+
+def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
+    """Amplitudes reshaped to (4, rest) with (q1, q2) as the leading axes."""
+    n = state.qubit_count
+    _check_pair(n, q1, q2)
     return state.amplitudes.reshape([2] * n).transpose(_to_front(n, q1, q2)[0]).reshape(4, -1)
 
 
@@ -203,6 +225,103 @@ def _gather_tables(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pair, halves[0] @ bits[0].T, halves[1] @ bits[1].T
 
 
+def prepare_states(labels: np.ndarray) -> np.ndarray:
+    """Batched `prepare_pairs`: row r is the product of Bell pairs labelled
+    ``labels[r]`` (label values, pair i on qubits 2i, 2i + 1), shape
+    ``(rows, 4**n)``, with every row checked for normalisation."""
+    rows, n = labels.shape
+    if n < 1:
+        raise ValueError("at least one pair is required")
+    if 2 * n > MAX_QUBITS:
+        raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
+    validate_labels(labels)
+    amps = np.ones((rows, 1))
+    for i in range(n):  # np.kron's outer product, row by row
+        amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
+    _require_normalized(amps)
+    return amps
+
+
+def _qubits(amps: np.ndarray) -> int:
+    """Qubit count of a ``(rows, 2**n)`` batch of states."""
+    if amps.ndim == 2:
+        qubits = amps.shape[1].bit_length() - 1
+        if 1 <= qubits <= MAX_QUBITS and amps.shape[1] == 1 << qubits:
+            return qubits
+    raise ValueError(f"amplitudes must have shape (rows, 2**n) with n in 1..{MAX_QUBITS}")
+
+
+def _pair_rows(amps: np.ndarray, q1: int, q2: int):
+    """Basis indices ``(4, rest)`` of `_pair_view` on (q1, q2), and every
+    row's Bell-basis coefficients ``(rows, 4, rest)`` and Born probabilities."""
+    qubits = _qubits(amps)
+    _check_pair(qubits, q1, q2)
+    pair, high, low = _gather_tables(qubits)
+    i = q1 * qubits + q2
+    where = (pair[i][:, None, None] + high[i][:, None] + low[i]).reshape(4, -1)
+    coeffs = _BELL_MATRIX @ amps[:, where]
+    return where, coeffs, np.sum(np.abs(coeffs) ** 2, axis=2)
+
+
+def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
+    by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
+    return _pair_rows(amps, q1, q2)[2]
+
+
+def bell_project(
+    amps: np.ndarray, q1: int, q2: int, outcomes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched `bell_measure_collapse` on a chosen branch: row r collapses on
+    the Bell outcome ``outcomes[r]`` of (q1, q2).
+
+    Returns every row's Born probabilities ``(rows, 4)`` and the collapsed
+    amplitudes, divided by sqrt(p) as `bell_measure_collapse` divides them.
+    An outcome of probability at or below the rounding residue is a branch
+    the samplers never pick: its row has no collapsed state and is NaN.
+    Every other row is checked for normalisation.
+    """
+    if outcomes.shape != (len(amps),):
+        raise ValueError("one outcome per row is required")
+    validate_labels(outcomes)
+    where, coeffs, probs = _pair_rows(amps, q1, q2)
+    row = np.arange(len(amps))
+    p = probs[row, outcomes]
+    possible = p > _RESIDUE
+    projected = _BELL_MATRIX[outcomes][:, :, None] * coeffs[row, outcomes][:, None, :]
+    collapsed = np.empty_like(amps)
+    collapsed[:, where] = projected / np.sqrt(np.where(possible, p, np.nan))[:, None, None]
+    _require_normalized(collapsed[possible])
+    return probs, collapsed
+
+
+def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    """Batched `apply_pauli_gate`: the Pauli of value ``paulis[r]`` (real Y
+    convention) on qubit ``qubits[r]`` of row r, every row checked for
+    normalisation."""
+    n = _qubits(amps)
+    rows, size = amps.shape
+    if paulis.shape != (rows,) or qubits.shape != (rows,):
+        raise ValueError("one Pauli and one qubit per row are required")
+    outside = paulis[(paulis < 0) | (paulis > 3)]
+    if outside.size:
+        raise ValueError(f"Pauli {outside[0]} is not a Pauli label value 0..3")
+    outside = qubits[(qubits < 0) | (qubits >= n)]
+    if outside.size:
+        raise ValueError(f"qubit {outside[0]} out of range for {n}-qubit state")
+    bit = (n - 1 - qubits.astype(np.intp))[:, None, None]
+    rest = np.arange(size // 2)
+    # row r's `_to_front(n, qubits[r])` view: [r, a, j] has the qubit at a
+    # and the other qubits spelling j in order around it
+    where = (rest >> bit) << (bit + 1) | np.arange(2)[:, None] << bit | rest & (1 << bit) - 1
+    where += (np.arange(rows) * size)[:, None, None]
+    out = np.empty(rows * size, dtype=amps.dtype)
+    out[where] = _PAULI_MATRICES[paulis] @ amps.reshape(-1)[where]
+    out = out.reshape(rows, size)
+    _require_normalized(out)
+    return out
+
+
 def schedule_outcomes(
     labels: np.ndarray, order: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,23 +336,13 @@ def schedule_outcomes(
     normalisation check on every row.
 
     Returns the outcome label values, shape ``(rows, steps)``, and the
-    collapsed amplitudes, shape ``(rows, 4**n)``.
+    collapsed amplitudes, shape ``(rows, 4**n)``. Inputs
+    `bell.validate_schedule` refuses raise its ValueError, as they do in
+    the engine's `bell.schedule_outcomes`.
     """
+    steps = validate_schedule(labels, order, uniforms)
+    amps = prepare_states(labels)
     rows, n = labels.shape
-    steps = order.shape[1] // 2
-    if order.shape != (rows, 2 * steps) or uniforms.shape[0] != rows or steps > n:
-        raise ValueError("labels, order and uniforms disagree in shape")
-    if 2 * n > MAX_QUBITS:
-        raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
-    outside = order[(order < 0) | (order >= 2 * n)]
-    if outside.size:
-        raise ValueError(f"qubit {outside[0]} out of range for {2 * n}-qubit state")
-    if (order[:, 0::2] == order[:, 1::2]).any():
-        raise ValueError("measurement qubits must be distinct")
-    amps = np.ones((rows, 1))
-    for i in range(n):  # np.kron's outer product, row by row
-        amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
-    _require_normalized(amps)
     row, flat = np.arange(rows), amps.reshape(-1)  # a view: amps[r, j] is flat[r * 4**n + j]
     pair, high, low = _gather_tables(2 * n)
     ids = order[:, 0::2].astype(np.intp) * (2 * n) + order[:, 1::2]

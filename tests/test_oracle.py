@@ -1,5 +1,6 @@
 """Statevector oracle tests: frozen amplitudes, Born probabilities, collapse."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -278,3 +279,105 @@ def test_axis_permutations_equal_moveaxis(n):
                 want = np.moveaxis(moved, 0, qubit).reshape(-1)
                 got = apply_pauli_gate(state, pauli, qubit).amplitudes
                 assert got.tobytes() == want.tobytes()
+
+
+def forced_uniform(probs, outcome):
+    """A uniform that `_outcomes_of` maps to `outcome`: the middle of its
+    branch of the cumulative distribution."""
+    cumulative = oracle._cumulative(probs)
+    low = cumulative[outcome - 1] if outcome else 0.0
+    return (low + cumulative[outcome]) / 2.0 / cumulative[-1]
+
+
+class TestBatched:
+    """The batched entry points against the scalar functions, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_prepare_states_equal_prepare_pairs(self, n):
+        labels = (np.array(list(product(range(4), repeat=n))) if n <= 3
+                  else np.random.default_rng(n).integers(4, size=(6, n)))
+        amps = oracle.prepare_states(labels)
+        assert amps.shape == (len(labels), 4**n)
+        for row, values in zip(amps, labels):
+            state = prepare_pairs([BellLabel(int(v)) for v in values])
+            assert np.array_equal(row, state.amplitudes)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_distributions_and_projections_equal_the_collapse(self, n):
+        """Every ordered qubit pair and every outcome with a branch, on
+        random real and complex states and on pair products, which have
+        zero-probability branches."""
+        states = random_states(n, 40 + n)
+        if n % 2 == 0:
+            labels = np.random.default_rng(n).integers(4, size=(4, n // 2))
+            states += [prepare_pairs([BellLabel(int(v)) for v in row]) for row in labels]
+        for kind in (np.float64, np.complex128):
+            batch = [s for s in states if s.amplitudes.dtype == kind]
+            amps = np.array([s.amplitudes for s in batch])
+            for q1, q2 in ((a, b) for a in range(n) for b in range(n) if a != b):
+                dists = oracle.bell_distributions(amps, q1, q2)
+                for outcome in range(4):
+                    outcomes = np.full(len(amps), outcome)
+                    probs, collapsed = oracle.bell_project(amps, q1, q2, outcomes)
+                    assert np.array_equal(probs, dists)
+                    for state, p, row in zip(batch, probs, collapsed):
+                        assert np.array_equal(p, bell_distribution(state, q1, q2))
+                        if p[outcome] <= oracle._RESIDUE:
+                            assert np.isnan(row).all()
+                            continue
+                        got, post = bell_measure_collapse(
+                            state, q1, q2, FixedRng(forced_uniform(p, outcome)))
+                        assert got.value == outcome
+                        assert row.dtype == post.amplitudes.dtype
+                        assert np.array_equal(row, post.amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pauli_gates_equal_apply_pauli_gate(self, n):
+        states = random_states(n, 70 + n)
+        for kind in (np.float64, np.complex128):
+            batch = [s for s in states if s.amplitudes.dtype == kind]
+            amps = np.repeat(np.array([s.amplitudes for s in batch]), 4 * n, axis=0)
+            cases = np.arange(4 * n)  # pauli c & 3 on qubit c >> 2
+            paulis, qubits = np.tile(cases & 3, len(batch)), np.tile(cases >> 2, len(batch))
+            out = oracle.apply_pauli_gates(amps, paulis, qubits)
+            assert out.dtype == kind
+            for row, state, pauli, qubit in zip(out, np.repeat(batch, 4 * n), paulis, qubits):
+                want = apply_pauli_gate(state, PauliLabel(int(pauli)), int(qubit)).amplitudes
+                assert np.array_equal(row, want)
+
+    def test_every_produced_state_is_checked_for_normalisation(self, monkeypatch):
+        amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))
+        twice = np.array(oracle._BELL_MATRIX)
+        twice[2] *= 2.0
+        monkeypatch.setattr(oracle, "_BELL_MATRIX", twice)
+        with pytest.raises(ValueError, match="state is not normalized"):
+            oracle.prepare_states(np.array([[0, 1], [2, 3]]))
+        # a projection reads coefficients through the same matrix, so a
+        # doubled row overweights the branch it projects on
+        with pytest.raises(ValueError, match="state is not normalized"):
+            oracle.bell_project(amps, 1, 2, np.array([2, 2]))
+        monkeypatch.setattr(oracle, "_PAULI_MATRICES", 2.0 * oracle._PAULI_MATRICES)
+        with pytest.raises(ValueError, match="state is not normalized"):
+            oracle.apply_pauli_gates(amps, np.array([0, 1]), np.array([0, 3]))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda a: oracle.prepare_states(np.array([[0, 4]])),
+         "label 4 is not a Bell label value 0..3"),
+        (lambda a: oracle.prepare_states(np.zeros((2, 9), dtype=int)),
+         "9 pairs exceed the 16-qubit limit"),
+        (lambda a: oracle.prepare_states(np.zeros((2, 0), dtype=int)),
+         "at least one pair is required"),
+        (lambda a: oracle.bell_distributions(a, 0, 4), "qubit 4 out of range for 4-qubit state"),
+        (lambda a: oracle.bell_distributions(a, 2, 2), "measurement qubits must be distinct"),
+        (lambda a: oracle.bell_distributions(a[:, :12], 0, 1), "amplitudes must have shape"),
+        (lambda a: oracle.bell_project(a, 0, 1, np.array([0, -1])), "label -1 is not a Bell label"),
+        (lambda a: oracle.bell_project(a, 0, 1, np.array([0])), "one outcome per row"),
+        (lambda a: oracle.apply_pauli_gates(a, np.array([0, 4]), np.array([0, 1])),
+         "Pauli 4 is not a Pauli label value 0..3"),
+        (lambda a: oracle.apply_pauli_gates(a, np.array([0, 1]), np.array([0, -1])),
+         "qubit -1 out of range for 4-qubit state"),
+    ])
+    def test_bad_input_is_refused(self, call, message):
+        amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(amps)

@@ -139,6 +139,32 @@ class TestEngineKernel:
             bell.schedule_outcomes(labels, np.zeros((3, 4), dtype=np.int8), labels)
 
 
+KERNEL_DRAWS = {
+    "engine": (bell.schedule_outcomes, lambda shape: np.zeros(shape, dtype=np.int8)),
+    "oracle": (oracle.schedule_outcomes, lambda shape: np.full(shape, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_DRAWS))
+@pytest.mark.parametrize("labels, order, width, message", [
+    ([-1, 0], [0, 1, 2, 3], 2, "label -1 is not a Bell label value 0..3"),
+    ([0, 4], [0, 1, 2, 3], 2, "label 4 is not a Bell label value 0..3"),
+    ([9, 0], [0, 1, 2, 3], 2, "label 9 is not a Bell label value 0..3"),
+    ([0, 0], [0, 0, 1, 2], 2, "measurement qubits must be distinct"),
+    ([0, 0], [0, 1, 1, 2], 2, "measurement qubits must be distinct"),
+    ([0, 0], [0, 5, 1, 2], 2, "qubit 5 out of range for 4-qubit state"),
+    ([0, 0], [0, 1, 2, 3], 1, "2 steps need 2 draws per schedule, not 1"),
+], ids=["label-1", "label4", "label9", "same-step", "measured-twice", "out-of-range", "narrow"])
+def test_kernels_refuse_the_same_bad_input(kernel, labels, order, width, message):
+    # the first row is a good schedule; the second row holds the bad input
+    run, draws = KERNEL_DRAWS[kernel]
+    labels = np.array([[0, 0], labels], dtype=np.int8)
+    order = np.array([[0, 1, 2, 3], order], dtype=np.int8)
+    with pytest.raises(ValueError) as refused:
+        run(labels, order, draws((2, width)))
+    assert str(refused.value) == message
+
+
 class TestOracleKernel:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 5), st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
@@ -250,8 +276,8 @@ def test_engine_check_chunks(monkeypatch, sequences):
 
 
 # 64 amplitudes give chunks of 16, 4 and 1 schedules at n = 1, 2, 3; 2048
-# is the stream layout of the earlier, smaller batches
-@pytest.mark.parametrize("amplitudes", [64, 2048, ORACLE_CHUNK_AMPLITUDES])
+# and 4096 are the stream layouts of the earlier, smaller batches
+@pytest.mark.parametrize("amplitudes", [64, 2048, 4096, ORACLE_CHUNK_AMPLITUDES])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_oracle_check_chunks(monkeypatch, amplitudes, offset):
     monkeypatch.setattr(crosscheck, "ORACLE_CHUNK_AMPLITUDES", amplitudes)
