@@ -43,6 +43,7 @@ __all__ = [
     "schedule_outcomes",
     "total_parity",
     "validate_labels",
+    "validate_qubits",
     "validate_schedule",
 ]
 
@@ -129,6 +130,14 @@ def validate_labels(labels: np.ndarray) -> None:
         raise ValueError(f"label {bad[0]} is not a Bell label value 0..3")
 
 
+def validate_qubits(qubits, n: int) -> None:
+    """Raise ValueError unless every entry of `qubits` (int or array) is a qubit 0..n-1."""
+    qubits = np.asarray(qubits)
+    bad = qubits[(qubits < 0) | (qubits >= n)]
+    if bad.size:
+        raise ValueError(f"qubit {bad[0]} out of range for {n}-qubit state")
+
+
 def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
     """Raise ValueError unless row r of `order` is a schedule on the pairs
     ``labels[r]`` with one draw per step in ``draws[r]``; returns the step count.
@@ -145,9 +154,7 @@ def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) 
     if draws.shape[1] < steps:
         raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
     validate_labels(labels)
-    outside = order[(order < 0) | (order >= 2 * n)]
-    if outside.size:
-        raise ValueError(f"qubit {outside[0]} out of range for {2 * n}-qubit state")
+    validate_qubits(order, 2 * n)
     # each (row, particle) counted once: a repeat within a row counts twice
     if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
         raise ValueError("measurement qubits must be distinct")
@@ -169,9 +176,10 @@ def schedule_outcomes(
 
     Returns the outcome label values, shape ``(rows, steps)``, and per row
     whether the invariant held after every step. Inputs `validate_schedule`
-    refuses raise its ValueError.
+    refuses, and swap draws that are not label values, raise ValueError.
     """
     steps = validate_schedule(labels, order, swap)
+    validate_labels(swap)
     rows, n = labels.shape
     index = np.arange(2 * n)
     row = np.arange(rows)[:, None]

@@ -11,7 +11,7 @@ alike. `run_all` powers the `verify` CLI subcommand.
 The sampled-distribution check tests numpy's sampler against the oracle's,
 not an engine: its "engine" outcomes are a bare ``rng.integers(4,
 size=k)``, the words k `EntangledMatching.measure_pair` swaps would draw,
-and the oracle's come from the batched sampler `oracle.bell_sample`. The
+and the oracle's from `oracle.bell_sample` on one Born distribution. The
 parity-conservation checks run their schedules through the batched kernels
 `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
 each against `measure_pair` or `oracle.bell_measure_collapse` on identical
@@ -37,10 +37,7 @@ schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
 int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
 random permutation read in pairs is a uniform random maximal schedule.
-ORACLE_CHUNK_AMPLITUDES is 8192. At its earlier 4096 the oracle chunks at
-n <= 6 held half as many schedules, and at 2048, before that, those at
-n <= 5 held half as many again, so a seed's collapse uniforms went to
-other schedules; a passing check prints nothing that depends on them.
+A passing check prints nothing that depends on the chunk sizes.
 
 The residual-rule check accepts a fault injection that corrupts the
 engine's answer on purpose; it must then fail, proving the suite can catch
@@ -58,6 +55,7 @@ from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
     apply_pauli_gates,
+    bell_distribution,
     bell_distributions,
     bell_project,
     bell_sample,
@@ -185,14 +183,14 @@ def _tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Engine and oracle outcome counts of `samples` swaps on a Psi- (x)
     Phi- input, drawn SAMPLE_CHUNK at a time from streams seed, seed + 1."""
-    base = prepare_pairs([BellLabel.PSI_MINUS, BellLabel.PHI_MINUS])
+    probs = bell_distribution(prepare_pairs([BellLabel.PSI_MINUS, BellLabel.PHI_MINUS]), 1, 2)
     rng_engine, rng_oracle = session_rng(seed), session_rng(seed + 1)
     engine_counts = np.zeros(4, dtype=np.int64)
     oracle_counts = np.zeros(4, dtype=np.int64)
     for start in range(0, samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, samples - start)
         engine_counts += np.bincount(rng_engine.integers(4, size=size), minlength=4)
-        oracle_counts += np.bincount(bell_sample(base, 1, 2, rng_oracle, size), minlength=4)
+        oracle_counts += np.bincount(bell_sample(probs, rng_oracle, size), minlength=4)
     return engine_counts, oracle_counts
 
 
@@ -203,9 +201,10 @@ def check_swap_distribution_sampled(
 
     Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
     outcomes are uniform) in batches: the "engine" side as ``rng.integers(4,
-    size=k)``, the oracle through `bell_sample`. Each consumes its stream as
-    `samples` scalar `measure_pair` or `bell_measure_collapse` calls would,
-    so the counts are those of the scalar loops. No engine runs here.
+    size=k)``, the oracle through `bell_sample` on one Born distribution.
+    Each consumes its stream as `samples` scalar `measure_pair` or
+    `bell_measure_collapse` calls would, so the counts are those of the
+    scalar loops. No engine runs here.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (got {samples})")

@@ -8,10 +8,10 @@ amplitudes, so agreement with the symbolic engine is a real check, not a
 tautology.
 
 `bell_measure_collapse` samples one outcome and returns the collapsed
-state; `bell_sample` draws many outcomes of the same measurement on one
-state from a single Born distribution. Both map a uniform draw to an
-outcome through `_outcomes_of`, so `bell_sample(state, q1, q2, rng, k)`
-returns exactly the outcomes of k successive collapses of `state`.
+state; `bell_sample(probs, rng, k)` draws k outcomes from one Born
+distribution. Both map a uniform to an outcome through `_outcomes_of`, so
+``bell_sample(bell_distribution(state, q1, q2), rng, k)`` returns exactly
+the outcomes of k successive collapses of `state` on (q1, q2).
 `schedule_outcomes` runs whole measurement schedules on a batch of
 product states, with the same outcome rule and the same normalisation
 check as a `QuantumState`; each step gathers the rows' pair views through
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel, validate_labels, validate_schedule
+from .bell import BellLabel, PauliLabel, validate_labels, validate_qubits, validate_schedule
 
 __all__ = [
     "MAX_QUBITS",
@@ -112,28 +112,32 @@ class QuantumState:
         self.amplitudes.flags.writeable = False
 
 
+def _check_pair_count(n: int) -> None:
+    if n < 1:
+        raise ValueError("at least one pair is required")
+    if 2 * n > MAX_QUBITS:
+        raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
+
+
+def _check_paulis(paulis) -> None:
+    """Raise ValueError unless every entry of `paulis` (int or array) is a Pauli value 0..3."""
+    paulis = np.asarray(paulis)
+    bad = paulis[(paulis < 0) | (paulis > 3)]
+    if bad.size:
+        raise ValueError(f"Pauli {bad[0]} is not a Pauli label value 0..3")
+
+
 def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
     """Product state of Bell pairs, pair i on qubits (2i, 2i+1)."""
-    if not labels:
-        raise ValueError("at least one pair is required")
-    if 2 * len(labels) > MAX_QUBITS:
-        raise ValueError(f"{len(labels)} pairs exceed the {MAX_QUBITS}-qubit limit")
+    _check_pair_count(len(labels))
     amps = np.ones(1)
     for label in labels:  # np.kron's products, without its reshaping
         amps = np.multiply.outer(amps, _BELL_MATRIX[label.value]).reshape(-1)
     return QuantumState(amps, 2 * len(labels))
 
 
-def _to_front(n: int, *qubits: int) -> tuple[list[int], list[int]]:
-    """Axis permutation moving `qubits` to the front, others kept in order, and its inverse."""
-    forward = [*qubits, *(q for q in range(n) if q not in qubits)]
-    return forward, sorted(range(n), key=forward.__getitem__)
-
-
 def _check_pair(n: int, q1: int, q2: int) -> None:
-    for q in (q1, q2):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
+    validate_qubits((q1, q2), n)
     if q1 == q2:
         raise ValueError("measurement qubits must be distinct")
 
@@ -142,7 +146,7 @@ def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     """Amplitudes reshaped to (4, rest) with (q1, q2) as the leading axes."""
     n = state.qubit_count
     _check_pair(n, q1, q2)
-    return state.amplitudes.reshape([2] * n).transpose(_to_front(n, q1, q2)[0]).reshape(4, -1)
+    return np.moveaxis(state.amplitudes.reshape([2] * n), (q1, q2), (0, 1)).reshape(4, -1)
 
 
 def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,21 +197,19 @@ def bell_measure_collapse(
     outcome = BellLabel(int(_outcomes_of(probs, rng.random())))
     p = probs[outcome.value]
     projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value]) / np.sqrt(p)
-    tensor = projected.reshape([2] * n).transpose(_to_front(n, q1, q2)[1])
+    tensor = np.moveaxis(projected.reshape([2] * n), (0, 1), (q1, q2))
     return outcome, QuantumState(tensor.reshape(-1), n)
 
 
-def bell_sample(
-    state: QuantumState, q1: int, q2: int, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Outcomes (BellLabel values) of `size` independent Bell measurements
-    on (q1, q2) of `state`, each on a fresh copy.
+def bell_sample(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Outcomes (BellLabel values) of `size` independent draws from the Born
+    distribution `probs` of a Bell measurement, as `bell_distribution` gives it.
 
     Consumes `rng` exactly as `size` successive `bell_measure_collapse`
-    calls on `state` would and returns the same outcomes, from one Born
-    distribution and one array of `size` uniforms.
+    calls on the measured state would and returns the same outcomes, from
+    one array of `size` uniforms.
     """
-    return _outcomes_of(bell_distribution(state, q1, q2), rng.random(size))
+    return _outcomes_of(probs, rng.random(size))
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +232,7 @@ def prepare_states(labels: np.ndarray) -> np.ndarray:
     ``labels[r]`` (label values, pair i on qubits 2i, 2i + 1), shape
     ``(rows, 4**n)``, with every row checked for normalisation."""
     rows, n = labels.shape
-    if n < 1:
-        raise ValueError("at least one pair is required")
-    if 2 * n > MAX_QUBITS:
-        raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
+    _check_pair_count(n)
     validate_labels(labels)
     amps = np.ones((rows, 1))
     for i in range(n):  # np.kron's outer product, row by row
@@ -303,16 +302,12 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
     rows, size = amps.shape
     if paulis.shape != (rows,) or qubits.shape != (rows,):
         raise ValueError("one Pauli and one qubit per row are required")
-    outside = paulis[(paulis < 0) | (paulis > 3)]
-    if outside.size:
-        raise ValueError(f"Pauli {outside[0]} is not a Pauli label value 0..3")
-    outside = qubits[(qubits < 0) | (qubits >= n)]
-    if outside.size:
-        raise ValueError(f"qubit {outside[0]} out of range for {n}-qubit state")
+    _check_paulis(paulis)
+    validate_qubits(qubits, n)
     bit = (n - 1 - qubits.astype(np.intp))[:, None, None]
     rest = np.arange(size // 2)
-    # row r's `_to_front(n, qubits[r])` view: [r, a, j] has the qubit at a
-    # and the other qubits spelling j in order around it
+    # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`:
+    # [r, a, j] has the qubit at a and the other qubits spelling j in order
     where = (rest >> bit) << (bit + 1) | np.arange(2)[:, None] << bit | rest & (1 << bit) - 1
     where += (np.arange(rows) * size)[:, None, None]
     out = np.empty(rows * size, dtype=amps.dtype)
@@ -338,9 +333,12 @@ def schedule_outcomes(
     Returns the outcome label values, shape ``(rows, steps)``, and the
     collapsed amplitudes, shape ``(rows, 4**n)``. Inputs
     `bell.validate_schedule` refuses raise its ValueError, as they do in
-    the engine's `bell.schedule_outcomes`.
+    the engine's `bell.schedule_outcomes`; so do uniforms outside [0, 1).
     """
     steps = validate_schedule(labels, order, uniforms)
+    outside = uniforms[~((uniforms >= 0) & (uniforms < 1))]
+    if outside.size:
+        raise ValueError(f"uniform {outside[0]} is not in [0, 1)")
     amps = prepare_states(labels)
     rows, n = labels.shape
     row, flat = np.arange(rows), amps.reshape(-1)  # a view: amps[r, j] is flat[r * 4**n + j]
@@ -366,9 +364,8 @@ def schedule_outcomes(
 def apply_pauli_gate(state: QuantumState, pauli: PauliLabel, qubit: int) -> QuantumState:
     """Apply a single-qubit Pauli (real Y convention) to `qubit`."""
     n = state.qubit_count
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    forward, inverse = _to_front(n, qubit)
-    tensor = state.amplitudes.reshape([2] * n).transpose(forward).reshape(2, -1)
-    tensor = (_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n).transpose(inverse)
+    _check_paulis(pauli)
+    validate_qubits(qubit, n)
+    tensor = np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
+    tensor = np.moveaxis((_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n), 0, qubit)
     return QuantumState(tensor.reshape(-1), n)

@@ -288,10 +288,6 @@ def travelling(party: Party, n_pairs: int) -> tuple[ParticleId, ...]:
 # state is two lists indexed by code: `partner` (-1 once measured) and `label`,
 # the label value of the particle's edge.
 
-# Fewest labels drawn in one batched call: below it the call's fixed cost
-# (~6 us) exceeds that of separate scalar draws (~2 us each).
-BATCH_MIN = 4
-
 
 @lru_cache(maxsize=None)
 def particle_codes(n_pairs: int) -> tuple[tuple[int, ...], ...]:
@@ -304,11 +300,9 @@ def particle_codes(n_pairs: int) -> tuple[tuple[int, ...], ...]:
 
 
 def draw_labels(rng: np.random.Generator, k: int) -> list[int]:
-    """k uniform label values, as k successive `int(rng.integers(4))` calls
-    would draw them; one batched call consumes the same stream words."""
-    if k >= BATCH_MIN:
-        return rng.integers(4, size=k).tolist()
-    return [int(rng.integers(4)) for _ in range(k)]
+    """k uniform label values, as k `int(rng.integers(4))` calls would draw
+    them, from one batched call, or none at k = 0 (partners need no `rng`)."""
+    return rng.integers(4, size=k).tolist() if k else []
 
 
 def measure_phase(

@@ -1,11 +1,12 @@
 """Batched swap samplers replayed against their scalar references.
 
-`oracle.bell_sample` must return exactly the outcomes of successive
-`bell_measure_collapse` calls on the same state and stream, and leave the
-stream where the scalar loop leaves it, so that later draws agree too. The
-sampled swap check, which draws the oracle's outcomes through it and the
-engine's as one `integers(4, size=k)` call per chunk, must count what
-scalar `bell_measure_collapse` and fresh non-partner
+`oracle.bell_sample`, given a state's `bell_distribution`, must return
+exactly the outcomes of successive `bell_measure_collapse` calls on that
+state and the same stream, and leave the stream where the scalar loop
+leaves it, so that later draws agree too. The sampled swap check, which
+draws the oracle's outcomes through it and the engine's as one
+`integers(4, size=k)` call per chunk, must count what scalar
+`bell_measure_collapse` and fresh non-partner
 `EntangledMatching.measure_pair` loops count.
 """
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
 from qct.crosscheck import SAMPLE_CHUNK, _sampled_swap_counts
-from qct.oracle import bell_measure_collapse, bell_sample, prepare_pairs
+from qct.oracle import bell_distribution, bell_measure_collapse, bell_sample, prepare_pairs
 from qct.seeding import session_rng
 
 labels_st = st.lists(st.sampled_from(list(BellLabel)), min_size=1, max_size=4)
@@ -45,7 +46,7 @@ class TestBellSample:
             st.lists(st.integers(0, 2 * len(labels) - 1), min_size=2, max_size=2, unique=True)
         )
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = bell_sample(state, q1, q2, fast, size)
+        got = bell_sample(bell_distribution(state, q1, q2), fast, size)
         assert got.tolist() == collapse_outcomes(state, q1, q2, slow, size)
         assert_same_stream_position(fast, slow)
 
@@ -54,17 +55,18 @@ class TestBellSample:
         # probability zero and must never be drawn
         state = prepare_pairs([BellLabel.PHI_MINUS, BellLabel.PSI_PLUS])
         fast, slow = np.random.default_rng(3), np.random.default_rng(3)
-        got = bell_sample(state, 0, 1, fast, 5000)
+        got = bell_sample(bell_distribution(state, 0, 1), fast, 5000)
         assert set(got.tolist()) == {BellLabel.PHI_MINUS.value}
         assert got.tolist() == collapse_outcomes(state, 0, 1, slow, 5000)
 
     def test_empty_and_negative_sizes(self):
         state = prepare_pairs([BellLabel.PHI_PLUS])
-        assert bell_sample(state, 0, 1, np.random.default_rng(0), 0).size == 0
+        probs = bell_distribution(state, 0, 1)
+        assert bell_sample(probs, np.random.default_rng(0), 0).size == 0
         with pytest.raises(ValueError):
-            bell_sample(state, 0, 1, np.random.default_rng(0), -1)
+            bell_sample(probs, np.random.default_rng(0), -1)
         with pytest.raises(ValueError):
-            bell_sample(state, 0, 0, np.random.default_rng(0), 5)
+            bell_distribution(state, 0, 0)
 
 
 @pytest.mark.parametrize("samples", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])

@@ -152,9 +152,13 @@ def test_verify_builds_no_per_case_quantum_state(monkeypatch):
         built.append(self.qubit_count)
         post_init(self)
 
+    born = oracle._born
+    evaluated = []
     monkeypatch.setattr(oracle.QuantumState, "__post_init__", counting)
+    monkeypatch.setattr(oracle, "_born", lambda *args: evaluated.append(args[1:]) or born(*args))
     assert all(result.passed for result in crosscheck.run_all())
-    # swap-distribution-sampled's Psi- (x) Phi- base state, which
-    # `bell_sample` draws every chunk from
+    # swap-distribution-sampled's Psi- (x) Phi- base state, whose one Born
+    # distribution `bell_sample` draws every chunk from
     assert built == [4]
+    assert evaluated == [(1, 2)]
 

@@ -62,9 +62,9 @@ def test_batched_label_draw_equals_scalar_draws(stream):
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
-def test_draw_labels_on_either_side_of_the_batch_threshold(stream):
+def test_draw_labels_equals_scalar_draws_for_small_k(stream):
     rng, scalar = STREAMS[stream](), STREAMS[stream]()
-    for k in range(2 * protocol.BATCH_MIN + 2):
+    for k in range(10):
         assert draw_labels(rng, k) == [int(scalar.integers(4)) for _ in range(k)]
     assert _state(rng) == _state(scalar)
 
@@ -159,10 +159,13 @@ def _outcomes(transcript):
 @pytest.mark.parametrize("gamma", [None, 0.8])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_drivers_same_with_every_draw_batched_or_scalar(monkeypatch, n, gamma):
+    def scalar_draws(rng, k):
+        return [int(rng.integers(4)) for _ in range(k)]
+
     config = SessionConfig(n, 3, None if gamma is None else NoiseModel(gamma))
     runs = []
-    for batch_min in (1, 10**9):
-        monkeypatch.setattr(protocol, "BATCH_MIN", batch_min)
+    for draw in (protocol.draw_labels, scalar_draws):
+        monkeypatch.setattr(protocol, "draw_labels", draw)
         runs.append([
             _outcomes(run_honest(config, session_rng(n))),
             *(_outcomes(run_reflect_attack(config, flip, trial_rng(n, i)).transcript)

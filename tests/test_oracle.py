@@ -10,7 +10,6 @@ from qct import oracle
 from qct.bell import BellLabel, PauliLabel
 from qct.oracle import (
     _BELL_MATRIX,
-    _PAULI_MATRICES,
     MAX_QUBITS,
     QuantumState,
     apply_pauli_gate,
@@ -161,7 +160,8 @@ class TestCollapse:
         state = prepare_pairs([first, second])
         for (q1, q2), label in (((0, 1), first), ((2, 3), second)):
             assert bell_measure_collapse(state, q1, q2, ZeroRng())[0] is label
-            assert bell_sample(state, q1, q2, ZeroRng(), 3).tolist() == [label.value] * 3
+            probs = bell_distribution(state, q1, q2)
+            assert bell_sample(probs, ZeroRng(), 3).tolist() == [label.value] * 3
 
 
 class TestResidualRuleCertification:
@@ -231,12 +231,6 @@ def test_gather_tables_match_the_bit_arithmetic(qubits):
         assert np.array_equal(got, pair_indices(qubits, np.full_like(q2, q1), q2))
 
 
-def moved_view(amplitudes, q1, q2):
-    """`_pair_view` through np.moveaxis."""
-    n = int(amplitudes.size).bit_length() - 1
-    return np.moveaxis(amplitudes.reshape([2] * n), (q1, q2), (0, 1)).reshape(4, -1)
-
-
 def random_states(n, seed):
     """A normalised random real state and complex state on n qubits."""
     rng = np.random.default_rng(seed)
@@ -251,34 +245,6 @@ class FixedRng:
 
     def random(self):
         return self.value
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_axis_permutations_equal_moveaxis(n):
-    """`_pair_view`, `bell_measure_collapse` and `apply_pauli_gate` give the
-    np.moveaxis results bit for bit, for every qubit pair and qubit."""
-    uniforms = np.random.default_rng(100 + n).random(n * n)
-    for state in random_states(n, n):
-        amps = state.amplitudes
-        for (q1, q2), u in zip(((a, b) for a in range(n) for b in range(n) if a != b), uniforms):
-            view = moved_view(amps, q1, q2)
-            assert oracle._pair_view(state, q1, q2).tobytes() == view.tobytes()
-            outcome, post = bell_measure_collapse(state, q1, q2, FixedRng(u))
-            coeffs = _BELL_MATRIX @ view
-            probs = np.sum(np.abs(coeffs) ** 2, axis=1)
-            assert outcome.value == oracle._outcomes_of(probs, u)
-            projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value])
-            projected = projected / np.sqrt(probs[outcome.value])
-            want = np.moveaxis(projected.reshape([2] * n), (0, 1), (q1, q2)).reshape(-1)
-            assert post.amplitudes.dtype == amps.dtype
-            assert post.amplitudes.tobytes() == want.tobytes()
-        for qubit in range(n):
-            tensor = np.moveaxis(amps.reshape([2] * n), qubit, 0).reshape(2, -1)
-            for pauli in PauliLabel:
-                moved = (_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n)
-                want = np.moveaxis(moved, 0, qubit).reshape(-1)
-                got = apply_pauli_gate(state, pauli, qubit).amplitudes
-                assert got.tobytes() == want.tobytes()
 
 
 def forced_uniform(probs, outcome):
@@ -376,6 +342,10 @@ class TestBatched:
          "Pauli 4 is not a Pauli label value 0..3"),
         (lambda a: oracle.apply_pauli_gates(a, np.array([0, 1]), np.array([0, -1])),
          "qubit -1 out of range for 4-qubit state"),
+        (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS] * 2), -1, 0),
+         "Pauli -1 is not a Pauli label value 0..3"),
+        (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS] * 2), 4, 0),
+         "Pauli 4 is not a Pauli label value 0..3"),
     ])
     def test_bad_input_is_refused(self, call, message):
         amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))

@@ -165,6 +165,23 @@ def test_kernels_refuse_the_same_bad_input(kernel, labels, order, width, message
     assert str(refused.value) == message
 
 
+def test_engine_kernel_refuses_swap_draws_that_are_not_labels():
+    # a swap draw of 7 would come back as the outcome and the residual
+    with pytest.raises(ValueError) as refused:
+        bell.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]), np.array([[7, -1]]))
+    assert str(refused.value) == "label 7 is not a Bell label value 0..3"
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.0, 1.5, np.nan])
+def test_oracle_kernel_refuses_uniforms_outside_the_unit_interval(bad):
+    # the first step is a swap: a uniform below 0 or NaN would pick outcome
+    # 0 and one of 1 or more an outcome index 4
+    with pytest.raises(ValueError) as refused:
+        oracle.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]),
+                                 np.array([[bad, 0.5]]))
+    assert str(refused.value) == f"uniform {bad} is not in [0, 1)"
+
+
 class TestOracleKernel:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 5), st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
