@@ -247,6 +247,42 @@ class FixedRng:
         return self.value
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_axis_permutations_equal_moveaxis(n):
+    """`_pair_view`, `bell_measure_collapse` and `apply_pauli_gate` give the
+    np.moveaxis layout bit for bit, for every qubit pair and qubit; the
+    reference gathers and scatters by basis-index bit arithmetic, so it
+    does not go through np.moveaxis itself."""
+    uniforms = np.random.default_rng(100 + n).random(n * n)
+    index = np.arange(2**n)
+    for state in random_states(n, n):
+        amps = state.amplitudes
+        for (q1, q2), u in zip(((a, b) for a in range(n) for b in range(n) if a != b), uniforms):
+            rows = pair_indices(n, np.array([q1]), np.array([q2]))[0]
+            view = amps[rows]
+            assert oracle._pair_view(state, q1, q2).tobytes() == view.tobytes()
+            outcome, post = bell_measure_collapse(state, q1, q2, FixedRng(u))
+            coeffs = _BELL_MATRIX @ view
+            probs = np.sum(np.abs(coeffs) ** 2, axis=1)
+            assert outcome.value == oracle._outcomes_of(probs, u)
+            projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value])
+            projected = projected / np.sqrt(probs[outcome.value])
+            want = np.empty_like(amps)
+            want[rows] = projected
+            assert post.amplitudes.dtype == amps.dtype
+            assert post.amplitudes.tobytes() == want.tobytes()
+        for qubit in range(n):
+            mask = 1 << (n - 1 - qubit)
+            zero = index[index & mask == 0]  # the qubit at 0, the rest in order
+            tensor = np.stack([amps[zero], amps[zero | mask]])
+            for pauli in PauliLabel:
+                moved = oracle._PAULI_MATRICES[pauli] @ tensor
+                want = np.empty_like(amps)
+                want[zero], want[zero | mask] = moved
+                got = apply_pauli_gate(state, pauli, qubit).amplitudes
+                assert got.tobytes() == want.tobytes()
+
+
 def forced_uniform(probs, outcome):
     """A uniform that `_outcomes_of` maps to `outcome`: the middle of its
     branch of the cumulative distribution."""
