@@ -133,6 +133,8 @@ def validate_labels(labels: np.ndarray) -> None:
 def validate_qubits(qubits, n: int) -> None:
     """Raise ValueError unless every entry of `qubits` (int or array) is a qubit 0..n-1."""
     qubits = np.asarray(qubits)
+    if qubits.dtype.kind not in "iu":  # one test per call: a float or bool indexes no qubit
+        raise ValueError(f"qubits must be integers, not {qubits.dtype}")
     bad = qubits[(qubits < 0) | (qubits >= n)]
     if bad.size:
         raise ValueError(f"qubit {bad[0]} out of range for {n}-qubit state")

@@ -16,7 +16,7 @@ parity-conservation checks run their schedules through the batched kernels
 `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
 each against `measure_pair` or `oracle.bell_measure_collapse` on identical
 draws. The residual check takes its engine answer from `bell.residual`,
-the swap rule `protocol.measure_phase` and `bell.schedule_outcomes` run.
+the swap rule `protocol.cycle_outcomes` and `bell.schedule_outcomes` run.
 
 The three exhaustive checks, `pauli-action-16`, `residual-rule-64` and
 `swap-distribution-exact`, build all their cases as one batch of states

@@ -122,6 +122,8 @@ def _check_pair_count(n: int) -> None:
 def _check_paulis(paulis) -> None:
     """Raise ValueError unless every entry of `paulis` (int or array) is a Pauli value 0..3."""
     paulis = np.asarray(paulis)
+    if paulis.dtype.kind not in "iu":  # one test per call: a float or bool indexes no Pauli
+        raise ValueError(f"Paulis must be integers, not {paulis.dtype}")
     bad = paulis[(paulis < 0) | (paulis > 3)]
     if bad.size:
         raise ValueError(f"Pauli {bad[0]} is not a Pauli label value 0..3")

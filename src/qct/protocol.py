@@ -15,6 +15,10 @@ out-of-order construction.
 `run_session` runs one session under any `Strategy`: honest play, or one
 party deviating inside the same exchange (Bob's reflection attack, Alice's
 fake-sequence attack); `qct.adversary` evaluates the attacks by Monte Carlo.
+It tracks no particles: each phase measures along a permutation of the
+pairs, and `cycle_outcomes` gives its outcomes from the permutation's
+cycles, where every measurement swaps with a fresh outcome except the
+last in each cycle, which the cycle's XOR fixes.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from typing import Iterable, NamedTuple, Sequence as TypingSequence, Union
 
 import numpy as np
 
-from .bell import BELL_LABELS, AlreadyMeasuredError, BellLabel, ParticleId, Party, PauliLabel
-from .bell import SelfMeasurementError, residual, total_parity
+from .bell import BELL_LABELS, BellLabel, ParticleId, Party, PauliLabel, residual, total_parity
 from .seeding import session_rng
 
 __all__ = [
@@ -50,7 +53,7 @@ __all__ = [
     "alice_verify",
     "apply_noise",
     "travelling",
-    "measure_phase",
+    "cycle_outcomes",
     "StrategyKind",
     "Strategy",
     "cycle_structure",
@@ -283,73 +286,56 @@ def travelling(party: Party, n_pairs: int) -> tuple[ParticleId, ...]:
     return tuple([ParticleId(party, 2 * m - 1) for m in range(1, n_pairs + 1)])
 
 
-# The session drivers measure on plain ints. Alice's particle i is code i - 1
-# and Bob's 2N + i - 1, so a source pair's halves are codes c and c ^ 1. The
-# state is two lists indexed by code: `partner` (-1 once measured) and `label`,
-# the label value of the particle's edge.
-
-
-@lru_cache(maxsize=None)
-def particle_codes(n_pairs: int) -> tuple[tuple[int, ...], ...]:
-    """Every code's source partner, then the codes of Alice's odd and even
-    halves and of Bob's, pair m's at index m - 1."""
-    bob = 2 * n_pairs
-    return (tuple([c ^ 1 for c in range(2 * bob)]),
-            tuple(range(0, bob, 2)), tuple(range(1, bob, 2)),
-            tuple(range(bob, 2 * bob, 2)), tuple(range(bob + 1, 2 * bob, 2)))
-
-
 def draw_labels(rng: np.random.Generator, k: int) -> list[int]:
     """k uniform label values, as k `int(rng.integers(4))` calls would draw
-    them, from one batched call, or none at k = 0 (partners need no `rng`)."""
+    them, from one batched call, or none at k = 0 (then `rng` is not touched)."""
     return rng.integers(4, size=k).tolist() if k else []
 
 
-def measure_phase(
-    partner: list[int],
-    label: list[int],
-    kept: TypingSequence[int],
-    received: TypingSequence[int],
-    noise: NoiseModel | None,
+def cycle_outcomes(
+    cycles: tuple[tuple[int, ...], ...],
+    labels: TypingSequence[int],
     rng: np.random.Generator,
     then: int = 0,
-) -> tuple[tuple[BellLabel, ...], list[int]]:
-    """Bell-measure kept[i] against received[i] in turn, then draw `then`
-    label values; returns the recorded outcomes and those values.
+) -> tuple[list[int], list[int]]:
+    """Outcome values of a phase of N Bell measurements along a permutation
+    sigma with the given `cycles` (as `cycle_structure` returns them), then
+    `then` further label values.
 
-    Outcomes, draws and final state are those of successive `measure_pair`
-    calls, then `apply_noise` on each record in index order. Partnership
-    never depends on outcomes, so a first pass over `partner` alone finds
-    the swaps; one call then draws their labels and the `then` labels.
+    Measurement m joins link m to link sigma(m); link m starts in label
+    value labels[m - 1]. In each cycle every measurement but the one at the
+    cycle's largest index is a swap with a uniform outcome; that one closes
+    the cycle and reads the label the swaps left, the fold of `residual`
+    over the cycle's labels and its other outcomes. One `draw_labels` call
+    serves the swaps in index order, then the `then` labels.
     """
-    steps = []  # (u, v, pu, pv): pu, pv the spectators of a swap, pu = -1 for partners
-    swaps = 0
-    for u, v in zip(kept, received):
-        pu, pv = partner[u], partner[v]
-        if (pu | pv) < 0:
-            raise AlreadyMeasuredError(f"particle code {u if pu < 0 else v} was already measured")
-        if pu == v:
-            pu = -1
-        elif u == v:
-            raise SelfMeasurementError(f"cannot measure particle code {u} against itself")
-        else:
-            partner[pu], partner[pv] = pv, pu
-            swaps += 1
-        partner[u] = partner[v] = -1
-        steps.append((u, v, pu, pv))
+    swaps = len(labels) - len(cycles)
     drawn = draw_labels(rng, swaps + then)
+    lasts = [max(cycle) for cycle in cycles]
+    closing = [False] * len(labels)
+    for last in lasts:
+        closing[last - 1] = True
     draws = iter(drawn)
-    out = []
-    for u, v, pu, pv in steps:
-        if pu < 0:
-            outcome = label[u]
-        else:
-            outcome = next(draws)
-            label[pu] = label[pv] = residual(label[u], label[v], outcome)
-        out.append(BELL_LABELS[outcome])
+    out = [0 if c else next(draws) for c in closing]
+    for cycle, last in zip(cycles, lasts):
+        acc = labels[cycle[0] - 1]
+        if len(cycle) > 1:
+            others = list(cycle)
+            others.remove(last)
+            for m, k in zip(cycle[1:], others):
+                acc = residual(acc, labels[m - 1], out[k - 1])
+        out[last - 1] = acc
+    return out, drawn[swaps:]
+
+
+def _records(
+    raw: TypingSequence[int], noise: NoiseModel | None, rng: np.random.Generator
+) -> tuple[BellLabel, ...]:
+    """A party's recorded outcomes: `apply_noise`, in index order, on each raw outcome."""
+    out = [BELL_LABELS[o] for o in raw]
     if noise is not None:
         out = [apply_noise(outcome, noise, rng) for outcome in out]
-    return tuple(out), drawn[swaps:]
+    return tuple(out)
 
 
 class StrategyKind(str, Enum):
@@ -492,9 +478,7 @@ def run_session(
     Alice's records; the lie's candidate sequences; the labels of Bob's
     swaps, then the noise on his records.
     """
-    n = config.n_pairs
-    source, alice_odd, alice_even, bob_odd, bob_even = particle_codes(n)
-    partner, label = list(source), [0] * (4 * n)
+    n, noise = config.n_pairs, config.noise
     alice_ids = travelling(_ALICE, n)
     kind = strategy.kind
     fake = kind is _FAKE_SEQUENCE
@@ -506,33 +490,34 @@ def run_session(
         arrived = [alice_seq.order[r] for r in return_order.tolist()]
         cycles = cycle_structure(arrived)
         bob_batch = tuple([alice_ids[m - 1] for m in arrived])
-        returned = [alice_odd[m - 1] for m in arrived]  # returned[s - 1] in return slot s
-        # the flip acts on return slot 1's source pair, whose halves are c and c ^ 1
-        label[returned[0]] = label[returned[0] ^ 1] = flip = int(strategy.flip)
-
         # Alice measures her kept half of pair m against return slot m, which
-        # carries pair arrived[m - 1]. Bob knows the cycles this makes and
-        # fabricates his results, one free guess per measurement that swaps.
-        alice_results, guesses = measure_phase(
-            partner, label, alice_even, returned, config.noise, rng, then=n - len(cycles))
-        # the flip sets the target XOR of the cycle holding return slot 1's pair
-        targets = {c[0]: flip for c in cycles if arrived[0] in c}
-        bob_results = tuple(best_guess_results(cycles, guesses, targets))
+        # carries pair arrived[m - 1]: all her pairs are Phi+ but the one in
+        # return slot 1, which carries the flip. Bob knows the cycles this
+        # makes and fabricates his results, one free guess per swap.
+        edges = [0] * n
+        edges[arrived[0] - 1] = flip = int(strategy.flip)
+        raw, guesses = cycle_outcomes(cycles, edges, rng, then=n - len(cycles))
+        alice_results = _records(raw, noise, rng)
+        # the flipped pair arrived[0] is in the cycle of index 1, cycles[0]
+        bob_results = tuple(best_guess_results(cycles, guesses, {1: flip}))
     else:
         bob_batch = travelling(_BOB, n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
-        # ships in pair order, so slot m is his pair m).
-        alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
+        # ships in pair order, so slot m is his pair m): N swaps of Phi+ pairs,
+        # each leaving her odd half of pair m linked to Bob's even half in the
+        # outcome's label.
+        raw = draw_labels(rng, n)
+        alice_results = _records(raw, noise, rng)
         if fake and n > 1 and toss_from_outcomes(alice_results) != strategy.desired:
             while announced == alice_seq:
                 announced = random_sequence(n, rng)
         # Bob: his kept half of pair m against the slot announced to carry
-        # Alice's pair m, which under the true order is her odd half of pair m.
-        claimed = alice_odd
+        # Alice's pair m, which holds her odd half of pair sigma(m); under the
+        # true order sigma is the identity and every measurement reads a link.
         if announced is not alice_seq:
-            sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
-            claimed = [sent[t - 1] for t in announced.slots]  # pair m's slot at m - 1
-        bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
+            sigma = [alice_seq.order[t - 1] for t in announced.slots]
+            raw = cycle_outcomes(cycle_structure(sigma), raw, rng)[0]
+        bob_results = _records(raw, noise, rng)
 
     if fake:
         # A cheating Alice has nothing to gain from aborting her own attack.

@@ -1,13 +1,15 @@
-"""The drivers' plain-int measurement path against `EntangledMatching`.
+"""The partner-walk reference against `EntangledMatching`, and the drivers'
+batched label draws.
 
-`protocol.measure_phase` plans a phase's measurements on the partner list
+`reference.measure_phase` plans a phase's measurements on the partner list
 alone, draws every swap label of the phase in one call, computes the labels
 and, under noise, passes each record through `apply_noise`. It must give
 what successive `measure_pair` calls and then `apply_noise` on each record
 give on the same draws: the same outcomes, the same surviving edges, the
-same stream position afterwards. The batching rests on numpy serving
-`integers(4, size=k)` from exactly the words of k scalar `integers(4)`
-calls; that identity is pinned here by name.
+same stream position afterwards. `protocol.run_session` no longer walks
+partners; `test_session_replay.py` holds its cycle rule to this reference.
+The batching rests on numpy serving `integers(4, size=k)` from exactly the
+words of k scalar `integers(4)` calls; that identity is pinned here by name.
 """
 
 import numpy as np
@@ -31,10 +33,10 @@ from qct.protocol import (
     SessionConfig,
     apply_noise,
     draw_labels,
-    measure_phase,
     run_honest,
 )
 from qct.seeding import session_rng, trial_rng
+from reference import measure_phase
 
 STREAMS = {"philox": lambda: trial_rng(2026, 7), "pcg64": lambda: session_rng(2026)}
 

@@ -382,6 +382,17 @@ class TestBatched:
          "Pauli -1 is not a Pauli label value 0..3"),
         (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS] * 2), 4, 0),
          "Pauli 4 is not a Pauli label value 0..3"),
+        # non-integers are refused by dtype before numpy would index with them
+        (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS]), PauliLabel.Z, 1.5),
+         "qubits must be integers, not float64"),
+        (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS]), 0.5, 0),
+         "Paulis must be integers, not float64"),
+        (lambda a: apply_pauli_gate(prepare_pairs([BellLabel.PHI_PLUS]), True, 0),
+         "Paulis must be integers, not bool"),
+        (lambda a: bell_distribution(prepare_pairs([BellLabel.PHI_PLUS]), 0.5, 1),
+         "qubits must be integers, not float64"),
+        (lambda a: oracle.apply_pauli_gates(a, np.array([0, 1]), np.array([0.0, 1.0])),
+         "qubits must be integers, not float64"),
     ])
     def test_bad_input_is_refused(self, call, message):
         amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))

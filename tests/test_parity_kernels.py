@@ -7,7 +7,7 @@ exactly the outcomes of successive `bell_measure_collapse` calls fed the
 same uniforms, with the same collapsed amplitudes. The parity checks in
 `crosscheck` must draw their documented stream, give the same verdict at
 every chunk boundary, stay bounded in memory and catch a broken kernel. The
-residual check and the session engine must both run the shared swap rule
+residual check and the session driver must both run the shared swap rule
 `bell.residual`, so that a broken rule fails `qct verify`.
 """
 
@@ -29,7 +29,7 @@ from qct.crosscheck import (
     check_residual_rule,
 )
 from qct.oracle import bell_measure_collapse, prepare_pairs
-from qct.seeding import session_rng
+from qct.seeding import session_rng, trial_rng
 
 
 class StepRng:
@@ -325,9 +325,18 @@ class TestNegativeControls:
 
     @pytest.mark.parametrize("flip", [1, 2, 3])
     def test_wrong_shared_swap_rule_breaks_verify_and_the_sessions(self, monkeypatch, flip):
-        # the check and the session engine call the one rule, not a copy
+        # the check and the session driver call the one rule, not a copy
         assert crosscheck.residual is bell.residual
         assert protocol.residual is bell.residual
+        # a reflect session at N = 3 whose return order holds a 2-cycle (a b):
+        # index a swaps, and index b closes the cycle on the label it left
+        config, strategy = protocol.SessionConfig(3), protocol.Strategy.reflect()
+        for seed in range(100):
+            want = protocol.run_session(config, strategy, trial_rng(seed, 0)).transcript
+            arrived = [p.index // 2 + 1 for p in want.messages[1].particles]
+            cycles = protocol.cycle_structure(arrived)
+            if any(len(c) == 2 for c in cycles):
+                break
 
         def wrong(b1, b2, outcome):
             return b1 ^ b2 ^ outcome ^ flip
@@ -337,19 +346,13 @@ class TestNegativeControls:
         result = check_residual_rule()
         assert not result.passed
         assert result.detail.startswith("64 mismatches: ")
-        # pairs (0, 1), (2, 3), (4, 5) in Phi+: swap 1 with 2, then read the
-        # spectators 0 and 3 as partners, which reports the residual itself
-        kept, received = [1, 0], [2, 3]
-        particles = [ParticleId(Party.ALICE, c + 1) for c in range(6)]
-        matching = EntangledMatching(
-            (particles[2 * i], particles[2 * i + 1], BellLabel.PHI_PLUS) for i in range(3))
-        ref_rng = session_rng(5)
-        want = [matching.measure_pair(particles[u], particles[v], ref_rng)
-                for u, v in zip(kept, received)]
-        partner, label = [c ^ 1 for c in range(6)], [0] * 6
-        got = protocol.measure_phase(partner, label, kept, received, None, session_rng(5))[0]
-        assert got[0] is want[0]
-        assert got[1] == want[1] ^ flip
+        got = protocol.run_session(config, strategy, trial_rng(seed, 0)).transcript
+        shifted = [0] * 3
+        for cycle in cycles:  # each of a cycle's swaps shifts the label it leaves
+            shifted[max(cycle) - 1] = flip * ((len(cycle) - 1) % 2)
+        assert any(shifted)
+        assert [int(o) for o in got.alice_outcomes] == [
+            int(o) ^ s for o, s in zip(want.alice_outcomes, shifted)]
 
     def test_wrong_outcome_mapping_breaks_the_oracle_check(self, monkeypatch):
         kernel = crosscheck.oracle_schedule_outcomes
