@@ -131,7 +131,15 @@ class Sequence:
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
-    return Sequence(tuple([x + 1 for x in rng.permutation(n).tolist()]))
+    order = tuple([x + 1 for x in rng.permutation(n).tolist()])
+    slots = [0] * n
+    for slot, pair in enumerate(order, start=1):
+        slots[pair - 1] = slot
+    # numpy drew a permutation: no second check, but of the empty one, which it refuses
+    seq = object.__new__(Sequence) if order else Sequence(order)
+    object.__setattr__(seq, "order", order)
+    object.__setattr__(seq, "slots", tuple(slots))
+    return seq
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,8 @@ _PHASE_OF: dict[tuple[type, Party], int] = {
     (CoinAnnouncement, Party.ALICE): 5,
     (CoinAnnouncement, Party.BOB): 5,
 }
+_ORDER = list(_PHASE_OF)  # the (type, sender) kinds in phase order, both coins last
+_ADMITTED = [_ORDER[:i] for i in range(7)] + [_ORDER[:5] + _ORDER[6:]]  # each admitted log
 
 PHASE_NAMES = (
     "alice-particles",
@@ -208,8 +218,13 @@ PHASE_NAMES = (
 )
 
 
+def _kind(message: Message) -> tuple[type, Party | None]:
+    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
+    return type(message), sender if type(sender) is Party else None
+
+
 def phase_of(message: Message) -> int:
-    phase = _PHASE_OF.get((type(message), getattr(message, "sender", None)))
+    phase = _PHASE_OF.get(_kind(message))
     if phase is None:
         raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
     return phase
@@ -218,7 +233,7 @@ def phase_of(message: Message) -> int:
 @dataclass
 class SessionTranscript:
     """Message log plus both parties' private outcome records; the given
-    messages are checked in order as `append` checks them."""
+    messages are admitted or refused as successive `append` calls would."""
 
     config: SessionConfig
     messages: list[Message] = field(default_factory=list)
@@ -228,9 +243,11 @@ class SessionTranscript:
     coin: int | None = None  # None = aborted (no coin produced)
 
     def __post_init__(self) -> None:
-        messages, self.messages = self.messages, []
-        for message in messages:
-            self.append(message)
+        self.messages = messages = list(self.messages)
+        if list(map(_kind, messages)) not in _ADMITTED:
+            self.messages = []
+            for message in messages:  # to raise the error `append` raises
+                self.append(message)
 
     def append(self, message: Message) -> None:
         phase = phase_of(message)
@@ -287,9 +304,9 @@ def travelling(party: Party, n_pairs: int) -> tuple[ParticleId, ...]:
 
 
 def draw_labels(rng: np.random.Generator, k: int) -> list[int]:
-    """k uniform label values, as k `int(rng.integers(4))` calls would draw
-    them, from one batched call, or none at k = 0 (then `rng` is not touched)."""
-    return rng.integers(4, size=k).tolist() if k else []
+    """k uniform label values, from the words k `int(rng.integers(4))` calls
+    would read (see `seeding`), or none at k = 0 (then `rng` is not touched)."""
+    return (rng.random(k, dtype=np.float32) * 4).astype(int).tolist() if k else []
 
 
 def cycle_outcomes(

@@ -21,9 +21,9 @@ batched nor on their order. An index must lie in 0..2**63 - 1: numpy reads
 a larger counter word through float64, which would give several indices
 one stream, so both families raise ValueError outside that range.
 
-Within a stream, one `rng.integers(4, size=k)` call consumes the same words
-as k successive `rng.integers(4)` calls and returns the same labels, so the
-session drivers may draw a run of labels either way without moving a stream.
+Within a stream, a label is the top two bits of one 32-bit word, whichever
+call reads it: `rng.integers(4)`, `rng.integers(4, size=k)`, or 4 *
+`rng.random(k, dtype=np.float32)` truncated, so the choice moves no stream.
 
 Both families build their Philox generator from a seed sequence that hands
 over the key words [seed & MASK64, 0] unchanged, where `Philox(key=...)`

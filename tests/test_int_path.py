@@ -9,7 +9,8 @@ give on the same draws: the same outcomes, the same surviving edges, the
 same stream position afterwards. `protocol.run_session` no longer walks
 partners; `test_session_replay.py` holds its cycle rule to this reference.
 The batching rests on numpy serving `integers(4, size=k)` from exactly the
-words of k scalar `integers(4)` calls; that identity is pinned here by name.
+words of k scalar `integers(4)` calls; that identity is pinned here by name,
+and `test_seeding.py` pins `draw_labels` to the batched call's words.
 """
 
 import numpy as np

@@ -29,6 +29,7 @@ from qct.protocol import (
     toss_from_outcomes,
 )
 from qct.seeding import session_rng
+from test_int_path import _state
 
 
 class TestSequence:
@@ -77,6 +78,22 @@ class TestSequence:
         seq = Sequence(tuple(perm))
         for pair in range(1, 7):
             assert seq.order[seq.slots[pair - 1] - 1] == pair
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 11, 32])
+    def test_random_sequence_equals_the_checked_sequence(self, n):
+        for seed in range(200):
+            rng, twin = session_rng(seed), session_rng(seed)
+            seq = random_sequence(n, rng)
+            checked = Sequence(tuple([x + 1 for x in twin.permutation(n).tolist()]))
+            assert (seq.order, seq.slots) == (checked.order, checked.slots)
+            assert seq == checked and hash(seq) == hash(checked)
+            assert repr(seq) == repr(checked)
+            assert _state(rng) == _state(twin)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_sequence_of_no_pairs_refused(self, n):
+        with pytest.raises(ValueError, match=r"not a permutation of 1..0: \(\)"):
+            random_sequence(n, session_rng(1))
 
     def test_random_sequence_is_permutation(self):
         rng = np.random.default_rng(1)
@@ -151,6 +168,10 @@ class TestNoise:
         assert result.pvalue > 0.001
 
 
+class _Batch(ParticleBatch):
+    """A subclass of a message type, which fits no phase."""
+
+
 class TestTranscriptOrder:
     def test_out_of_order_rejected(self):
         transcript = SessionTranscript(SessionConfig(2))
@@ -198,10 +219,15 @@ class TestTranscriptOrder:
             (2, full[2:]),
             (0, []),
             (0, full + [CoinAnnouncement(Party.ALICE, 0)]),  # nothing after the coin
+            (0, full[:5] + [CoinAnnouncement(Party.ALICE, 0), full[5]]),
             (0, full[:2] + full[3:]),  # sequence announcement skipped
             (1, full),  # Alice's batch again
             (0, full[:3] + [ResultsAnnouncement(Party.ALICE, ())] + full[4:]),  # misfit
             (0, full[:1] + [seq]),  # not a message
+            (0, [ParticleBatch("alice", ())] + full[1:]),  # a str equal to a Party member
+            (4, [VerdictAnnouncement("alice", Verdict.ACCEPT)]),
+            (5, [CoinAnnouncement("bob", 1)]),
+            (0, [_Batch(Party.ALICE, ())] + full[1:]),  # a subclass of a message type
         ]
         for start, messages in cases:
             given = full[:start] + messages
@@ -216,8 +242,10 @@ class TestTranscriptOrder:
         [[CoinAnnouncement(Party.BOB, 1), "junk"],
          [VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT)],
          [ParticleBatch(Party.BOB, ()), ParticleBatch(Party.ALICE, ())],
-         ["junk"]],
-        ids=["coin-then-junk", "verdict-first", "batches-swapped", "not-a-message"],
+         ["junk"],
+         [ParticleBatch("alice", ())]],
+        ids=["coin-then-junk", "verdict-first", "batches-swapped", "not-a-message",
+             "str-sender"],
     )
     def test_constructor_refuses_out_of_order_lists(self, messages):
         with pytest.raises(ProtocolOrderError):
@@ -242,8 +270,11 @@ class TestPhaseOf:
         [SequenceAnnouncement(Party.BOB, Sequence((1,))),
          ResultsAnnouncement(Party.ALICE, ()),
          VerdictAnnouncement(Party.BOB, Verdict.REJECT),
-         Sequence((1,))],
-        ids=["bob-sequence", "alice-results", "bob-verdict", "not-a-message"],
+         Sequence((1,)),
+         ParticleBatch("alice", ()),
+         _Batch(Party.ALICE, ())],
+        ids=["bob-sequence", "alice-results", "bob-verdict", "not-a-message",
+             "str-sender", "message-subclass"],
     )
     def test_misfits_rejected(self, message):
         with pytest.raises(ProtocolOrderError, match="does not fit any protocol phase"):

@@ -56,9 +56,10 @@ class ReplayRng:
     guesses, cycle by cycle in orbit order, skipping each cycle's smallest
     index; then, under noise, the noise on the records: at each index m in
     order a noise uniform and, when the record is corrupted, a corruption
-    label. The swap labels and guesses may come as one `integers(4,
-    size=k)` call, which pops the next k labels. A label asked for after the
-    first noise uniform fails the replay.
+    label. The swap labels and guesses may come as one `random(k,
+    dtype=np.float32)` call, which pops the next k labels and serves each as
+    label / 4, a float32 uniform that four times truncates to that label. A
+    label asked for after the first noise uniform fails the replay.
     """
 
     def __init__(self, row: ReflectDraws):
@@ -79,20 +80,24 @@ class ReplayRng:
     def integers(self, low: int, high: int | None = None, size: int | None = None):
         if high is None:
             low, high = 0, low
+        assert size is None, "unexpected draw"
         if (low, high) == (0, 4):
             assert self._index == -1, "a label drawn after the noise"
-            if size is None:
-                return self._labels.pop(0)
-            # a batched draw serves the labels of `size` scalar draws, in order
-            assert size <= len(self._labels), "more labels asked for than recorded"
-            served, self._labels = self._labels[:size], self._labels[size:]
-            return np.array(served, dtype=np.int64)
-        assert (low, high) == (1, 4) and size is None, "unexpected draw"
+            return self._labels.pop(0)
+        assert (low, high) == (1, 4), "unexpected draw"
         return self._corrupt[self._index]
 
-    def random(self) -> float:
-        self._index += 1
-        return self._noise[self._index]
+    def random(self, size: int | None = None, dtype=None):
+        if size is None:
+            assert dtype is None, "unexpected draw"
+            self._index += 1
+            return self._noise[self._index]
+        # a batched draw serves the labels of `size` scalar draws, in order
+        assert dtype is np.float32, "unexpected draw"
+        assert self._index == -1, "a label drawn after the noise"
+        assert size <= len(self._labels), "more labels asked for than recorded"
+        served, self._labels = self._labels[:size], self._labels[size:]
+        return np.array(served, dtype=np.float32) / 4
 
     @property
     def exhausted(self) -> bool:
@@ -149,6 +154,21 @@ class TestReplay:
         draws = draw_reflect_block(block_rng(2026, 3), n)
         head = ReflectDraws(*(field[:150] for field in draws))
         _assert_replay_matches(head, PauliLabel.Y, gamma)
+
+    def test_replay_serves_labels_as_float32_and_none_after_the_noise(self):
+        row = ReflectDraws(
+            alice_order=np.array([1, 0]), return_order=np.array([0, 1]),
+            swap=np.array([2, 0], dtype=np.int8), noise=np.array([0.5, 0.25]),
+            corrupt=np.array([1, 1], dtype=np.int8), guess=np.array([0, 3], dtype=np.int8))
+        rng = ReplayRng(row)  # one 2-cycle: the swap label at m=0, the guess at m=1
+        served = rng.random(2, dtype=np.float32)
+        assert served.dtype == np.float32 and (served * 4).tolist() == [2, 3]
+        rng = ReplayRng(row)
+        assert rng.random() == 0.5
+        with pytest.raises(AssertionError, match="a label drawn after the noise"):
+            rng.random(1, dtype=np.float32)
+        with pytest.raises(AssertionError, match="a label drawn after the noise"):
+            rng.integers(4)
 
     def test_hand_worked_row(self):
         # tau = (0 1)(2 3): swaps at m=0, 2, closers at m=1, 3; Bob guesses

@@ -1,7 +1,8 @@
 """Stream construction: `trial_rng` and `block_rng` yield the words of the
 Philox generator keyed by the masked seed at their counter and refuse any
-index outside 0..2**63 - 1, and importing `qct` leaves `numpy.random`
-unloaded until the first stream."""
+index outside 0..2**63 - 1, `draw_labels` reads the words numpy's bounded
+label draw reads, and importing `qct` leaves `numpy.random` unloaded until
+the first stream."""
 
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qct.seeding import _key_words, block_rng, trial_rng
+from qct.protocol import draw_labels
+from qct.seeding import _key_words, block_rng, session_rng, trial_rng
+from test_int_path import _state
 
 MASK64 = (1 << 64) - 1
 SEEDS = (0, 1, -1, 2**63 - 1, 2**64 - 1, 2**70)
@@ -59,6 +62,35 @@ def test_key_words_refuse_any_other_request():
     for n_words, dtype in ((2, np.uint32), (4, np.uint64), (1, np.uint64), (2, np.int64)):
         with pytest.raises(TypeError, match="Philox key words"):
             words.generate_state(n_words, dtype)
+
+
+# What a stream has drawn before the labels: a count of scalar labels, or a
+# permutation's length; odd label counts leave a half-word buffered.
+PREFIXES = [("labels", 0), ("labels", 1), ("labels", 2), ("labels", 3),
+            ("permutation", 2), ("permutation", 5), ("permutation", 11)]
+STREAM_MAKERS = {"trial": lambda seed: trial_rng(seed, 3), "session": session_rng}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAM_MAKERS))
+def test_draw_labels_reads_the_words_of_the_bounded_draw(stream):
+    make = STREAM_MAKERS[stream]
+    buffered = set()
+    for seed in range(40):
+        for call, count in PREFIXES:
+            for k in (0, 1, 2, 3, 11, 32, 64):
+                rng, twin = make(seed), make(seed)
+                for r in (rng, twin):
+                    if call == "permutation":
+                        r.permutation(count)
+                    for _ in range(count if call == "labels" else 0):
+                        r.integers(4)
+                buffered.add(rng.bit_generator.state["has_uint32"])
+                assert draw_labels(rng, k) == twin.integers(4, size=k).tolist(), (seed, call, k)
+                assert _state(rng) == _state(twin)
+                assert rng.random() == twin.random()
+                assert rng.integers(4) == twin.integers(4)
+                assert rng.permutation(5).tolist() == twin.permutation(5).tolist()
+    assert buffered == {0, 1}  # both buffer states came before a draw
 
 
 def test_import_leaves_numpy_random_unloaded():

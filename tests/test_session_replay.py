@@ -75,7 +75,7 @@ def _tally(calls) -> Counter:
     noise corruptions; any other call is counted under its own signature."""
     kinds = {
         ("permutation", 1, ()): "permutation",
-        ("integers", 1, ("size",)): "labels",
+        ("random", 1, ("dtype",)): "labels",
         ("random", 0, ()): "uniform",
         ("integers", 2, ()): "corruption",
     }
