@@ -14,7 +14,8 @@ frame of one ``partner``/``label`` int row per schedule, where one Bell
 measurement is fancy indexing plus XOR across every row at once.
 `validate_schedule` is the input check it shares with the statevector
 kernel `qct.oracle.schedule_outcomes`, so both refuse the same schedules
-with the same messages.
+with the same messages; `validate_labels` is the one integer range check
+of label, Pauli and qubit values in both modules.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "schedule_outcomes",
     "total_parity",
     "validate_labels",
-    "validate_qubits",
     "validate_schedule",
 ]
 
@@ -123,21 +123,19 @@ def total_parity(outcomes: Iterable[BellLabel]) -> int:
     return parity(reduce(xor, outcomes, 0))
 
 
-def validate_labels(labels: np.ndarray) -> None:
-    """Raise ValueError unless every entry of `labels` is a Bell label value 0..3."""
-    bad = labels[(labels < 0) | (labels > 3)]
+def validate_labels(values, noun: str = "label", stop: int = 4) -> None:
+    """Raise ValueError unless every entry of `values` (int or array) is an
+    integer in 0..stop-1: a Bell label value, a Pauli value (`noun`
+    "Pauli") or a qubit of a `stop`-qubit state (`noun` "qubit")."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":  # one test per call: a float or bool indexes nothing
+        raise ValueError(f"{noun}s must be integers, not {values.dtype}")
+    bad = values[(values < 0) | (values >= stop)]
+    if bad.size and noun == "qubit":
+        raise ValueError(f"qubit {bad[0]} out of range for {stop}-qubit state")
     if bad.size:
-        raise ValueError(f"label {bad[0]} is not a Bell label value 0..3")
-
-
-def validate_qubits(qubits, n: int) -> None:
-    """Raise ValueError unless every entry of `qubits` (int or array) is a qubit 0..n-1."""
-    qubits = np.asarray(qubits)
-    if qubits.dtype.kind not in "iu":  # one test per call: a float or bool indexes no qubit
-        raise ValueError(f"qubits must be integers, not {qubits.dtype}")
-    bad = qubits[(qubits < 0) | (qubits >= n)]
-    if bad.size:
-        raise ValueError(f"qubit {bad[0]} out of range for {n}-qubit state")
+        kind = "Bell" if noun == "label" else noun
+        raise ValueError(f"{noun} {bad[0]} is not a {kind} label value 0..3")
 
 
 def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
@@ -156,7 +154,7 @@ def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) 
     if draws.shape[1] < steps:
         raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
     validate_labels(labels)
-    validate_qubits(order, 2 * n)
+    validate_labels(order, "qubit", 2 * n)
     # each (row, particle) counted once: a repeat within a row counts twice
     if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
         raise ValueError("measurement qubits must be distinct")

@@ -11,7 +11,8 @@ alike. `run_all` powers the `verify` CLI subcommand.
 The sampled-distribution check tests numpy's sampler against the oracle's,
 not an engine: its "engine" outcomes are a bare ``rng.integers(4,
 size=k)``, the words k `EntangledMatching.measure_pair` swaps would draw,
-and the oracle's from `oracle.bell_sample` on one Born distribution. The
+and the oracle's from `oracle.bell_sample` on one Born distribution, read
+by `bell_distributions` from a one-row `prepare_states` batch. The
 parity-conservation checks run their schedules through the batched kernels
 `bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
 each against `measure_pair` or `oracle.bell_measure_collapse` on identical
@@ -24,7 +25,8 @@ through the oracle's batched entry points (`oracle.prepare_states`,
 `apply_pauli_gates`, `bell_project`, `bell_distributions`) and read one
 Born distribution per measured pair. The residual check's oracle answer is
 `bell_project`'s collapse of each case on its outcome, read on qubits
-(0, 3). The tests hold every case to the scalar `prepare_pairs`,
+(0, 3). So `verify` runs only the batched oracle and builds no
+`QuantumState`; the tests hold every case to the scalar `prepare_pairs`,
 `apply_pauli_gate`, `bell_distribution` and `bell_measure_collapse`, bit
 for bit. This module keeps the cases' order, the comparisons and the
 detail texts.
@@ -55,11 +57,9 @@ from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
     apply_pauli_gates,
-    bell_distribution,
     bell_distributions,
     bell_project,
     bell_sample,
-    prepare_pairs,
     prepare_states,
 )
 from .oracle import schedule_outcomes as oracle_schedule_outcomes
@@ -183,7 +183,8 @@ def _tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Engine and oracle outcome counts of `samples` swaps on a Psi- (x)
     Phi- input, drawn SAMPLE_CHUNK at a time from streams seed, seed + 1."""
-    probs = bell_distribution(prepare_pairs([BellLabel.PSI_MINUS, BellLabel.PHI_MINUS]), 1, 2)
+    labels = np.array([[BellLabel.PSI_MINUS, BellLabel.PHI_MINUS]])
+    probs = bell_distributions(prepare_states(labels), 1, 2)[0]
     rng_engine, rng_oracle = session_rng(seed), session_rng(seed + 1)
     engine_counts = np.zeros(4, dtype=np.int64)
     oracle_counts = np.zeros(4, dtype=np.int64)
@@ -201,10 +202,11 @@ def check_swap_distribution_sampled(
 
     Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
     outcomes are uniform) in batches: the "engine" side as ``rng.integers(4,
-    size=k)``, the oracle through `bell_sample` on one Born distribution.
-    Each consumes its stream as `samples` scalar `measure_pair` or
-    `bell_measure_collapse` calls would, so the counts are those of the
-    scalar loops. No engine runs here.
+    size=k)``, the oracle through `bell_sample` on the one Born distribution
+    `bell_distributions` reads from the input state. Each consumes its
+    stream as `samples` scalar `measure_pair` or `bell_measure_collapse`
+    calls would, so the counts are those of the scalar loops. No engine and
+    no scalar oracle function runs here.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (got {samples})")

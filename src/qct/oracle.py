@@ -9,27 +9,25 @@ tautology.
 
 `bell_measure_collapse` samples one outcome and returns the collapsed
 state; `bell_sample(probs, rng, k)` draws k outcomes from one Born
-distribution. Both map a uniform to an outcome through `_outcomes_of`, so
-``bell_sample(bell_distribution(state, q1, q2), rng, k)`` returns exactly
-the outcomes of k successive collapses of `state` on (q1, q2).
-`schedule_outcomes` runs whole measurement schedules on a batch of
-product states, with the same outcome rule and the same normalisation
-check as a `QuantumState`; each step gathers the rows' pair views through
-index tables cached per qubit count and divides the collapsed branch by
-sqrt(p), as `bell_measure_collapse` does, bit for bit. It refuses the
-schedules the engine's kernel refuses, through the shared
-`bell.validate_schedule`.
+distribution, so ``bell_sample(bell_distribution(state, q1, q2), rng, k)``
+returns exactly the outcomes of k successive collapses of `state` on
+(q1, q2).
 
 The batched entry points hold many states as the rows of one ``(rows,
 2**n)`` array: `prepare_states` (of `prepare_pairs`), `apply_pauli_gates`
 (of `apply_pauli_gate`, one Pauli and qubit per row), `bell_distributions`
-(of `bell_distribution`) and `bell_project`, which collapses each row on a
-chosen outcome, as `bell_measure_collapse` does on the branch its uniform
-picks. They give the scalar functions' amplitudes and probabilities bit
-for bit and check every state they build for normalisation, but build no
-`QuantumState` per row. Amplitudes are float64: Bell states and real-Y
-Paulis never leave the reals, and the real Bell matrix is its own conjugate
-(the scalar and batched functions take complex too).
+(of `bell_distribution`), `bell_project`, which collapses each row on a
+chosen outcome, and `schedule_outcomes`, which runs a measurement schedule
+per row and refuses what the engine's kernel refuses
+(`bell.validate_schedule`). The Bell measurements share one copy of each
+rule: one gather of every row's pair view through index tables cached per
+qubit count (`_pair_rows`), one collapse that divides by sqrt(p) and
+checks normalisation (`_collapse`) and one outcome rule (`_outcomes_of`,
+the scalar samplers' too). They give the scalar functions' amplitudes,
+probabilities and outcomes bit for bit, but build no `QuantumState`.
+Amplitudes are float64: Bell states and real-Y Paulis never leave the
+reals, and the real Bell matrix is its own conjugate (the scalar and
+batched functions take complex too).
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -42,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel, validate_labels, validate_qubits, validate_schedule
+from .bell import BellLabel, PauliLabel, validate_labels, validate_schedule
 
 __all__ = [
     "MAX_QUBITS",
@@ -119,16 +117,6 @@ def _check_pair_count(n: int) -> None:
         raise ValueError(f"{n} pairs exceed the {MAX_QUBITS}-qubit limit")
 
 
-def _check_paulis(paulis) -> None:
-    """Raise ValueError unless every entry of `paulis` (int or array) is a Pauli value 0..3."""
-    paulis = np.asarray(paulis)
-    if paulis.dtype.kind not in "iu":  # one test per call: a float or bool indexes no Pauli
-        raise ValueError(f"Paulis must be integers, not {paulis.dtype}")
-    bad = paulis[(paulis < 0) | (paulis > 3)]
-    if bad.size:
-        raise ValueError(f"Pauli {bad[0]} is not a Pauli label value 0..3")
-
-
 def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
     """Product state of Bell pairs, pair i on qubits (2i, 2i+1)."""
     _check_pair_count(len(labels))
@@ -139,7 +127,7 @@ def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
 
 
 def _check_pair(n: int, q1: int, q2: int) -> None:
-    validate_qubits((q1, q2), n)
+    validate_labels((q1, q2), "qubit", n)
     if q1 == q2:
         raise ValueError("measurement qubits must be distinct")
 
@@ -169,11 +157,13 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
 
 
 def _outcomes_of(probs: np.ndarray, uniforms):
-    """Outcome index for each uniform in [0, 1): the first index whose
-    cumulative probability exceeds ``u * total``, so a zero-probability
-    branch is never chosen, not even at u = 0."""
+    """Outcome index for each uniform in [0, 1), row by row: the first index
+    whose cumulative probability exceeds ``u * total``, so a zero-probability
+    branch is never chosen, not even at u = 0. `uniforms` broadcasts against
+    the leading axes of `probs`, shape ``(..., 4)``."""
     cumulative = _cumulative(probs)
-    return np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
+    point = uniforms * cumulative[..., -1]
+    return sum(cumulative[..., j] <= point for j in range(4))  # searchsorted, side="right"
 
 
 def bell_distribution(state: QuantumState, q1: int, q2: int) -> np.ndarray:
@@ -252,22 +242,44 @@ def _qubits(amps: np.ndarray) -> int:
     raise ValueError(f"amplitudes must have shape (rows, 2**n) with n in 1..{MAX_QUBITS}")
 
 
-def _pair_rows(amps: np.ndarray, q1: int, q2: int):
-    """Basis indices ``(4, rest)`` of `_pair_view` on (q1, q2), and every
-    row's Bell-basis coefficients ``(rows, 4, rest)`` and Born probabilities."""
+def _pair_ids(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """Every row's `_gather_tables` row for a measurement of (q1, q2), after
+    checking the batch's shape and the qubits."""
     qubits = _qubits(amps)
     _check_pair(qubits, q1, q2)
-    pair, high, low = _gather_tables(qubits)
-    i = q1 * qubits + q2
-    where = (pair[i][:, None, None] + high[i][:, None] + low[i]).reshape(4, -1)
-    coeffs = _BELL_MATRIX @ amps[:, where]
+    return np.full(len(amps), q1 * qubits + q2)
+
+
+def _pair_rows(amps: np.ndarray, ids: np.ndarray):
+    """Flat basis indices ``(rows, 4, rest)`` of row r's `_pair_view` on the
+    qubit pair of `_gather_tables` row ``ids[r]``, and every row's
+    Bell-basis coefficients ``(rows, 4, rest)`` and Born probabilities."""
+    rows, size = amps.shape
+    pair, high, low = _gather_tables(size.bit_length() - 1)
+    start = high.take(ids, axis=0) + (np.arange(rows) * size)[:, None]  # row r from r * size
+    spread = start[:, :, None] + low.take(ids, axis=0)[:, None]
+    where = (pair.take(ids, axis=0)[:, :, None, None] + spread[:, None]).reshape(rows, 4, -1)
+    coeffs = _BELL_MATRIX @ amps.take(where)
     return where, coeffs, np.sum(np.abs(coeffs) ** 2, axis=2)
+
+
+def _collapse(out: np.ndarray, where, coeffs, probs, outcomes: np.ndarray) -> None:
+    """Write row r's projection on Bell outcome ``outcomes[r]``, divided by
+    sqrt(p) as in `bell_measure_collapse`, into C-ordered `out` at `_pair_rows`'
+    indices `where`; check the rows for normalisation, but leave NaN a row
+    whose p is rounding residue (a branch the samplers never pick)."""
+    row = np.arange(len(outcomes))
+    p = probs[row, outcomes]
+    possible = p > _RESIDUE
+    projected = _BELL_MATRIX[outcomes][:, :, None] * coeffs[row, outcomes][:, None, :]
+    out.reshape(-1)[where] = projected / np.sqrt(np.where(possible, p, np.nan))[:, None, None]
+    _require_normalized(out[possible])
 
 
 def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
     by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
-    return _pair_rows(amps, q1, q2)[2]
+    return _pair_rows(amps, _pair_ids(amps, q1, q2))[2]
 
 
 def bell_project(
@@ -277,22 +289,17 @@ def bell_project(
     the Bell outcome ``outcomes[r]`` of (q1, q2).
 
     Returns every row's Born probabilities ``(rows, 4)`` and the collapsed
-    amplitudes, divided by sqrt(p) as `bell_measure_collapse` divides them.
-    An outcome of probability at or below the rounding residue is a branch
-    the samplers never pick: its row has no collapsed state and is NaN.
-    Every other row is checked for normalisation.
+    amplitudes, through the collapse `schedule_outcomes` makes. An outcome
+    of probability at or below the rounding residue is a branch the
+    samplers never pick: its row has no collapsed state and is NaN. Every
+    other row is checked for normalisation.
     """
     if outcomes.shape != (len(amps),):
         raise ValueError("one outcome per row is required")
     validate_labels(outcomes)
-    where, coeffs, probs = _pair_rows(amps, q1, q2)
-    row = np.arange(len(amps))
-    p = probs[row, outcomes]
-    possible = p > _RESIDUE
-    projected = _BELL_MATRIX[outcomes][:, :, None] * coeffs[row, outcomes][:, None, :]
-    collapsed = np.empty_like(amps)
-    collapsed[:, where] = projected / np.sqrt(np.where(possible, p, np.nan))[:, None, None]
-    _require_normalized(collapsed[possible])
+    where, coeffs, probs = _pair_rows(amps, _pair_ids(amps, q1, q2))
+    collapsed = np.empty(amps.shape, dtype=amps.dtype)
+    _collapse(collapsed, where, coeffs, probs, outcomes)
     return probs, collapsed
 
 
@@ -304,8 +311,8 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
     rows, size = amps.shape
     if paulis.shape != (rows,) or qubits.shape != (rows,):
         raise ValueError("one Pauli and one qubit per row are required")
-    _check_paulis(paulis)
-    validate_qubits(qubits, n)
+    validate_labels(paulis, "Pauli")
+    validate_labels(qubits, "qubit", n)
     bit = (n - 1 - qubits.astype(np.intp))[:, None, None]
     rest = np.arange(size // 2)
     # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`:
@@ -326,11 +333,10 @@ def schedule_outcomes(
 
     Row r starts from ``prepare_pairs(labels[r])`` and Bell-measures qubits
     ``order[r, 2k]`` and ``order[r, 2k + 1]`` at step k, collapsing on the
-    outcome picked by ``uniforms[r, k]``. Each step makes one gather of
-    every row's pair view and agrees with `bell_measure_collapse` on the
-    same uniform: the same Born probabilities, the same `_outcomes_of`
-    rule (a zero-probability branch is never chosen) and the same
-    normalisation check on every row.
+    outcome picked by ``uniforms[r, k]``. Each step runs the gather, the
+    outcome rule and the collapse of `bell_project`, so it agrees bit for
+    bit with `bell_measure_collapse` on the same uniform, and a
+    zero-probability branch is never chosen.
 
     Returns the outcome label values, shape ``(rows, steps)``, and the
     collapsed amplitudes, shape ``(rows, 4**n)``. Inputs
@@ -343,31 +349,20 @@ def schedule_outcomes(
         raise ValueError(f"uniform {outside[0]} is not in [0, 1)")
     amps = prepare_states(labels)
     rows, n = labels.shape
-    row, flat = np.arange(rows), amps.reshape(-1)  # a view: amps[r, j] is flat[r * 4**n + j]
-    pair, high, low = _gather_tables(2 * n)
     ids = order[:, 0::2].astype(np.intp) * (2 * n) + order[:, 1::2]
-    corner = (pair.take(ids, axis=0) + (row * amps.shape[1])[:, None, None])[..., None, None]
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     for k in range(steps):
-        spread = high.take(ids[:, k], axis=0)[:, :, None] + low.take(ids[:, k], axis=0)[:, None]
-        where = (corner[:, k] + spread[:, None]).reshape(rows, 4, -1)
-        coeffs = _BELL_MATRIX @ flat.take(where)
-        probs = np.sum(np.abs(coeffs) ** 2, axis=2)
-        cumulative = _cumulative(probs)
-        # searchsorted(side="right") of each row, as in _outcomes_of
-        outcome = np.sum(cumulative <= uniforms[:, k : k + 1] * cumulative[:, -1:], axis=1)
-        projected = _BELL_MATRIX[outcome][:, :, None] * coeffs[row, outcome][:, None, :]
-        flat[where] = projected / np.sqrt(probs[row, outcome])[:, None, None]
-        _require_normalized(amps)
-        outcomes[:, k] = outcome
+        where, coeffs, probs = _pair_rows(amps, ids[:, k])
+        outcomes[:, k] = outcome = _outcomes_of(probs, uniforms[:, k])
+        _collapse(amps, where, coeffs, probs, outcome)
     return outcomes, amps
 
 
 def apply_pauli_gate(state: QuantumState, pauli: PauliLabel, qubit: int) -> QuantumState:
     """Apply a single-qubit Pauli (real Y convention) to `qubit`."""
     n = state.qubit_count
-    _check_paulis(pauli)
-    validate_qubits(qubit, n)
+    validate_labels(pauli, "Pauli")
+    validate_labels(qubit, "qubit", n)
     tensor = np.moveaxis(state.amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
     tensor = np.moveaxis((_PAULI_MATRICES[pauli] @ tensor).reshape([2] * n), 0, qubit)
     return QuantumState(tensor.reshape(-1), n)

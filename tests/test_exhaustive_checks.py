@@ -157,8 +157,10 @@ def test_verify_builds_no_per_case_quantum_state(monkeypatch):
     monkeypatch.setattr(oracle.QuantumState, "__post_init__", counting)
     monkeypatch.setattr(oracle, "_born", lambda *args: evaluated.append(args[1:]) or born(*args))
     assert all(result.passed for result in crosscheck.run_all())
-    # swap-distribution-sampled's Psi- (x) Phi- base state, whose one Born
-    # distribution `bell_sample` draws every chunk from
-    assert built == [4]
-    assert evaluated == [(1, 2)]
+    # every check, the sampled one's base distribution too, runs on batches
+    assert built == []
+    assert evaluated == []
+    scalar = ["prepare_pairs", "bell_distribution", "bell_measure_collapse",
+              "apply_pauli_gate", "QuantumState"]
+    assert [name for name in scalar if hasattr(crosscheck, name)] == []
 

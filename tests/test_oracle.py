@@ -291,6 +291,36 @@ def forced_uniform(probs, outcome):
     return (low + cumulative[outcome]) / 2.0 / cumulative[-1]
 
 
+def test_outcomes_of_is_searchsorted_row_by_row():
+    """The one outcome rule on a ``(rows, 4)`` batch is numpy's searchsorted
+    (side="right") of each row's cumulative distribution, and its own 1-D
+    call on that row: on random distributions, point masses, zero branches
+    and branches of 1e-13 (rounding residue), at u = 0, at random uniforms,
+    just below 1 and exactly on each branch's upper edge."""
+    rng = np.random.default_rng(31)
+    spread = rng.random((40, 4)) ** 3
+    residue = [[1 - 3e-13, 1e-13, 1e-13, 1e-13], [1e-13, 0.5, 1e-13, 0.5 - 2e-13],
+               [0.5, 0.0, 0.5, 0.0], [0.0, 1e-13, 0.0, 1 - 1e-13]]
+    probs = np.concatenate([spread / spread.sum(axis=1, keepdims=True), np.eye(4), residue])
+    rows = len(probs)
+    cumulative = oracle._cumulative(probs)
+    # a branch's upper edge, below 1: uniforms lie in [0, 1)
+    edges = np.minimum(cumulative[:, :3] / cumulative[:, -1:], np.nextafter(1.0, 0.0))
+    for u in [np.zeros(rows), rng.random(rows), np.full(rows, np.nextafter(1.0, 0.0)), *edges.T]:
+        got = oracle._outcomes_of(probs, u)
+        want = [np.searchsorted(c, x * c[-1], side="right") for c, x in zip(cumulative, u)]
+        assert got.tolist() == want
+        assert got.tolist() == [int(oracle._outcomes_of(p, x)) for p, x in zip(probs, u)]
+        assert (probs[np.arange(rows), got] > oracle._RESIDUE).all()
+    # no branch at all: past the last outcome, where searchsorted puts it
+    assert oracle._outcomes_of(np.full((2, 4), 1e-13), np.array([0.0, 0.5])).tolist() == [4, 4]
+    # one distribution against many uniforms, as `bell_sample` draws
+    uniforms = np.concatenate([[0.0], rng.random(50), edges[0]])
+    for p, c in zip(probs, cumulative):
+        want = np.searchsorted(c, uniforms * c[-1], side="right")
+        assert oracle._outcomes_of(p, uniforms).tolist() == want.tolist()
+
+
 class TestBatched:
     """The batched entry points against the scalar functions, bit for bit."""
 
@@ -393,6 +423,14 @@ class TestBatched:
          "qubits must be integers, not float64"),
         (lambda a: oracle.apply_pauli_gates(a, np.array([0, 1]), np.array([0.0, 1.0])),
          "qubits must be integers, not float64"),
+        (lambda a: oracle.prepare_states(np.array([[0.5, 1.0]])),
+         "labels must be integers, not float64"),
+        (lambda a: oracle.prepare_states(np.array([[True, False]])),
+         "labels must be integers, not bool"),
+        (lambda a: oracle.bell_project(a, 0, 1, np.array([1.0, 0.0])),
+         "labels must be integers, not float64"),
+        (lambda a: oracle.bell_project(a, 0, 1, np.array([True, False])),
+         "labels must be integers, not bool"),
     ])
     def test_bad_input_is_refused(self, call, message):
         amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))

@@ -154,12 +154,18 @@ KERNEL_DRAWS = {
     ([0, 0], [0, 1, 1, 2], 2, "measurement qubits must be distinct"),
     ([0, 0], [0, 5, 1, 2], 2, "qubit 5 out of range for 4-qubit state"),
     ([0, 0], [0, 1, 2, 3], 1, "2 steps need 2 draws per schedule, not 1"),
-], ids=["label-1", "label4", "label9", "same-step", "measured-twice", "out-of-range", "narrow"])
+    # non-integers are refused by dtype before they index or XOR anything
+    (np.array([0.5, 1.0]), [0, 1, 2, 3], 2, "labels must be integers, not float64"),
+    (np.array([True, False]), [0, 1, 2, 3], 2, "labels must be integers, not bool"),
+    ([0, 0], np.array([0.0, 1.0, 2.0, 3.0]), 2, "qubits must be integers, not float64"),
+], ids=["label-1", "label4", "label9", "same-step", "measured-twice", "out-of-range", "narrow",
+        "float-labels", "bool-labels", "float-qubits"])
 def test_kernels_refuse_the_same_bad_input(kernel, labels, order, width, message):
-    # the first row is a good schedule; the second row holds the bad input
+    # the first row is a good schedule; the second row holds the bad input,
+    # whose dtype the whole array takes (int8 for a list)
     run, draws = KERNEL_DRAWS[kernel]
-    labels = np.array([[0, 0], labels], dtype=np.int8)
-    order = np.array([[0, 1, 2, 3], order], dtype=np.int8)
+    labels = np.array([[0, 0], labels], dtype=getattr(labels, "dtype", np.int8))
+    order = np.array([[0, 1, 2, 3], order], dtype=getattr(order, "dtype", np.int8))
     with pytest.raises(ValueError) as refused:
         run(labels, order, draws((2, width)))
     assert str(refused.value) == message
@@ -170,6 +176,14 @@ def test_engine_kernel_refuses_swap_draws_that_are_not_labels():
     with pytest.raises(ValueError) as refused:
         bell.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]), np.array([[7, -1]]))
     assert str(refused.value) == "label 7 is not a Bell label value 0..3"
+
+
+@pytest.mark.parametrize("swap", [np.array([[0.5, 1.0]]), np.array([[True, False]])],
+                         ids=["float", "bool"])
+def test_engine_kernel_refuses_swap_draws_that_are_not_integers(swap):
+    with pytest.raises(ValueError) as refused:
+        bell.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]), swap)
+    assert str(refused.value) == f"labels must be integers, not {swap.dtype}"
 
 
 @pytest.mark.parametrize("bad", [-0.5, 1.0, 1.5, np.nan])
