@@ -31,8 +31,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bell import PauliLabel, parity
+from .bell import PauliLabel, parity, validate_labels
 from .protocol import (
+    NoiseModel,
     SessionConfig,
     SessionRun,
     SessionTranscript,
@@ -151,8 +152,11 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     announces his guesses, except at each cycle's smallest index, which
     takes the same target XOR. A trial passes when Alice's possibly
     corrupted records equal Bob's announcement; her coin is the XOR of
-    their parities.
+    their parities. `flip` must be a Pauli value 0..3 and `gamma` lie in
+    (0, 1], as a `NoiseModel`'s.
     """
+    validate_labels(flip, "Pauli")
+    NoiseModel(gamma)
     b, n = draws.swap.shape
     index = np.arange(b * n).reshape(b, n)  # flat position of (trial, m)
     row_start = index[:, :1]

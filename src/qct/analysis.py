@@ -10,10 +10,12 @@ implemented side by side.
   theorem collapses this to exactly (5/8)**(N-1).
 * `pass_prob_permutation_model`: the claimed identification is a uniform
   permutation, cycles play the role of runs, so the average weights
-  4**(m-N) by the signless Stirling counts c(N, m)/N!.  This equals
-  (N+1)(N+2)(N+3)/(6*4**N), which is strictly smaller for N >= 3 - the
-  discrepancy between the two models is real and surfaced in reports; the
-  simulated attack follows the permutation model.
+  4**(m-N) by the signless Stirling counts c(N, m)/N!.  Their generating
+  function sum_m c(N, m) x**m is the rising factorial x(x+1)...(x+N-1), so
+  at x = 4 the sum is (N+3)!/(3! 4**N N!) = C(N+3, 3)/4**N, which is
+  strictly smaller for N >= 3 - the discrepancy between the two models is
+  real and surfaced in reports; the simulated attack follows the
+  permutation model.
 
 `pass_prob_closed_form` is the reference curve (5/8)**(N-1) itself.
 Robustness: readout noise gamma per measurement must keep the honest abort
@@ -39,7 +41,6 @@ __all__ = [
     "pass_prob_composition_sum_exact",
     "pass_prob_permutation_model",
     "pass_prob_permutation_model_exact",
-    "stirling_first_kind",
     "robustness_ok",
     "min_gamma",
     "min_pairs_for_threshold",
@@ -77,34 +78,11 @@ def pass_prob_composition_sum(n: int) -> float:
     return float(pass_prob_composition_sum_exact(n))
 
 
-# Rows c(n, .) built so far, by n: a new row extends the largest one below
-# it, so asking for n = 1, 2, ..., N in turn costs O(N^2) additions.
-_STIRLING_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
-
-
-def stirling_first_kind(n: int) -> tuple[int, ...]:
-    """Signless Stirling numbers of the first kind c(n, m) for m = 0..n.
-
-    c(n, m) counts permutations of n elements with m cycles; computed by the
-    rising-factorial recurrence c(n+1, m) = c(n, m-1) + n * c(n, m).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n not in _STIRLING_ROWS:
-        k = max(m for m in _STIRLING_ROWS if m < n)
-        row = _STIRLING_ROWS[k]
-        for k in range(k, n):
-            row = tuple(a + k * b for a, b in zip((0,) + row, row + (0,)))
-        _STIRLING_ROWS[n] = row
-    return _STIRLING_ROWS[n]
-
-
 def pass_prob_permutation_model_exact(n: int) -> Fraction:
-    """Exact uniform-permutation average: sum c(n,m) 4^(m-n) / n!."""
+    """Exact uniform-permutation average sum c(n,m) 4^(m-n) / n!, in its
+    closed form C(n+3, 3) / 4^n (see the module notes)."""
     _require_n(n)
-    counts = stirling_first_kind(n)
-    numerator = sum(counts[m] * 4**m for m in range(1, n + 1))
-    return Fraction(numerator, 4**n * math.factorial(n))
+    return Fraction(math.comb(n + 3, 3), 4**n)
 
 
 def pass_prob_permutation_model(n: int) -> float:

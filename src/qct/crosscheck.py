@@ -32,9 +32,10 @@ for bit. This module keeps the cases' order, the comparisons and the
 detail texts.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
-pair count n = 1, 2, ... in turn, in chunks of S schedules (ENGINE_CHUNK
-for the engine; ORACLE_CHUNK_AMPLITUDES // 4**n, at least 1, for the
-oracle). Per chunk it draws the labels, ``(S, n)`` int8; then the
+pair count n = 1, 2, ... in turn, in chunks of S schedules. A kernel call
+takes about CHUNK values, so S is CHUNK // 2n for the engine (2n partner
+entries per schedule) and CHUNK // 4**n for the oracle (4**n amplitudes),
+at least 1. Per chunk it draws the labels, ``(S, n)`` int8; then the
 schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
 int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
@@ -65,12 +66,9 @@ from .oracle import (
 from .oracle import schedule_outcomes as oracle_schedule_outcomes
 from .seeding import session_rng
 
-# Draws per batched sampler call in the sampled swap check, schedules per
-# engine kernel call and amplitudes per oracle kernel call in the parity
-# checks: memory stays flat in the sample and schedule counts.
-SAMPLE_CHUNK = 8192
-ENGINE_CHUNK = 1024
-ORACLE_CHUNK_AMPLITUDES = 8192
+# Values per kernel call, from which each check derives its rows: memory
+# stays flat in the sample and schedule counts.
+CHUNK = 8192
 
 __all__ = [
     "CheckResult",
@@ -182,14 +180,14 @@ def _tv(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 
 def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Engine and oracle outcome counts of `samples` swaps on a Psi- (x)
-    Phi- input, drawn SAMPLE_CHUNK at a time from streams seed, seed + 1."""
+    Phi- input, drawn CHUNK at a time from streams seed, seed + 1."""
     labels = np.array([[BellLabel.PSI_MINUS, BellLabel.PHI_MINUS]])
     probs = bell_distributions(prepare_states(labels), 1, 2)[0]
     rng_engine, rng_oracle = session_rng(seed), session_rng(seed + 1)
     engine_counts = np.zeros(4, dtype=np.int64)
     oracle_counts = np.zeros(4, dtype=np.int64)
-    for start in range(0, samples, SAMPLE_CHUNK):
-        size = min(SAMPLE_CHUNK, samples - start)
+    for start in range(0, samples, CHUNK):
+        size = min(CHUNK, samples - start)
         engine_counts += np.bincount(rng_engine.integers(4, size=size), minlength=4)
         oracle_counts += np.bincount(bell_sample(probs, rng_oracle, size), minlength=4)
     return engine_counts, oracle_counts
@@ -230,11 +228,12 @@ def _schedule_check(
     max_pairs: int,
     sequences: int,
     seed: int,
-    chunk_rows,
+    width,
     run,
 ) -> CheckResult | None:
-    """Draw ``chunk_rows(n)`` schedules at a time per pair count n, as the
-    module's stream contract says, and run each chunk through
+    """Draw ``CHUNK // width(n)`` schedules (at least one) at a time per pair
+    count n, a schedule holding ``width(n)`` values, as the module's stream
+    contract says, and run each chunk through
     ``run(rng, labels, order) -> (outcomes, conserved)``, which draws what
     its kernel needs next. The first failing schedule's result, or None if
     every schedule conserves parity."""
@@ -244,7 +243,7 @@ def _schedule_check(
         raise ValueError(f"sequences must be at least 1 (got {sequences})")
     rng = session_rng(seed)
     for n in range(1, max_pairs + 1):
-        rows = chunk_rows(n)
+        rows = max(1, CHUNK // width(n))
         for start in range(0, sequences, rows):
             size = min(rows, sequences - start)
             labels = rng.integers(4, size=(size, n), dtype=np.int8)
@@ -270,7 +269,7 @@ def check_parity_conservation_engine(
     """Random maximal measurement schedules on random labels: the XOR of
     outcome parities must equal the XOR of initial parities, exactly.
 
-    Runs `bell.schedule_outcomes` ENGINE_CHUNK schedules at a time; each
+    Runs `bell.schedule_outcomes` on chunks of CHUNK // 2n schedules; each
     chunk's swap outcomes, ``(S, n)`` int8, follow its schedules in the
     stream. The kernel also checks the matching's conservation invariant
     after every step of every schedule.
@@ -282,7 +281,7 @@ def check_parity_conservation_engine(
         )
 
     failure = _schedule_check(
-        "parity-conservation-engine", max_pairs, sequences, seed, lambda n: ENGINE_CHUNK, run
+        "parity-conservation-engine", max_pairs, sequences, seed, lambda n: 2 * n, run
     )
     return failure or CheckResult(
         "parity-conservation-engine",
@@ -297,10 +296,9 @@ def check_parity_conservation_oracle(
     """Same conservation law on the statevector: measure random disjoint
     qubit pairs to exhaustion; sampled branch outcomes must satisfy it.
 
-    Runs `oracle.schedule_outcomes` on chunks of about
-    ORACLE_CHUNK_AMPLITUDES amplitudes (at least one schedule); each
-    chunk's collapse uniforms, ``(S, n)`` float64, follow its schedules in
-    the stream.
+    Runs `oracle.schedule_outcomes` on chunks of CHUNK // 4**n schedules;
+    each chunk's collapse uniforms, ``(S, n)`` float64, follow its schedules
+    in the stream.
     """
 
     def run(rng, labels, order):
@@ -308,12 +306,7 @@ def check_parity_conservation_oracle(
         return outcomes, np.ones(len(labels), dtype=bool)
 
     failure = _schedule_check(
-        "parity-conservation-oracle",
-        max_pairs,
-        sequences,
-        seed,
-        lambda n: max(1, ORACLE_CHUNK_AMPLITUDES >> (2 * n)),
-        run,
+        "parity-conservation-oracle", max_pairs, sequences, seed, lambda n: 4**n, run
     )
     return failure or CheckResult(
         "parity-conservation-oracle",

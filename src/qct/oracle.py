@@ -201,6 +201,8 @@ def bell_sample(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.nd
     calls on the measured state would and returns the same outcomes, from
     one array of `size` uniforms.
     """
+    if np.shape(probs) != (4,):
+        raise ValueError(f"probs must hold the 4 Bell outcomes, not shape {np.shape(probs)}")
     return _outcomes_of(probs, rng.random(size))
 
 

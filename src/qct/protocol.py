@@ -193,29 +193,23 @@ Message = Union[
     CoinAnnouncement,
 ]
 
-# Fixed phase order, as (message type, sender) -> phase index; measurements
-# happen between phases 2 and 3 but are not messages. The coin announcement
-# comes from either party, and is absent when Alice aborts.
-_PHASE_OF: dict[tuple[type, Party], int] = {
-    (ParticleBatch, Party.ALICE): 0,
-    (ParticleBatch, Party.BOB): 1,
-    (SequenceAnnouncement, Party.ALICE): 2,
-    (ResultsAnnouncement, Party.BOB): 3,
-    (VerdictAnnouncement, Party.ALICE): 4,
-    (CoinAnnouncement, Party.ALICE): 5,
-    (CoinAnnouncement, Party.BOB): 5,
-}
-_ORDER = list(_PHASE_OF)  # the (type, sender) kinds in phase order, both coins last
-_ADMITTED = [_ORDER[:i] for i in range(7)] + [_ORDER[:5] + _ORDER[6:]]  # each admitted log
-
-PHASE_NAMES = (
-    "alice-particles",
-    "bob-particles",
-    "sequence-announcement",
-    "results-announcement",
-    "verdict",
-    "coin",
+# Fixed phase order, one (message type, sender, phase name) row per message
+# kind; measurements happen between phases 2 and 3 but are not messages. The
+# coin announcement comes from either party, and is absent when Alice aborts.
+_PHASES = (
+    (ParticleBatch, Party.ALICE, "alice-particles"),
+    (ParticleBatch, Party.BOB, "bob-particles"),
+    (SequenceAnnouncement, Party.ALICE, "sequence-announcement"),
+    (ResultsAnnouncement, Party.BOB, "results-announcement"),
+    (VerdictAnnouncement, Party.ALICE, "verdict"),
+    (CoinAnnouncement, Party.ALICE, "coin"),
+    (CoinAnnouncement, Party.BOB, "coin"),
 )
+PHASE_NAMES = tuple(dict.fromkeys(name for _, _, name in _PHASES))
+# (type, sender) -> phase index, its keys the kinds in phase order, both coins last
+_PHASE_OF = {(kind, sender): PHASE_NAMES.index(name) for kind, sender, name in _PHASES}
+_ORDER = list(_PHASE_OF)
+_ADMITTED = [_ORDER[:i] for i in range(7)] + [_ORDER[:5] + _ORDER[6:]]  # each admitted log
 
 
 def _kind(message: Message) -> tuple[type, Party | None]:

@@ -8,6 +8,9 @@ so a source pair's halves are codes c and c ^ 1. `measure_phase` is held to
 successive `EntangledMatching.measure_pair` calls in `test_int_path.py`, and
 `reference_session` runs a whole session on it with the draws, in the
 order, that `run_session` documents.
+
+`stirling_first_kind` gives the cycle counts that the permutation model's
+closed form and the reflect attack's cycle histogram are held to.
 """
 
 from __future__ import annotations
@@ -34,6 +37,20 @@ from qct.protocol import (
     toss_from_outcomes,
     travelling,
 )
+
+
+def stirling_first_kind(n: int) -> tuple[int, ...]:
+    """Signless Stirling numbers of the first kind c(n, m), m = 0..n: the
+    permutations of n elements with m cycles, by the rising-factorial
+    recurrence c(k+1, m) = c(k, m-1) + k c(k, m) from c(0, 0) = 1."""
+    row = [1]
+    for k in range(n):
+        new = [0] * (len(row) + 1)
+        for m, val in enumerate(row):
+            new[m] += k * val
+            new[m + 1] += val
+        row = new
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from qct.adversary import (
     run_reflect_attack,
     wilson_interval,
 )
-from qct.analysis import pass_prob_permutation_model, stirling_first_kind
+from qct.analysis import pass_prob_permutation_model
 from qct.bell import (
     BellLabel,
     EntangledMatching,
@@ -27,6 +27,7 @@ from qct.bell import (
 )
 from qct.protocol import SessionConfig
 from qct.seeding import session_rng
+from reference import stirling_first_kind
 
 
 class TestStrategy:

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qct import crosscheck
 from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
-from qct.crosscheck import SAMPLE_CHUNK, _sampled_swap_counts
+from qct.crosscheck import CHUNK, _sampled_swap_counts
 from qct.oracle import bell_distribution, bell_measure_collapse, bell_sample, prepare_pairs
 from qct.seeding import session_rng
 
@@ -68,9 +69,18 @@ class TestBellSample:
         with pytest.raises(ValueError):
             bell_distribution(state, 0, 0)
 
+    @pytest.mark.parametrize("probs", [np.full(5, 0.2), np.full(3, 1 / 3), np.full((1, 4), 0.25)])
+    def test_refuses_probs_not_of_four_outcomes(self, probs):
+        # five entries would draw outcome 4, three would fail on an index
+        with pytest.raises(ValueError, match="4 Bell outcomes"):
+            bell_sample(probs, np.random.default_rng(0), 3)
 
-@pytest.mark.parametrize("samples", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
-def test_sampled_check_counts_match_scalar_loops(samples):
+
+@pytest.mark.parametrize("chunk", [5, CHUNK])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sampled_check_counts_match_scalar_loops(monkeypatch, chunk, offset):
+    monkeypatch.setattr(crosscheck, "CHUNK", chunk)
+    samples = chunk + offset
     b1, b2 = BellLabel.PSI_MINUS, BellLabel.PHI_MINUS
     engine = measure_pair_swaps(b1, b2, session_rng(7), samples)
     oracle = collapse_outcomes(prepare_pairs([b1, b2]), 1, 2, session_rng(8), samples)

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from qct import bell, crosscheck, oracle, protocol
 from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
 from qct.crosscheck import (
-    ENGINE_CHUNK,
-    ORACLE_CHUNK_AMPLITUDES,
+    CHUNK,
     CheckResult,
     check_parity_conservation_engine,
     check_parity_conservation_oracle,
@@ -260,13 +259,13 @@ def check_stream(seed, max_pairs, sequences, chunk_rows, draw):
             yield labels, order, draw(rng, (rows, n))
 
 
-def engine_stream(seed, max_pairs, sequences):
-    return check_stream(seed, max_pairs, sequences, lambda n: ENGINE_CHUNK,
+def engine_stream(seed, max_pairs, sequences, chunk):
+    return check_stream(seed, max_pairs, sequences, lambda n: max(1, chunk // (2 * n)),
                         lambda rng, shape: rng.integers(4, size=shape, dtype=np.int8))
 
 
-def oracle_stream(seed, max_pairs, sequences, amplitudes):
-    return check_stream(seed, max_pairs, sequences, lambda n: max(1, amplitudes >> (2 * n)),
+def oracle_stream(seed, max_pairs, sequences, chunk):
+    return check_stream(seed, max_pairs, sequences, lambda n: max(1, chunk >> (2 * n)),
                         lambda rng, shape: rng.random(shape))
 
 
@@ -291,8 +290,13 @@ def assert_same_draws(calls, stream):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("sequences", [ENGINE_CHUNK - 1, ENGINE_CHUNK, ENGINE_CHUNK + 1])
-def test_engine_check_chunks(monkeypatch, sequences):
+# 24 values give chunks of 12, 6 and 4 schedules at n = 1, 2, 3, so 11 to
+# 13 schedules cross a chunk boundary at every n
+@pytest.mark.parametrize("chunk", [24, CHUNK])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_engine_check_chunks(monkeypatch, chunk, offset):
+    monkeypatch.setattr(crosscheck, "CHUNK", chunk)
+    sequences = chunk // 2 + offset
     calls = recording(monkeypatch, "engine_schedule_outcomes")
     result = check_parity_conservation_engine(max_pairs=3, sequences=sequences, seed=9)
     assert result == CheckResult(
@@ -300,20 +304,20 @@ def test_engine_check_chunks(monkeypatch, sequences):
         True,
         f"{3 * sequences} random maximal schedules up to 3 pairs, exact",
     )
-    assert_same_draws(calls, engine_stream(9, 3, sequences))
+    assert_same_draws(calls, engine_stream(9, 3, sequences, chunk))
     for labels, order, swap in calls:
         outcomes, _ = bell.schedule_outcomes(labels, order, swap)
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
 
-# 64 amplitudes give chunks of 16, 4 and 1 schedules at n = 1, 2, 3; 2048
+# a budget of 64 gives chunks of 16, 4 and 1 schedules at n = 1, 2, 3; 2048
 # and 4096 are the stream layouts of the earlier, smaller batches
-@pytest.mark.parametrize("amplitudes", [64, 2048, 4096, ORACLE_CHUNK_AMPLITUDES])
+@pytest.mark.parametrize("chunk", [64, 2048, 4096, CHUNK])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_oracle_check_chunks(monkeypatch, amplitudes, offset):
-    monkeypatch.setattr(crosscheck, "ORACLE_CHUNK_AMPLITUDES", amplitudes)
-    max_pairs = 3 if amplitudes == 64 else 1
-    sequences = (amplitudes >> 2) + offset
+def test_oracle_check_chunks(monkeypatch, chunk, offset):
+    monkeypatch.setattr(crosscheck, "CHUNK", chunk)
+    max_pairs = 3 if chunk == 64 else 1
+    sequences = (chunk >> 2) + offset
     calls = recording(monkeypatch, "oracle_schedule_outcomes")
     result = check_parity_conservation_oracle(max_pairs=max_pairs, sequences=sequences, seed=9)
     assert result == CheckResult(
@@ -322,10 +326,23 @@ def test_oracle_check_chunks(monkeypatch, amplitudes, offset):
         f"{max_pairs * sequences} random maximal schedules up to {max_pairs} pairs, "
         "exact per branch",
     )
-    assert_same_draws(calls, oracle_stream(9, max_pairs, sequences, amplitudes))
+    assert_same_draws(calls, oracle_stream(9, max_pairs, sequences, chunk))
     for labels, order, uniforms in calls:
         outcomes, _ = oracle.schedule_outcomes(labels, order, uniforms)
         assert outcomes.tolist() == collapse_outcomes(labels, order, uniforms)[0].tolist()
+
+
+def test_verify_defaults_kernel_traffic(monkeypatch):
+    # rows per kernel call under `qct verify`'s defaults: the one budget
+    # gives each check the layout the separate chunk sizes gave it
+    engine, statevector, sampled = (
+        recording(monkeypatch, name)
+        for name in ("engine_schedule_outcomes", "oracle_schedule_outcomes", "bell_sample")
+    )
+    assert all(result.passed for result in crosscheck.run_all())
+    assert [len(labels) for labels, _, _ in engine] == [1000] * 4
+    assert [len(labels) for labels, _, _ in statevector] == [250, 250, 128, 122] + [32] * 7 + [26]
+    assert [size for _, _, size in sampled] == [8192] * 12 + [1696]
 
 
 class TestNegativeControls:
@@ -378,7 +395,7 @@ class TestNegativeControls:
         monkeypatch.setattr(crosscheck, "oracle_schedule_outcomes", psi_swapped)
         result = check_parity_conservation_oracle(max_pairs=3, sequences=50)
         # at n = 1 the outcome is the label: the first Psi label fails
-        labels = next(oracle_stream(20_26, 1, 50, ORACLE_CHUNK_AMPLITUDES))[0][:, 0]
+        labels = next(oracle_stream(20_26, 1, 50, CHUNK))[0][:, 0]
         first = BellLabel(int(labels[labels >= 2][0]))
         assert result == CheckResult(
             "parity-conservation-oracle", False, f"parity mismatch at n=1: [{first!r}]"

@@ -192,6 +192,18 @@ class TestReplay:
         _assert_replay_matches(row, PauliLabel.X, 1.0)
 
 
+@pytest.mark.parametrize("flip, gamma, message", [
+    (4, 1.0, "Pauli 4 is not"), (7, 1.0, "Pauli 7 is not"), (-1, 1.0, "Pauli -1 is not"),
+    (2.5, 1.0, "must be integers"), (0, 1.5, "gamma"), (0, float("nan"), "gamma"),
+    (0, -0.2, "gamma"),
+])
+def test_kernel_refuses_bad_flip_and_gamma(flip, gamma, message):
+    # unchecked, these gave outcomes outside 0..3, ran 2.5 as 2, ran 1.5 and
+    # nan noiseless and corrupted every record at -0.2
+    with pytest.raises(ValueError, match=message):
+        reflect_kernel(draw_reflect_block(block_rng(1, 0), 3), flip, gamma)
+
+
 def _all_rows(n: int) -> ReflectDraws:
     """Every noiseless draws row at n pairs, each once: both permutations and
     a label per index for swaps and guesses."""
