@@ -69,9 +69,12 @@ def pass_prob_closed_form(n: int) -> float:
 def pass_prob_composition_sum_exact(n: int) -> Fraction:
     """Exact composition-weighted sum: sum C(n-1,m-1) 4^(m-n) / 2^(n-1)."""
     _require_n(n)
-    numerator = sum(math.comb(n - 1, m - 1) * 4**m for m in range(1, n + 1))
-    denominator = 4**n * sum(math.comb(n - 1, m - 1) for m in range(1, n + 1))
-    return Fraction(numerator, denominator)
+    # the binomial row C(n-1, m-1), m = 1..n, by C(n-1, m) = C(n-1, m-1)(n-m)/m
+    binomials = [1]
+    for m in range(1, n):
+        binomials.append(binomials[-1] * (n - m) // m)
+    numerator = sum(c * 4**m for m, c in enumerate(binomials, 1))
+    return Fraction(numerator, 4**n * sum(binomials))
 
 
 def pass_prob_composition_sum(n: int) -> float:

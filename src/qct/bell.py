@@ -181,29 +181,29 @@ def schedule_outcomes(
     steps = validate_schedule(labels, order, swap)
     validate_labels(swap)
     rows, n = labels.shape
-    index = np.arange(2 * n)
-    row = np.arange(rows)[:, None]
-    partner = np.broadcast_to(index ^ 1, (rows, 2 * n)).copy()
-    label = np.repeat(labels, 2, axis=1)
+    # particle p of row r at r * 2n + p in the raveled frame
+    index = np.arange(rows * 2 * n)
+    particle = order.astype(np.intp) + (np.arange(rows) * (2 * n))[:, None]
+    partner = index ^ 1
+    label = np.repeat(labels, 2, axis=1).ravel()
     initial = np.bitwise_xor.reduce(labels, axis=1)
     history = np.zeros(rows, dtype=labels.dtype)
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     conserved = np.ones(rows, dtype=bool)
     for k in range(steps):
-        u, v = order[:, 2 * k : 2 * k + 1], order[:, 2 * k + 1 : 2 * k + 2]
-        pu, pv = partner[row, u], partner[row, v]
-        b1, b2 = label[row, u], label[row, v]
-        outcome = np.where(pu == v, b1, swap[:, k : k + 1])
+        u, v = particle[:, 2 * k], particle[:, 2 * k + 1]
+        pu, pv = partner[u], partner[v]
+        b1, b2 = label[u], label[v]
+        outcomes[:, k] = outcome = np.where(pu == v, b1, swap[:, k])
         # on partner rows the spectators are v and u themselves, zeroed below
-        partner[row, pu], partner[row, pv] = pv, pu
-        label[row, pu] = label[row, pv] = residual(b1, b2, outcome)
+        partner[pu], partner[pv] = pv, pu
+        label[pu] = label[pv] = residual(b1, b2, outcome)
         # measured particles keep label 0: no schedule measures them again
-        label[row, u] = label[row, v] = 0
-        outcomes[:, k] = outcome[:, 0]
+        label[u] = label[v] = 0
         history ^= outcomes[:, k]
         # each live edge once: at its lower end
-        live = np.bitwise_xor.reduce(np.where(partner > index, label, 0), axis=1)
-        conserved &= (live ^ history) == initial
+        live = np.where(partner > index, label, 0).reshape(rows, 2 * n)
+        conserved &= (np.bitwise_xor.reduce(live, axis=1) ^ history) == initial
     return outcomes, conserved
 
 

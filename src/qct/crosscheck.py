@@ -23,13 +23,15 @@ The three exhaustive checks, `pauli-action-16`, `residual-rule-64` and
 `swap-distribution-exact`, build all their cases as one batch of states
 through the oracle's batched entry points (`oracle.prepare_states`,
 `apply_pauli_gates`, `bell_project`, `bell_distributions`) and read one
-Born distribution per measured pair. The residual check's oracle answer is
-`bell_project`'s collapse of each case on its outcome, read on qubits
-(0, 3). So `verify` runs only the batched oracle and builds no
-`QuantumState`; the tests hold every case to the scalar `prepare_pairs`,
-`apply_pauli_gate`, `bell_distribution` and `bell_measure_collapse`, bit
-for bit. This module keeps the cases' order, the comparisons and the
-detail texts.
+Born distribution per measured pair. The oracle's probabilities are exact,
+so they are compared with no tolerance: a point mass is a probability of
+exactly 1, and a uniform swap is 1/4 to the last bit. The residual check's
+oracle answer is `bell_project`'s collapse of each case on its outcome,
+read on qubits (0, 3). So `verify` runs only the batched oracle and builds
+no `QuantumState`; the tests hold every case to the scalar
+`prepare_pairs`, `apply_pauli_gate`, `bell_distribution` and
+`bell_measure_collapse`, bit for bit. This module keeps the cases' order,
+the comparisons and the detail texts.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules. A kernel call
@@ -89,16 +91,11 @@ class CheckResult:
     detail: str
 
 
-# Slack of the exact statevector checks: amplitudes carry float rounding.
-_TOL = 1e-9
-
-
 def _point_masses(dists: np.ndarray) -> np.ndarray:
-    """Per row, the label value holding all probability mass, or -1 if the
-    row is spread out (or NaN)."""
+    """Per row, the label value holding all probability mass, exactly, or -1
+    if the row is spread out (or NaN)."""
     best = np.argmax(dists, axis=1)
-    mass = dists[np.arange(len(dists)), best]
-    return np.where(np.abs(mass - 1.0) <= _TOL, best, -1)
+    return np.where(dists[np.arange(len(dists)), best] == 1.0, best, -1)
 
 
 def _label(value: int) -> BellLabel | None:
@@ -132,8 +129,8 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
 
     The oracle collapses each (b1, b2) state on the case's outcome of the
     swap on qubits (1, 2) and reads the residual on (0, 3): a point mass,
-    or none for a spread-out residual or a branch of probability at or
-    below 1e-12, which `bell_project` leaves without a state.
+    or none for a spread-out residual or a branch of probability 0, which
+    `bell_project` leaves without a state.
     With fault_injection the engine's residual is deliberately corrupted,
     so a passing suite must report this check as failed.
     """
@@ -167,7 +164,7 @@ def check_swap_distribution_exact() -> CheckResult:
     worst = float(np.max(np.abs(bell_distributions(states, 1, 2) - 0.25)))
     return CheckResult(
         "swap-distribution-exact",
-        worst <= _TOL,
+        worst == 0.0,
         f"max |p - 1/4| = {worst:.3e} over 16 label pairs",
     )
 

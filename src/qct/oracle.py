@@ -1,4 +1,4 @@
-"""Dense statevector oracle for Bell-basis measurements.
+"""Exact dense statevector oracle for Bell-basis measurements.
 
 Small brute-force simulator (up to 16 qubits) used to certify the label
 algebra in :mod:`qct.bell`: it prepares products of Bell pairs, computes
@@ -6,6 +6,15 @@ exact Born probabilities for a Bell measurement on any two qubits, and
 collapses the state. No label bookkeeping happens here - everything is
 amplitudes, so agreement with the symbolic engine is a real check, not a
 tautology.
+
+Every state the oracle builds is a product of Bell pairs (up to a sign),
+whose nonzero amplitudes all have one magnitude. It holds one on 2k qubits
+as 2**k entries of +-1 and zeros (the amplitudes times 2**(k/2)) and
+measures through the Bell matrix times sqrt(2), whose entries are 0 and
++-1, so all arithmetic is on small integers and exact in float64: a Born
+probability is exactly 0, 1/4 or 1, and a collapse divides the chosen
+branch by its largest |entry|, 1 or 2. Every state built is checked for
+that form (`_require_normalized`).
 
 `bell_measure_collapse` samples one outcome and returns the collapsed
 state; `bell_sample(probs, rng, k)` draws k outcomes from one Born
@@ -20,14 +29,12 @@ The batched entry points hold many states as the rows of one ``(rows,
 chosen outcome, and `schedule_outcomes`, which runs a measurement schedule
 per row and refuses what the engine's kernel refuses
 (`bell.validate_schedule`). The Bell measurements share one copy of each
-rule: one gather of every row's pair view through index tables cached per
-qubit count (`_pair_rows`), one collapse that divides by sqrt(p) and
-checks normalisation (`_collapse`) and one outcome rule (`_outcomes_of`,
-the scalar samplers' too). They give the scalar functions' amplitudes,
-probabilities and outcomes bit for bit, but build no `QuantumState`.
-Amplitudes are float64: Bell states and real-Y Paulis never leave the
-reals, and the real Bell matrix is its own conjugate (the scalar and
-batched functions take complex too).
+rule: one gather that reorders qubits (`_transpose_index`; a measurement
+of one qubit pair gathers every row through one shared index), one Born
+rule (`_born_of`), one outcome rule (`_outcomes_of`, the scalar samplers'
+too) and one collapse (`_collapse`). They give the scalar functions'
+amplitudes, probabilities and outcomes bit for bit, but build no
+`QuantumState`.
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -59,15 +66,14 @@ __all__ = [
 
 MAX_QUBITS = 16
 
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-# Rows indexed by BellLabel value, columns by |q1 q2> in the order 00,01,10,11.
+# Rows indexed by BellLabel value, columns by |q1 q2> in the order 00,01,10,11:
+# each Bell state times sqrt(2).
 _BELL_MATRIX = np.array(
     [
-        [_SQ2, 0.0, 0.0, _SQ2],   # Phi+ = (|00> + |11>)/sqrt2
-        [_SQ2, 0.0, 0.0, -_SQ2],  # Phi- = (|00> - |11>)/sqrt2
-        [0.0, _SQ2, _SQ2, 0.0],   # Psi+ = (|01> + |10>)/sqrt2
-        [0.0, _SQ2, -_SQ2, 0.0],  # Psi- = (|01> - |10>)/sqrt2
+        [1.0, 0.0, 0.0, 1.0],   # Phi+ = (|00> + |11>)/sqrt2
+        [1.0, 0.0, 0.0, -1.0],  # Phi- = (|00> - |11>)/sqrt2
+        [0.0, 1.0, 1.0, 0.0],   # Psi+ = (|01> + |10>)/sqrt2
+        [0.0, 1.0, -1.0, 0.0],  # Psi- = (|01> - |10>)/sqrt2
     ],
     dtype=np.float64,
 )
@@ -85,12 +91,15 @@ _PAULI_MATRICES = np.array(
 
 
 def _require_normalized(amplitudes: np.ndarray) -> None:
-    """Raise unless every row (last axis) has |psi|^2 within 1e-9 of 1; a
-    NaN norm fails too."""
-    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True)
-    bad = ~(np.abs(norms - 1.0) <= 1e-9)
-    if bad.any():
-        raise ValueError(f"state is not normalized: |psi|^2 = {float(norms[bad][0])}")
+    """Raise unless every row (last axis) of 4**k amplitudes is 2**k real
+    entries of +-1 and zeros: a normalised product of k Bell pairs as the
+    oracle holds it. A NaN or a complex array fails too."""
+    size = amplitudes.shape[-1]
+    magnitudes = np.abs(amplitudes)
+    ones = magnitudes.sum(axis=-1)  # the row's count of +-1, once every entry is 0 or 1
+    exact = ((magnitudes == 1.0) | (magnitudes == 0.0)).all() and (ones * ones == size).all()
+    if np.iscomplexobj(amplitudes) or not exact:
+        raise ValueError(f"state is not normalized: not sqrt({size}) entries of +-1, the rest 0")
 
 
 @dataclass(frozen=True)
@@ -139,21 +148,17 @@ def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     return np.moveaxis(state.amplitudes.reshape([2] * n), (q1, q2), (0, 1)).reshape(4, -1)
 
 
+def _born_of(coeffs: np.ndarray) -> np.ndarray:
+    """Born probabilities ``(..., 4)`` of Bell-basis coefficients ``(..., 4,
+    rest)``: each branch's sum of squares over the row's total."""
+    weights = np.einsum("...ij,...ij->...i", coeffs, coeffs)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
     """Bell-basis coefficients (4, rest) and their Born probabilities."""
     coeffs = _BELL_MATRIX @ _pair_view(state, q1, q2)
-    return coeffs, np.sum(np.abs(coeffs) ** 2, axis=1)
-
-
-# Born probabilities at or below this are rounding residue of an exact zero
-# (an amplitude of a few ulps gives ~1e-33), not a branch that can occur.
-_RESIDUE = 1e-12
-
-
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    """Cumulative Born probabilities along the last axis, with rounding
-    residue counted as zero."""
-    return np.cumsum(np.where(probs > _RESIDUE, probs, 0.0), axis=-1)
+    return coeffs, _born_of(coeffs)
 
 
 def _outcomes_of(probs: np.ndarray, uniforms):
@@ -161,16 +166,21 @@ def _outcomes_of(probs: np.ndarray, uniforms):
     whose cumulative probability exceeds ``u * total``, so a zero-probability
     branch is never chosen, not even at u = 0. `uniforms` broadcasts against
     the leading axes of `probs`, shape ``(..., 4)``."""
-    cumulative = _cumulative(probs)
+    cumulative = np.cumsum(probs, axis=-1)
     point = uniforms * cumulative[..., -1]
     return sum(cumulative[..., j] <= point for j in range(4))  # searchsorted, side="right"
+
+
+def _collapse(branch: np.ndarray) -> np.ndarray:
+    """The state the qubits left in a Bell branch's coefficients ``(...,
+    rest)`` collapse to: the branch divided by its largest |entry|."""
+    return branch / np.abs(branch).max(axis=-1, keepdims=True)
 
 
 def bell_distribution(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     """Exact Born probabilities of the four Bell outcomes on (q1, q2).
 
-    Returns an array indexed by BellLabel value; entries sum to 1 within
-    numerical precision.
+    Returns an array indexed by BellLabel value, each entry 0, 1/4 or 1.
     """
     return _born(state, q1, q2)[1]
 
@@ -187,8 +197,7 @@ def bell_measure_collapse(
     n = state.qubit_count
     coeffs, probs = _born(state, q1, q2)
     outcome = BellLabel(int(_outcomes_of(probs, rng.random())))
-    p = probs[outcome.value]
-    projected = np.outer(_BELL_MATRIX[outcome.value], coeffs[outcome.value]) / np.sqrt(p)
+    projected = np.outer(_BELL_MATRIX[outcome.value], _collapse(coeffs[outcome.value]))
     tensor = np.moveaxis(projected.reshape([2] * n), (0, 1), (q1, q2))
     return outcome, QuantumState(tensor.reshape(-1), n)
 
@@ -207,18 +216,23 @@ def bell_sample(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def _gather_tables(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair view tables, row ``q1 * qubits + q2`` (a placeholder at q1 = q2): `_pair_view`'s
-    ``[2a + b, h * low.shape[1] + l]`` is ``pair[id, 2a + b] + high[id, h] + low[id, l]``,
-    `high` spreading the leading half of the other qubits and `low` the rest."""
-    q1, q2 = np.divmod(np.arange(qubits * qubits), qubits)
-    weight = 1 << np.arange(qubits - 1, -1, -1)
-    pair = np.outer(weight[q1], [0, 0, 1, 1]) + np.outer(weight[q2], [0, 1, 0, 1])
-    qubit = np.arange(qubits)  # the other qubits in order (one extra on a placeholder)
-    others = np.sort(np.where((qubit == q1[:, None]) | (qubit == q2[:, None]), qubits, qubit))
-    halves = np.split(weight[others[:, : qubits - 2]], [(qubits - 1) // 2], axis=1)
-    bits = [np.arange(2 ** h.shape[1])[:, None] >> np.arange(h.shape[1])[::-1] & 1 for h in halves]
-    return pair, halves[0] @ bits[0].T, halves[1] @ bits[1].T
+def _bits(width: int) -> np.ndarray:
+    """Row j holds the `width` bits of j, most significant first."""
+    return np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1) & 1
+
+
+def _transpose_index(qubits: np.ndarray) -> np.ndarray:
+    """Basis indices ``(..., 2**n)`` that reorder the n qubits of a state:
+    gathering a state through row r of the index, built from the
+    permutation ``qubits[r]`` of 0..n-1, is np.transpose of its ``(2,) *
+    n`` tensor to those axes, so qubit t of the result is qubit
+    ``qubits[r, t]`` of the state. Each half of the new qubits' bits is
+    weighed through one small table."""
+    n = qubits.shape[-1]
+    weight = 1 << (n - 1 - qubits.astype(np.intp))  # new qubit t's place in the old index
+    high = weight[..., : n // 2] @ _bits(n // 2).T
+    low = weight[..., n // 2 :] @ _bits(n - n // 2).T
+    return (high[..., :, None] + low[..., None, :]).reshape(*qubits.shape[:-1], -1)
 
 
 def prepare_states(labels: np.ndarray) -> np.ndarray:
@@ -229,8 +243,8 @@ def prepare_states(labels: np.ndarray) -> np.ndarray:
     _check_pair_count(n)
     validate_labels(labels)
     amps = np.ones((rows, 1))
-    for i in range(n):  # np.kron's outer product, row by row
-        amps = (amps[:, :, None] * _BELL_MATRIX[labels[:, i]][:, None, :]).reshape(rows, -1)
+    for i in reversed(range(n)):  # np.kron's outer product, row by row, last pair first
+        amps = (_BELL_MATRIX[labels[:, i]][:, :, None] * amps[:, None, :]).reshape(rows, -1)
     _require_normalized(amps)
     return amps
 
@@ -244,44 +258,19 @@ def _qubits(amps: np.ndarray) -> int:
     raise ValueError(f"amplitudes must have shape (rows, 2**n) with n in 1..{MAX_QUBITS}")
 
 
-def _pair_ids(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """Every row's `_gather_tables` row for a measurement of (q1, q2), after
-    checking the batch's shape and the qubits."""
+def _pair_index(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """The ``(4, rest)`` basis indices of `_pair_view` on (q1, q2), which
+    every row of the batch shares, after checking its shape and the qubits."""
     qubits = _qubits(amps)
     _check_pair(qubits, q1, q2)
-    return np.full(len(amps), q1 * qubits + q2)
-
-
-def _pair_rows(amps: np.ndarray, ids: np.ndarray):
-    """Flat basis indices ``(rows, 4, rest)`` of row r's `_pair_view` on the
-    qubit pair of `_gather_tables` row ``ids[r]``, and every row's
-    Bell-basis coefficients ``(rows, 4, rest)`` and Born probabilities."""
-    rows, size = amps.shape
-    pair, high, low = _gather_tables(size.bit_length() - 1)
-    start = high.take(ids, axis=0) + (np.arange(rows) * size)[:, None]  # row r from r * size
-    spread = start[:, :, None] + low.take(ids, axis=0)[:, None]
-    where = (pair.take(ids, axis=0)[:, :, None, None] + spread[:, None]).reshape(rows, 4, -1)
-    coeffs = _BELL_MATRIX @ amps.take(where)
-    return where, coeffs, np.sum(np.abs(coeffs) ** 2, axis=2)
-
-
-def _collapse(out: np.ndarray, where, coeffs, probs, outcomes: np.ndarray) -> None:
-    """Write row r's projection on Bell outcome ``outcomes[r]``, divided by
-    sqrt(p) as in `bell_measure_collapse`, into C-ordered `out` at `_pair_rows`'
-    indices `where`; check the rows for normalisation, but leave NaN a row
-    whose p is rounding residue (a branch the samplers never pick)."""
-    row = np.arange(len(outcomes))
-    p = probs[row, outcomes]
-    possible = p > _RESIDUE
-    projected = _BELL_MATRIX[outcomes][:, :, None] * coeffs[row, outcomes][:, None, :]
-    out.reshape(-1)[where] = projected / np.sqrt(np.where(possible, p, np.nan))[:, None, None]
-    _require_normalized(out[possible])
+    others = [q for q in range(qubits) if q not in (q1, q2)]
+    return _transpose_index(np.array([q1, q2, *others])).reshape(4, -1)
 
 
 def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
     by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
-    return _pair_rows(amps, _pair_ids(amps, q1, q2))[2]
+    return _born_of(_BELL_MATRIX @ amps[:, _pair_index(amps, q1, q2)])
 
 
 def bell_project(
@@ -291,17 +280,23 @@ def bell_project(
     the Bell outcome ``outcomes[r]`` of (q1, q2).
 
     Returns every row's Born probabilities ``(rows, 4)`` and the collapsed
-    amplitudes, through the collapse `schedule_outcomes` makes. An outcome
-    of probability at or below the rounding residue is a branch the
+    amplitudes: `_collapse` of the branch, with the outcome's Bell state
+    placed back on (q1, q2). An outcome of probability 0 is a branch the
     samplers never pick: its row has no collapsed state and is NaN. Every
     other row is checked for normalisation.
     """
     if outcomes.shape != (len(amps),):
         raise ValueError("one outcome per row is required")
     validate_labels(outcomes)
-    where, coeffs, probs = _pair_rows(amps, _pair_ids(amps, q1, q2))
-    collapsed = np.empty(amps.shape, dtype=amps.dtype)
-    _collapse(collapsed, where, coeffs, probs, outcomes)
+    where = _pair_index(amps, q1, q2)
+    coeffs = _BELL_MATRIX @ amps[:, where]
+    probs = _born_of(coeffs)
+    row = np.arange(len(amps))
+    possible = probs[row, outcomes] > 0
+    branch = np.where(possible[:, None], coeffs[row, outcomes], np.nan)
+    collapsed = np.empty(amps.shape)
+    collapsed[:, where] = _BELL_MATRIX[outcomes][:, :, None] * _collapse(branch)[:, None, :]
+    _require_normalized(collapsed[possible])
     return probs, collapsed
 
 
@@ -315,11 +310,9 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
         raise ValueError("one Pauli and one qubit per row are required")
     validate_labels(paulis, "Pauli")
     validate_labels(qubits, "qubit", n)
-    bit = (n - 1 - qubits.astype(np.intp))[:, None, None]
-    rest = np.arange(size // 2)
-    # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`:
-    # [r, a, j] has the qubit at a and the other qubits spelling j in order
-    where = (rest >> bit) << (bit + 1) | np.arange(2)[:, None] << bit | rest & (1 << bit) - 1
+    # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`
+    others = np.arange(n - 1) + (np.arange(n - 1) >= qubits[:, None])
+    where = _transpose_index(np.column_stack([qubits, others])).reshape(rows, 2, -1)
     where += (np.arange(rows) * size)[:, None, None]
     out = np.empty(rows * size, dtype=amps.dtype)
     out[where] = _PAULI_MATRICES[paulis] @ amps.reshape(-1)[where]
@@ -335,13 +328,18 @@ def schedule_outcomes(
 
     Row r starts from ``prepare_pairs(labels[r])`` and Bell-measures qubits
     ``order[r, 2k]`` and ``order[r, 2k + 1]`` at step k, collapsing on the
-    outcome picked by ``uniforms[r, k]``. Each step runs the gather, the
-    outcome rule and the collapse of `bell_project`, so it agrees bit for
-    bit with `bell_measure_collapse` on the same uniform, and a
-    zero-probability branch is never chosen.
+    outcome picked by ``uniforms[r, k]``. Each step runs the Born rule, the
+    outcome rule and the collapse of `bell_measure_collapse`, so it agrees
+    bit for bit with it on the same uniform, and a zero-probability branch
+    is never chosen. The prepared rows are gathered once, with each row's
+    qubits in the order its schedule measures them and then the qubits it
+    leaves, in order: every step measures the two leading qubits and keeps
+    only the rest, since the measured pair is left in the outcome's Bell
+    state, which no later step reads. Every row is checked for
+    normalisation after every step.
 
-    Returns the outcome label values, shape ``(rows, steps)``, and the
-    collapsed amplitudes, shape ``(rows, 4**n)``. Inputs
+    Returns the outcome label values, shape ``(rows, steps)``, and the state
+    of the qubits never measured, shape ``(rows, 4**(n - steps))``. Inputs
     `bell.validate_schedule` refuses raise its ValueError, as they do in
     the engine's `bell.schedule_outcomes`; so do uniforms outside [0, 1).
     """
@@ -349,14 +347,19 @@ def schedule_outcomes(
     outside = uniforms[~((uniforms >= 0) & (uniforms < 1))]
     if outside.size:
         raise ValueError(f"uniform {outside[0]} is not in [0, 1)")
-    amps = prepare_states(labels)
     rows, n = labels.shape
-    ids = order[:, 0::2].astype(np.intp) * (2 * n) + order[:, 1::2]
+    row = np.arange(rows)
+    left = np.ones((rows, 2 * n), dtype=bool)  # the qubits the schedule leaves
+    left[row[:, None], order] = False
+    qubits = np.concatenate([order, np.nonzero(left)[1].reshape(rows, 2 * (n - steps))], axis=1)
+    index = _transpose_index(qubits) + (row << 2 * n)[:, None]  # into the flattened batch
+    amps = prepare_states(labels).take(index)
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     for k in range(steps):
-        where, coeffs, probs = _pair_rows(amps, ids[:, k])
-        outcomes[:, k] = outcome = _outcomes_of(probs, uniforms[:, k])
-        _collapse(amps, where, coeffs, probs, outcome)
+        coeffs = _BELL_MATRIX @ amps.reshape(rows, 4, -1)
+        outcomes[:, k] = outcome = _outcomes_of(_born_of(coeffs), uniforms[:, k])
+        amps = _collapse(coeffs[row, outcome])
+        _require_normalized(amps)
     return outcomes, amps
 
 

@@ -69,6 +69,13 @@ class TestCompositionSum:
         b = pass_prob_closed_form(n)
         assert abs(a - b) <= 1e-12 * b
 
+    def test_binomial_row_equals_math_comb(self):
+        # the ratio-built row against one math.comb call per term
+        for n in range(1, 301):
+            numerator = sum(math.comb(n - 1, m - 1) * 4**m for m in range(1, n + 1))
+            denominator = 4**n * sum(math.comb(n - 1, m - 1) for m in range(1, n + 1))
+            assert pass_prob_composition_sum_exact(n) == Fraction(numerator, denominator), n
+
     def test_closed_form_equals_composition_sum_bit_for_bit(self):
         # both round the exact (5/8)**(n-1) once, so not even an ulp apart
         for n in range(1, 201):

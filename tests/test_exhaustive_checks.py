@@ -114,6 +114,12 @@ def test_every_batched_state_is_checked_for_normalisation(monkeypatch):
     assert checked == [(32, 4), (32, 4), (64, 16), (64, 16), (16, 16)]
 
 
+def test_swap_distribution_is_exactly_uniform():
+    # every cross-pair probability is 1/4 to the last bit, with no tolerance
+    assert crosscheck.check_swap_distribution_exact() == crosscheck.CheckResult(
+        "swap-distribution-exact", True, "max |p - 1/4| = 0.000e+00 over 16 label pairs")
+
+
 def misread(value):
     """A Bell label as a readout with the Phi+ and Phi- rows swapped sees it."""
     return value ^ 1 if value < 2 else value

@@ -12,6 +12,7 @@ residual check and the session driver must both run the shared swap rule
 """
 
 import tracemalloc
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from qct.crosscheck import (
 )
 from qct.oracle import bell_measure_collapse, prepare_pairs
 from qct.seeding import session_rng, trial_rng
+
+EXACT = {0.0, 0.25, 1.0}  # every Born probability of a product of Bell pairs
 
 
 class StepRng:
@@ -85,22 +88,70 @@ def matching_outcomes(labels, order, swap):
     return outcomes
 
 
-def collapse_outcomes(labels, order, uniforms):
-    """Outcomes and final amplitudes of successive `bell_measure_collapse`
-    calls on each row, one recorded uniform per call."""
-    outcomes = np.empty((len(labels), order.shape[1] // 2), dtype=np.int8)
-    states = []
-    for r in range(len(labels)):
+def collapse_chain(labels, order, uniforms):
+    """Outcomes of successive `bell_measure_collapse` calls on each row, one
+    recorded uniform per call, and the amplitudes after every step,
+    ``states[k]`` those after step k; every Born probability met must be
+    exactly 0, 1/4 or 1."""
+    rows, steps = len(labels), order.shape[1] // 2
+    outcomes = np.empty((rows, steps), dtype=np.int8)
+    states = np.empty((steps, rows, 4 ** labels.shape[1]))
+    for r in range(rows):
         state = prepare_pairs([BellLabel(int(x)) for x in labels[r]])
-        for k in range(outcomes.shape[1]):
+        for k in range(steps):
+            q1, q2 = int(order[r, 2 * k]), int(order[r, 2 * k + 1])
+            assert set(oracle.bell_distribution(state, q1, q2).tolist()) <= EXACT
             rng = StepRng(uniforms[r, k])
-            outcome, state = bell_measure_collapse(
-                state, int(order[r, 2 * k]), int(order[r, 2 * k + 1]), rng
-            )
+            outcome, state = bell_measure_collapse(state, q1, q2, rng)
             assert rng.used
             outcomes[r, k] = outcome.value
-        states.append(state.amplitudes)
-    return outcomes, np.array(states)
+            states[k, r] = state.amplitudes
+    return outcomes, states
+
+
+def collapse_outcomes(labels, order, uniforms):
+    """Outcomes and final amplitudes of `collapse_chain`."""
+    outcomes, states = collapse_chain(labels, order, uniforms)
+    return outcomes, states[-1]
+
+
+def rebuild(order, outcomes, residual):
+    """Full statevectors from a run of the oracle's kernel: each measured
+    pair in its outcome's Bell state, the residual on the qubits never
+    measured, in order."""
+    rows, steps = outcomes.shape
+    qubits = 2 * steps + (residual.shape[1].bit_length() - 1)
+    full = np.empty((rows, 2**qubits))
+    for r in range(rows):
+        measured = order[r, : 2 * steps].tolist()
+        axes = measured + [q for q in range(qubits) if q not in measured]
+        tensor = np.ones(1)
+        for outcome in outcomes[r]:
+            tensor = np.multiply.outer(tensor, oracle._BELL_MATRIX[outcome])
+        tensor = np.multiply.outer(tensor, residual[r]).reshape([2] * qubits)
+        full[r] = np.moveaxis(tensor, range(qubits), axes).reshape(-1)
+    return full
+
+
+def replay_every_prefix(monkeypatch, labels, order, uniforms):
+    """Run the oracle's kernel on every prefix of the schedules and hold
+    it to the scalar collapse chain: the same outcomes, the same full state
+    bit for bit once rebuilt, and every Born probability exactly 0, 1/4 or
+    1. Returns the outcomes of the whole schedules."""
+    want, states = collapse_chain(labels, order, uniforms)
+    seen = []  # the kernel's Born probabilities
+    outcomes_of = oracle._outcomes_of
+    monkeypatch.setattr(oracle, "_outcomes_of", lambda p, u: seen.append(p) or outcomes_of(p, u))
+    rows, n = labels.shape
+    for steps in range(order.shape[1] // 2 + 1):
+        outcomes, residual = oracle.schedule_outcomes(labels, order[:, : 2 * steps], uniforms)
+        assert outcomes.dtype == labels.dtype
+        assert outcomes.tolist() == want[:, :steps].tolist()
+        assert residual.shape == (rows, 4 ** (n - steps))
+        full = rebuild(order, outcomes, residual)
+        assert np.array_equal(full, states[steps - 1] if steps else oracle.prepare_states(labels))
+    assert seen and set(np.concatenate(seen).ravel().tolist()) <= EXACT
+    return want
 
 
 def edge_uniforms(rng, shape):
@@ -201,13 +252,30 @@ class TestOracleKernel:
     def test_replays_collapse(self, n, rows, partner_first, seed):
         rng = np.random.default_rng(seed)
         labels, order = schedules(rng, rows, n, partner_first)
-        uniforms = edge_uniforms(rng, (rows, n))
-        # every prefix of the schedule: the amplitudes agree after each step
-        for steps in range(1, n + 1):
-            outcomes, amps = oracle.schedule_outcomes(labels, order[:, : 2 * steps], uniforms)
-            want, states = collapse_outcomes(labels, order[:, : 2 * steps], uniforms)
-            assert outcomes.tolist() == want.tolist()
-            assert np.array_equal(amps, states)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            replay_every_prefix(monkeypatch, labels, order, edge_uniforms(rng, (rows, n)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_replays_every_schedule_and_branch(self, monkeypatch, n):
+        """Every label tuple, every maximal schedule (a permutation of the
+        qubits read in pairs, either way round) and uniforms that pick
+        every outcome of a swap, at u = 0 and just below 1 among them."""
+        per_step = [0.0, 0.375, 0.625, np.nextafter(1.0, 0.0)]
+        cases = list(product(product(range(4), repeat=n), permutations(range(2 * n)),
+                             product(per_step, repeat=n)))
+        labels, order, uniforms = (np.array(column) for column in zip(*cases))
+        labels, order = labels.astype(np.int8), order.astype(np.int8)
+        outcomes = replay_every_prefix(monkeypatch, labels, order, uniforms)
+        # each swap's four uniforms reach its four outcomes
+        assert len({tuple(row) for row in outcomes}) > 4 ** (n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_replays_random_schedules(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        labels, order = schedules(rng, 200, n)
+        swapped = rng.random(200) < 0.5  # the sorted pairs, half of them turned round
+        order[swapped] = order[swapped].reshape(-1, n, 2)[:, :, ::-1].reshape(-1, 2 * n)
+        replay_every_prefix(monkeypatch, labels, order, edge_uniforms(rng, (200, n)))
 
     def test_partner_first_never_leaves_the_label(self):
         # the first measurement is a point mass on the pair's label: the
@@ -233,19 +301,21 @@ class TestOracleKernel:
         assert "out of range" in str(scalar.value) or "distinct" in str(scalar.value)
 
     def test_normalisation_checked_on_every_row_after_every_step(self, monkeypatch):
-        amps = np.full((3, 4), 0.5, dtype=complex)
+        amps = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
         oracle._require_normalized(amps)
-        for bad in (0.6, np.nan):
-            amps[1, 0] = bad
+        oracle._require_normalized(np.array([[1.0], [-1.0]]))  # no qubits left
+        for bad in (0.5, 2.0, np.nan, 0.0):
+            wrong = amps.copy()
+            wrong[1, 1] = bad
             with pytest.raises(ValueError, match="state is not normalized"):
-                oracle._require_normalized(amps)
+                oracle._require_normalized(wrong)
         checked = []
         monkeypatch.setattr(oracle, "_require_normalized", checked.append)
         rng = np.random.default_rng(2)
         labels, order = schedules(rng, 5, 3)
         oracle.schedule_outcomes(labels, order, rng.random((5, 3)))
-        # the prepared batch, then the batch after each of the three steps
-        assert [a.shape for a in checked] == [(5, 64)] * 4
+        # the prepared batch, then the qubits left after each of the steps
+        assert [a.shape for a in checked] == [(5, 64), (5, 16), (5, 4), (5, 1)]
 
 
 def check_stream(seed, max_pairs, sequences, chunk_rows, draw):
