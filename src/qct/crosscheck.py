@@ -22,16 +22,17 @@ the swap rule `protocol.cycle_outcomes` and `bell.schedule_outcomes` run.
 The three exhaustive checks, `pauli-action-16`, `residual-rule-64` and
 `swap-distribution-exact`, build all their cases as one batch of states
 through the oracle's batched entry points (`oracle.prepare_states`,
-`apply_pauli_gates`, `bell_project`, `bell_distributions`) and read one
-Born distribution per measured pair. The oracle's probabilities are exact,
-so they are compared with no tolerance: a point mass is a probability of
-exactly 1, and a uniform swap is 1/4 to the last bit. The residual check's
-oracle answer is `bell_project`'s collapse of each case on its outcome,
-read on qubits (0, 3). So `verify` runs only the batched oracle and builds
-no `QuantumState`; the tests hold every case to the scalar
-`prepare_pairs`, `apply_pauli_gate`, `bell_distribution` and
-`bell_measure_collapse`, bit for bit. This module keeps the cases' order,
-the comparisons and the detail texts.
+`apply_pauli_gates`, `schedule_outcomes`, `bell_distributions`) and read
+one Born distribution per measured pair. The oracle's probabilities are
+exact, so they are compared with no tolerance: a point mass is a
+probability of exactly 1, and a uniform swap is 1/4 to the last bit. The
+residual check's oracle answer is one `oracle.schedule_outcomes` call that
+swaps qubits (1, 2) of every case with the uniform (o + 1/2)/4, which
+lands in the case's outcome o, and reads the qubits left, (0, 3). So
+`verify` runs only the batched oracle and builds no `QuantumState`; the
+tests hold every case to the scalar `prepare_pairs`, `apply_pauli_gate`,
+`bell_distribution` and `bell_measure_collapse`, bit for bit. This module
+keeps the cases' order, the comparisons and the detail texts.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules. A kernel call
@@ -61,7 +62,6 @@ from .oracle import (
     MAX_QUBITS,
     apply_pauli_gates,
     bell_distributions,
-    bell_project,
     bell_sample,
     prepare_states,
 )
@@ -93,7 +93,7 @@ class CheckResult:
 
 def _point_masses(dists: np.ndarray) -> np.ndarray:
     """Per row, the label value holding all probability mass, exactly, or -1
-    if the row is spread out (or NaN)."""
+    if the row is spread out."""
     best = np.argmax(dists, axis=1)
     return np.where(dists[np.arange(len(dists)), best] == 1.0, best, -1)
 
@@ -127,10 +127,10 @@ def check_pauli_action() -> CheckResult:
 def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     """All 64 (b1, b2, outcome) swap cases: the swap rule `bell.residual` vs oracle.
 
-    The oracle collapses each (b1, b2) state on the case's outcome of the
-    swap on qubits (1, 2) and reads the residual on (0, 3): a point mass,
-    or none for a spread-out residual or a branch of probability 0, which
-    `bell_project` leaves without a state.
+    The oracle swaps qubits (1, 2) of each (b1, b2) state with a uniform
+    that forces the case's outcome, every branch having probability 1/4,
+    and reads the residual on (0, 3): a point mass, or none for a
+    spread-out residual or a row whose swap drew another outcome.
     With fault_injection the engine's residual is deliberately corrupted,
     so a passing suite must report this check as failed.
     """
@@ -141,8 +141,9 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     engine = residual(b1, b2, outcome)
     if fault_injection:
         engine = engine ^ 0b01
-    _, collapsed = bell_project(prepare_states(np.stack([b1, b2], axis=1)), 1, 2, outcome)
-    oracle = _point_masses(bell_distributions(collapsed, 0, 3))
+    got, left = oracle_schedule_outcomes(
+        np.stack([b1, b2], axis=1), np.tile([1, 2], (64, 1)), (outcome[:, None] + 0.5) / 4)
+    oracle = np.where(got[:, 0] == outcome, _point_masses(bell_distributions(left, 0, 1)), -1)
     failures = np.flatnonzero(oracle != engine)
     shown = []
     for c in failures[:4]:

@@ -25,9 +25,9 @@ returns exactly the outcomes of k successive collapses of `state` on
 The batched entry points hold many states as the rows of one ``(rows,
 2**n)`` array: `prepare_states` (of `prepare_pairs`), `apply_pauli_gates`
 (of `apply_pauli_gate`, one Pauli and qubit per row), `bell_distributions`
-(of `bell_distribution`), `bell_project`, which collapses each row on a
-chosen outcome, and `schedule_outcomes`, which runs a measurement schedule
-per row and refuses what the engine's kernel refuses
+(of `bell_distribution`) and `schedule_outcomes`, the one batched
+collapse, which runs a measurement schedule per row on the outcomes its
+uniforms pick and refuses what the engine's kernel refuses
 (`bell.validate_schedule`). The Bell measurements share one copy of each
 rule: one gather that reorders qubits (`_transpose_index`; a measurement
 of one qubit pair gathers every row through one shared index), one Born
@@ -60,7 +60,6 @@ __all__ = [
     "apply_pauli_gate",
     "prepare_states",
     "bell_distributions",
-    "bell_project",
     "apply_pauli_gates",
 ]
 
@@ -271,33 +270,6 @@ def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
     by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
     return _born_of(_BELL_MATRIX @ amps[:, _pair_index(amps, q1, q2)])
-
-
-def bell_project(
-    amps: np.ndarray, q1: int, q2: int, outcomes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched `bell_measure_collapse` on a chosen branch: row r collapses on
-    the Bell outcome ``outcomes[r]`` of (q1, q2).
-
-    Returns every row's Born probabilities ``(rows, 4)`` and the collapsed
-    amplitudes: `_collapse` of the branch, with the outcome's Bell state
-    placed back on (q1, q2). An outcome of probability 0 is a branch the
-    samplers never pick: its row has no collapsed state and is NaN. Every
-    other row is checked for normalisation.
-    """
-    if outcomes.shape != (len(amps),):
-        raise ValueError("one outcome per row is required")
-    validate_labels(outcomes)
-    where = _pair_index(amps, q1, q2)
-    coeffs = _BELL_MATRIX @ amps[:, where]
-    probs = _born_of(coeffs)
-    row = np.arange(len(amps))
-    possible = probs[row, outcomes] > 0
-    branch = np.where(possible[:, None], coeffs[row, outcomes], np.nan)
-    collapsed = np.empty(amps.shape)
-    collapsed[:, where] = _BELL_MATRIX[outcomes][:, :, None] * _collapse(branch)[:, None, :]
-    _require_normalized(collapsed[possible])
-    return probs, collapsed
 
 
 def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) -> np.ndarray:

@@ -103,6 +103,9 @@ class SessionConfig:
         # a float would fail in `seeding` and True would run as seed 1
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int, not {self.seed!r}")
+        # a bare gamma would fail deep in `apply_noise`
+        if self.noise is not None and not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel or None, not {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -316,9 +319,10 @@ def cycle_outcomes(
     Measurement m joins link m to link sigma(m); link m starts in label
     value labels[m - 1]. In each cycle every measurement but the one at the
     cycle's largest index is a swap with a uniform outcome; that one closes
-    the cycle and reads the label the swaps left, the fold of `residual`
-    over the cycle's labels and its other outcomes. One `draw_labels` call
-    serves the swaps in index order, then the `then` labels.
+    the cycle and reads the label the swaps left: its own link's label with
+    `residual` folded in once per swap, on that swap's label and outcome.
+    One `draw_labels` call serves the swaps in index order, then the `then`
+    labels.
     """
     swaps = len(labels) - len(cycles)
     drawn = draw_labels(rng, swaps + then)
@@ -329,12 +333,10 @@ def cycle_outcomes(
     draws = iter(drawn)
     out = [0 if c else next(draws) for c in closing]
     for cycle, last in zip(cycles, lasts):
-        acc = labels[cycle[0] - 1]
-        if len(cycle) > 1:
-            others = list(cycle)
-            others.remove(last)
-            for m, k in zip(cycle[1:], others):
-                acc = residual(acc, labels[m - 1], out[k - 1])
+        acc = labels[last - 1]
+        for m in cycle:
+            if m != last:  # the closing measurement is no swap
+                acc = residual(acc, labels[m - 1], out[m - 1])
         out[last - 1] = acc
     return out, drawn[swaps:]
 

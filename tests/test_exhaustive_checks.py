@@ -23,7 +23,8 @@ EXHAUSTIVE = (
     crosscheck.check_residual_rule,
     crosscheck.check_swap_distribution_exact,
 )
-BATCHED = ("prepare_states", "apply_pauli_gates", "bell_distributions", "bell_project")
+BATCHED = (
+    "prepare_states", "apply_pauli_gates", "bell_distributions", "oracle_schedule_outcomes")
 
 
 class FixedRng:
@@ -82,20 +83,21 @@ def test_swap_cases_equal_the_scalar_oracle(monkeypatch):
 
 def test_residual_cases_equal_the_scalar_collapse(monkeypatch):
     calls = recorded_passes(monkeypatch, crosscheck.check_residual_rule)
-    assert [name for name, _, _ in calls] == [
-        "prepare_states", "bell_project", "bell_distributions"]
-    (_, (_, q1, q2, outcomes), (probs, collapsed)), residuals = calls[1], calls[2][2]
-    assert (q1, q2) == (1, 2) and calls[2][1][1:] == (0, 3)
-    assert collapsed.shape == (64, 16)
+    assert [name for name, _, _ in calls] == ["oracle_schedule_outcomes", "bell_distributions"]
+    (_, (labels, order, uniforms), (outcomes, left)), residuals = calls[0], calls[1][2]
+    # one swap of qubits (1, 2) per case; the qubits left are (0, 3), in order
+    assert order.tolist() == [[1, 2]] * 64 and calls[1][1][1:] == (0, 1)
+    assert outcomes.shape == (64, 1) and left.shape == (64, 4)
     for case in range(64):
         b1, b2, outcome = BellLabel(case >> 4), BellLabel((case >> 2) & 3), case & 3
-        assert outcomes[case] == outcome
+        assert labels[case].tolist() == [b1, b2]
         state = prepare_pairs([b1, b2])
         want = bell_distribution(state, 1, 2)
-        assert np.array_equal(probs[case], want)
-        got, post = bell_measure_collapse(state, 1, 2, FixedRng(mid_branch(want, outcome)))
+        # every branch is 1/4, so the middle of branch o is (o + 1/2)/4
+        assert uniforms[case, 0] == mid_branch(want, outcome) == (outcome + 0.5) / 4
+        assert outcomes[case, 0] == outcome
+        got, post = bell_measure_collapse(state, 1, 2, FixedRng(uniforms[case, 0]))
         assert got.value == outcome
-        assert np.array_equal(collapsed[case], post.amplitudes)
         assert np.array_equal(residuals[case], bell_distribution(post, 0, 3))
 
 
@@ -110,8 +112,8 @@ def test_every_batched_state_is_checked_for_normalisation(monkeypatch):
     monkeypatch.setattr(oracle, "_require_normalized", recording)
     assert all(check().passed for check in EXHAUSTIVE)
     # pauli: the prepared pairs and the gated states; residual: the prepared
-    # pairs and every collapsed branch; swap: the prepared pairs
-    assert checked == [(32, 4), (32, 4), (64, 16), (64, 16), (16, 16)]
+    # pairs and the qubits each swap leaves; swap: the prepared pairs
+    assert checked == [(32, 4), (32, 4), (64, 16), (64, 4), (16, 16)]
 
 
 def test_swap_distribution_is_exactly_uniform():
@@ -148,6 +150,27 @@ def test_swapped_bell_rows_fail_both_rule_checks(monkeypatch):
     assert crosscheck.check_residual_rule() == crosscheck.CheckResult(
         "residual-rule-64", False, "32 mismatches: " + "; ".join(residual[:4]))
     assert residual[0] == "Phi+xPhi+|Phi+: engine Phi+ oracle Phi-"
+
+
+def test_an_outcome_the_swap_did_not_force_fails_the_residual_check(monkeypatch):
+    # the kernel reports another outcome on three rows: those rows have no
+    # oracle answer, so the check must fail on them rather than read them
+    schedule = crosscheck.oracle_schedule_outcomes
+    missed = [5, 22, 63]
+
+    def drifting(*args):
+        outcomes, left = schedule(*args)
+        outcomes[missed] ^= 1
+        return outcomes, left
+
+    monkeypatch.setattr(crosscheck, "oracle_schedule_outcomes", drifting)
+    shown = []
+    for case in missed:
+        b1, b2, outcome = BellLabel(case >> 4), BellLabel((case >> 2) & 3), BellLabel(case & 3)
+        shown.append(f"{b1.symbol}x{b2.symbol}|{outcome.symbol}: "
+                     f"engine {BellLabel(b1 ^ b2 ^ outcome).symbol} oracle None")
+    assert crosscheck.check_residual_rule() == crosscheck.CheckResult(
+        "residual-rule-64", False, "3 mismatches: " + "; ".join(shown))
 
 
 def test_verify_builds_no_per_case_quantum_state(monkeypatch):

@@ -319,14 +319,6 @@ def test_axis_permutations_equal_moveaxis(pairs):
                 assert got.tobytes() == want.tobytes()
 
 
-def forced_uniform(probs, outcome):
-    """A uniform that `_outcomes_of` maps to `outcome`: the middle of its
-    branch of the cumulative distribution."""
-    cumulative = np.cumsum(probs)
-    low = cumulative[outcome - 1] if outcome else 0.0
-    return (low + cumulative[outcome]) / 2.0 / cumulative[-1]
-
-
 def test_outcomes_of_is_searchsorted_row_by_row():
     """The one outcome rule on a ``(rows, 4)`` batch is numpy's searchsorted
     (side="right") of each row's cumulative distribution, and its own 1-D
@@ -369,14 +361,10 @@ class TestBatched:
             state = prepare_pairs([BellLabel(int(v)) for v in values])
             assert np.array_equal(row, state.amplitudes)
 
-    # a branch of probability 0 is left NaN without dividing 0 by 0
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_distributions_and_projections_equal_the_collapse(self, n):
-        """Every label tuple of n pairs, every ordered qubit pair and every
-        outcome: each probability is exactly 0, 1/4 or 1, a branch of
-        probability 0 has no state, and every other branch is the scalar
-        collapse, bit for bit."""
+    def test_distributions_equal_bell_distribution(self, n):
+        """Every label tuple of n pairs and every ordered qubit pair: each
+        probability is exactly 0, 1/4 or 1, and the scalar one, bit for bit."""
         labels = label_tuples(n)
         amps = oracle.prepare_states(labels)
         states = [prepare_pairs([BellLabel(int(v)) for v in row]) for row in labels]
@@ -385,17 +373,6 @@ class TestBatched:
             assert set(dists.ravel().tolist()) <= EXACT
             for state, p in zip(states, dists):
                 assert p.tobytes() == bell_distribution(state, q1, q2).tobytes()
-            for outcome in range(4):
-                probs, collapsed = oracle.bell_project(amps, q1, q2, np.full(len(amps), outcome))
-                assert probs.tobytes() == dists.tobytes()
-                for state, p, row in zip(states, probs, collapsed):
-                    if p[outcome] == 0:
-                        assert np.isnan(row).all()
-                        continue
-                    got, post = bell_measure_collapse(
-                        state, q1, q2, FixedRng(forced_uniform(p, outcome)))
-                    assert got.value == outcome
-                    assert row.tobytes() == post.amplitudes.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_gates_equal_apply_pauli_gate(self, n):
@@ -419,21 +396,18 @@ class TestBatched:
 
     def test_one_pair_gathers_through_one_shared_index(self):
         # 256 states of 12 qubits are 8 MiB of amplitudes, as are the
-        # gathered pair views, their coefficients and the collapsed states;
-        # an index of every row's pair view would be 8 MiB more, where the
-        # one index all rows share is 32 KiB
+        # gathered pair views and their coefficients; an index of every
+        # row's pair view would be 8 MiB more, where the one index all rows
+        # share is 32 KiB
         amps = oracle.prepare_states(np.random.default_rng(6).integers(4, size=(256, 6)))
-        outcomes = np.zeros(256, dtype=np.int8)
-        for call, bound in ((lambda: oracle.bell_distributions(amps, 1, 2), 2.5),
-                            (lambda: oracle.bell_project(amps, 1, 2, outcomes), 5)):
-            call()  # the first call may build cached tables
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * amps.nbytes
+        oracle.bell_distributions(amps, 1, 2)  # the first call may build cached tables
+        tracemalloc.start()
+        try:
+            oracle.bell_distributions(amps, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * amps.nbytes
 
     def test_every_produced_state_is_checked_for_normalisation(self, monkeypatch):
         amps = oracle.prepare_states(np.array([[0, 1], [2, 3]]))
@@ -442,10 +416,6 @@ class TestBatched:
         monkeypatch.setattr(oracle, "_BELL_MATRIX", twice)
         with pytest.raises(ValueError, match="state is not normalized"):
             oracle.prepare_states(np.array([[0, 1], [2, 3]]))
-        # a projection reads coefficients through the same matrix, so a
-        # doubled row overweights the branch it projects on
-        with pytest.raises(ValueError, match="state is not normalized"):
-            oracle.bell_project(amps, 1, 2, np.array([2, 2]))
         monkeypatch.setattr(oracle, "_PAULI_MATRICES", 2.0 * oracle._PAULI_MATRICES)
         with pytest.raises(ValueError, match="state is not normalized"):
             oracle.apply_pauli_gates(amps, np.array([0, 1]), np.array([0, 3]))
@@ -460,8 +430,6 @@ class TestBatched:
         (lambda a: oracle.bell_distributions(a, 0, 4), "qubit 4 out of range for 4-qubit state"),
         (lambda a: oracle.bell_distributions(a, 2, 2), "measurement qubits must be distinct"),
         (lambda a: oracle.bell_distributions(a[:, :12], 0, 1), "amplitudes must have shape"),
-        (lambda a: oracle.bell_project(a, 0, 1, np.array([0, -1])), "label -1 is not a Bell label"),
-        (lambda a: oracle.bell_project(a, 0, 1, np.array([0])), "one outcome per row"),
         (lambda a: oracle.apply_pauli_gates(a, np.array([0, 4]), np.array([0, 1])),
          "Pauli 4 is not a Pauli label value 0..3"),
         (lambda a: oracle.apply_pauli_gates(a, np.array([0, 1]), np.array([0, -1])),
@@ -484,10 +452,6 @@ class TestBatched:
         (lambda a: oracle.prepare_states(np.array([[0.5, 1.0]])),
          "labels must be integers, not float64"),
         (lambda a: oracle.prepare_states(np.array([[True, False]])),
-         "labels must be integers, not bool"),
-        (lambda a: oracle.bell_project(a, 0, 1, np.array([1.0, 0.0])),
-         "labels must be integers, not float64"),
-        (lambda a: oracle.bell_project(a, 0, 1, np.array([True, False])),
          "labels must be integers, not bool"),
     ])
     def test_bad_input_is_refused(self, call, message):

@@ -411,7 +411,9 @@ def test_verify_defaults_kernel_traffic(monkeypatch):
     )
     assert all(result.passed for result in crosscheck.run_all())
     assert [len(labels) for labels, _, _ in engine] == [1000] * 4
-    assert [len(labels) for labels, _, _ in statevector] == [250, 250, 128, 122] + [32] * 7 + [26]
+    # the residual check's one call of 64 forced swaps, then the parity check
+    assert [len(labels) for labels, _, _ in statevector] == (
+        [64, 250, 250, 128, 122] + [32] * 7 + [26])
     assert [size for _, _, size in sampled] == [8192] * 12 + [1696]
 
 

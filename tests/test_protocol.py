@@ -1,5 +1,7 @@
 """Honest-protocol tests: sequences, messages, transcript order, noise."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,14 @@ class TestConfigs:
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ValueError, match="seed must be an int"):
             SessionConfig(2, seed)
+
+    @pytest.mark.parametrize("noise", [0.9, 1.0, "0.9", True])
+    def test_noise_must_be_a_noise_model(self, noise):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise must be a NoiseModel or None, not {noise!r}")):
+            SessionConfig(4, 0, noise)
+        SessionConfig(4, 0, NoiseModel(0.9))
+        SessionConfig(4, 0, None)
 
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
