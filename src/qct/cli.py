@@ -74,7 +74,7 @@ def transcript_to_jsonl(transcript: SessionTranscript) -> str:
             "payload": _payload(message),
         }
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def _row(n: int, model: str, value: float, seed: int, ci_low: float | None = None,

@@ -23,6 +23,7 @@ last in each cycle, which the cycle's XOR fixes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -113,35 +114,22 @@ class Sequence:
     """Transmission order: order[slot - 1] = 1-based pair index in that slot."""
 
     order: tuple[int, ...]
-    # slots[pair - 1] = 1-based slot in which pair travels: the inverse permutation
-    slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.order)
-        pairs = range(1, n + 1)
-        slots = [0] * n
-        try:
-            for slot, pair in enumerate(self.order, start=1):
-                if pair not in pairs:
-                    break
-                slots[pair - 1] = slot
-        except TypeError:  # a float equal to a pair index is `in` pairs but indexes nothing
-            slots = []
-        # only n distinct pairs of 1..n fill every slot: a repeat leaves one empty
-        if not slots or 0 in slots:
+        try:  # operator.index refuses a float equal to a pair index
+            pairs = sorted(map(operator.index, self.order))
+        except TypeError:
+            pairs = None
+        if not n or pairs != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
-        object.__setattr__(self, "slots", tuple(slots))
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
     order = tuple([x + 1 for x in rng.permutation(n).tolist()])
-    slots = [0] * n
-    for slot, pair in enumerate(order, start=1):
-        slots[pair - 1] = slot
     # numpy drew a permutation: no second check, but of the empty one, which it refuses
     seq = object.__new__(Sequence) if order else Sequence(order)
     object.__setattr__(seq, "order", order)
-    object.__setattr__(seq, "slots", tuple(slots))
     return seq
 
 
@@ -209,19 +197,13 @@ _PHASES = (
     (CoinAnnouncement, Party.BOB, "coin"),
 )
 PHASE_NAMES = tuple(dict.fromkeys(name for _, _, name in _PHASES))
-# (type, sender) -> phase index, its keys the kinds in phase order, both coins last
+# (type, sender) -> phase index
 _PHASE_OF = {(kind, sender): PHASE_NAMES.index(name) for kind, sender, name in _PHASES}
-_ORDER = list(_PHASE_OF)
-_ADMITTED = [_ORDER[:i] for i in range(7)] + [_ORDER[:5] + _ORDER[6:]]  # each admitted log
-
-
-def _kind(message: Message) -> tuple[type, Party | None]:
-    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
-    return type(message), sender if type(sender) is Party else None
 
 
 def phase_of(message: Message) -> int:
-    phase = _PHASE_OF.get(_kind(message))
+    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
+    phase = _PHASE_OF.get((type(message), sender if type(sender) is Party else None))
     if phase is None:
         raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
     return phase
@@ -230,7 +212,7 @@ def phase_of(message: Message) -> int:
 @dataclass
 class SessionTranscript:
     """Message log plus both parties' private outcome records; the given
-    messages are admitted or refused as successive `append` calls would."""
+    messages are admitted or refused by successive `append` calls."""
 
     config: SessionConfig
     messages: list[Message] = field(default_factory=list)
@@ -240,11 +222,9 @@ class SessionTranscript:
     coin: int | None = None  # None = aborted (no coin produced)
 
     def __post_init__(self) -> None:
-        self.messages = messages = list(self.messages)
-        if list(map(_kind, messages)) not in _ADMITTED:
-            self.messages = []
-            for message in messages:  # to raise the error `append` raises
-                self.append(message)
+        messages, self.messages = self.messages, []
+        for message in messages:
+            self.append(message)
 
     def append(self, message: Message) -> None:
         phase = phase_of(message)
@@ -411,9 +391,9 @@ def cycle_structure(order: TypingSequence[int]) -> tuple[tuple[int, ...], ...]:
 
     For the order in which Bob returns Alice's pairs, the measurement at
     index m consumes pair order[m - 1]'s travelling half. The identity
-    order gives N fixed points; a swap of two slots gives one 2-cycle. An
-    order that is no permutation raises ValueError, or IndexError or
-    TypeError at an entry that indexes no pair.
+    order gives N fixed points; swapping two of its entries gives one
+    2-cycle. An order that is no permutation raises ValueError, or
+    IndexError or TypeError at an entry that indexes no pair.
     """
     n = len(order)
     seen = [False] * (n + 1)
@@ -528,7 +508,9 @@ def run_session(
         # Alice's pair m, which holds her odd half of pair sigma(m); under the
         # true order sigma is the identity and every measurement reads a link.
         if announced is not alice_seq:
-            sigma = [alice_seq.order[t - 1] for t in announced.slots]
+            sigma = [0] * n
+            for claimed, true in zip(announced.order, alice_seq.order):
+                sigma[claimed - 1] = true
             raw = cycle_outcomes(cycle_structure(sigma), raw, rng)[0]
         bob_results = _records(raw, noise, rng)
 

@@ -129,7 +129,9 @@ def reference_session(config, strategy, rng) -> SessionRun:
             while announced == alice_seq:
                 announced = random_sequence(n, rng)
         sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
-        claimed = [sent[t - 1] for t in announced.slots]  # pair m's slot at m - 1
+        claimed = [0] * n  # claimed[m - 1] travels in the slot announced for pair m
+        for pair, code in zip(announced.order, sent):
+            claimed[pair - 1] = code
         bob_results = measure_phase(partner, label, bob_even, claimed, config.noise, rng)[0]
 
     if fake:

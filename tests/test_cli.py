@@ -12,6 +12,7 @@ import pytest
 
 from qct import cli
 from qct.cli import main
+from qct.protocol import SessionConfig, SessionTranscript, run_honest
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -92,6 +93,14 @@ class TestToss:
         results = records[3]["payload"]["results"]
         assert len(results) == 4 and all(len(b) == 2 for b in results)
         assert records[5]["payload"]["coin"] in (0, 1)
+
+    def test_transcript_jsonl_lines_are_records(self):
+        # a transcript with no messages is no line at all, not one blank line
+        assert cli.transcript_to_jsonl(SessionTranscript(SessionConfig(2))) == ""
+        text = cli.transcript_to_jsonl(run_honest(SessionConfig(4, seed=9)))
+        lines = text.splitlines(keepends=True)
+        assert len(lines) == 6 and all(line.endswith("\n") for line in lines)
+        assert [json.loads(line)["index"] for line in lines] == list(range(6))
 
     def test_rejected_noisy_session_aborts(self, capsys):
         # gamma far below 1 makes a mismatch overwhelmingly likely at N=8

@@ -1,6 +1,7 @@
 """Honest-protocol tests: sequences, messages, transcript order, noise."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,10 +44,6 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(())
 
-    def test_lookups(self):
-        # pair 1 travels in slot 3, pair 2 in slot 1, pair 3 in slot 2
-        assert Sequence((2, 3, 1)).slots == (3, 1, 2)
-
     def test_inverse_kept_out_of_repr_and_equality(self):
         assert repr(Sequence((2, 1))) == "Sequence(order=(2, 1))"
         assert Sequence((2, 1)) == Sequence((2, 1)) != Sequence((1, 2))
@@ -64,22 +61,18 @@ class TestSequence:
             assert str(info.value) == f"not a permutation of 1..{n}: {tuple(order)}"
 
     def test_integer_like_pairs(self):
-        assert Sequence((np.int64(2), np.int64(1))).slots == (2, 1)
-        assert Sequence((True,)).slots == (1,)
+        assert Sequence((np.int64(2), np.int64(1))).order == (2, 1)
+        assert Sequence((True,)).order == (1,)
         with pytest.raises(ValueError):
             Sequence((True, True))
 
-    @pytest.mark.parametrize("order", [(1.0,), (2.0, 1.0), (1, 2.0), (2.5, 1)])
+    @pytest.mark.parametrize("order", [
+        (1.0,), (2.0, 1.0), (1, 2.0), (2.5, 1), (np.True_,), (Fraction(1),), (np.float64(1.0),),
+    ])
     def test_float_pairs_rejected_as_non_permutations(self, order):
         with pytest.raises(ValueError) as info:
             Sequence(order)
         assert str(info.value) == f"not a permutation of 1..{len(order)}: {order}"
-
-    @given(st.permutations(list(range(1, 7))))
-    def test_roundtrip(self, perm):
-        seq = Sequence(tuple(perm))
-        for pair in range(1, 7):
-            assert seq.order[seq.slots[pair - 1] - 1] == pair
 
     @pytest.mark.parametrize("n", [1, 2, 4, 11, 32])
     def test_random_sequence_equals_the_checked_sequence(self, n):
@@ -87,7 +80,7 @@ class TestSequence:
             rng, twin = session_rng(seed), session_rng(seed)
             seq = random_sequence(n, rng)
             checked = Sequence(tuple([x + 1 for x in twin.permutation(n).tolist()]))
-            assert (seq.order, seq.slots) == (checked.order, checked.slots)
+            assert seq.order == checked.order
             assert seq == checked and hash(seq) == hash(checked)
             assert repr(seq) == repr(checked)
             assert _state(rng) == _state(twin)
