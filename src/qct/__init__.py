@@ -44,14 +44,12 @@ from .adversary import (
 )
 from .analysis import (
     BiasTarget,
-    RobustnessQuery,
     min_gamma,
     min_pairs_for_bias,
     min_pairs_for_threshold,
     pass_prob_closed_form,
     pass_prob_composition_sum,
     pass_prob_permutation_model,
-    robustness_ok,
 )
 
 __version__ = "0.1.0"

@@ -19,12 +19,11 @@ implemented side by side.
 
 `pass_prob_closed_form` is the reference curve (5/8)**(N-1) itself.
 Robustness: readout noise gamma per measurement must keep the honest abort
-rate below the cheat pass probability. `robustness_ok` and `min_gamma`
-budget the one-sided abort rate 1 - gamma**N <= P(N): only one party's N
-records are noisy. The simulator (`protocol.NoiseModel`) corrupts both
+rate below the cheat pass probability. `min_gamma` is the one-sided noise
+budget, 1 - gamma**N <= P(N): only one party's N records are noisy. The simulator (`protocol.NoiseModel`) corrupts both
 parties' records, each onto one of three wrong labels, so a simulated honest
 session aborts at the larger two-sided rate 1 - (gamma**2 + (1-gamma)**2/3)**N;
-the bounds here do not describe that model.
+the budget here does not describe that model.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from fractions import Fraction
 
 __all__ = [
     "BiasTarget",
-    "RobustnessQuery",
     "pass_prob_closed_form",
     "pass_prob_composition_sum",
     "pass_prob_composition_sum_exact",
     "pass_prob_permutation_model",
     "pass_prob_permutation_model_exact",
-    "robustness_ok",
     "min_gamma",
     "min_pairs_for_threshold",
     "min_pairs_for_bias",
@@ -90,28 +87,6 @@ def pass_prob_permutation_model_exact(n: int) -> Fraction:
 
 def pass_prob_permutation_model(n: int) -> float:
     return float(pass_prob_permutation_model_exact(n))
-
-
-@dataclass(frozen=True)
-class RobustnessQuery:
-    gamma: float
-    n_pairs: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        _require_n(self.n_pairs)
-
-
-def robustness_ok(query: RobustnessQuery) -> bool:
-    """True iff 1 - gamma**N <= (5/8)**(N-1), with ulp-scale slack.
-
-    1 - gamma**N is the abort rate when one party's records are noisy; the
-    simulator's two-sided noise aborts more often (see the module notes).
-    """
-    shortfall = 1.0 - query.gamma**query.n_pairs
-    p = pass_prob_closed_form(query.n_pairs)
-    return shortfall <= p or math.isclose(shortfall, p, rel_tol=1e-12)
 
 
 def min_gamma(n: int, p_threshold: float) -> float:

@@ -163,9 +163,13 @@ def cmd_cheat(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     config = SessionConfig(args.n_pairs, seed, NoiseModel(args.gamma))
     if args.strategy == "reflect":
-        strategy = Strategy.reflect(PauliLabel[args.flip])
+        if args.desired is not None:
+            raise ValueError("--desired applies to --strategy fake-seq")
+        strategy = Strategy.reflect(PauliLabel[args.flip or "I"])
     else:
-        strategy = Strategy.fake_sequence(args.desired)
+        if args.flip is not None:
+            raise ValueError("--flip applies to --strategy reflect")
+        strategy = Strategy.fake_sequence(args.desired or 0)
     report = run_cheat_experiment(config, strategy, args.trials)
 
     rows = sorted([
@@ -282,10 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(cheat, n_pairs=True, gamma=True)
     cheat.add_argument("--trials", type=int, default=10_000)
     cheat.add_argument("--strategy", choices=("reflect", "fake-seq"), default="reflect")
-    cheat.add_argument("--flip", choices=tuple(p.name for p in PauliLabel), default="I",
-                       help="Pauli flip for the reflect strategy (forces coin = flip parity)")
-    cheat.add_argument("--desired", type=int, choices=(0, 1), default=0,
-                       help="coin value the fake-seq strategy aims for")
+    # None marks an option not given: the other strategy refuses it
+    cheat.add_argument("--flip", choices=tuple(p.name for p in PauliLabel), default=None,
+                       help="Pauli flip for the reflect strategy (forces coin = flip "
+                       "parity; default I)")
+    cheat.add_argument("--desired", type=int, choices=(0, 1), default=None,
+                       help="coin value the fake-seq strategy aims for (default 0)")
     cheat.set_defaults(func=cmd_cheat)
 
     analyze = sub.add_parser("analyze", help="tabulate analytical models for N = 1..n-pairs")

@@ -17,8 +17,8 @@ party deviating inside the same exchange (Bob's reflection attack, Alice's
 fake-sequence attack); `qct.adversary` evaluates the attacks by Monte Carlo.
 It tracks no particles: each phase measures along a permutation of the
 pairs, and `cycle_outcomes` gives its outcomes from the permutation's
-cycles, where every measurement swaps with a fresh outcome except the
-last in each cycle, which the cycle's XOR fixes.
+cycles and the phase's drawn swap outcomes: every measurement swaps with
+a fresh outcome except the last in each cycle, which the cycle's XOR fixes.
 """
 
 from __future__ import annotations
@@ -118,11 +118,13 @@ class Sequence:
     def __post_init__(self) -> None:
         n = len(self.order)
         try:  # operator.index refuses a float equal to a pair index
-            pairs = sorted(map(operator.index, self.order))
+            order = tuple(map(operator.index, self.order))
         except TypeError:
-            pairs = None
-        if not n or pairs != list(range(1, n + 1)):
+            order = None
+        if not n or order is None or sorted(order) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
+        # plain ints, so that a numpy int's entry reprs and serialises as one
+        object.__setattr__(self, "order", order)
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
@@ -289,28 +291,26 @@ def draw_labels(rng: np.random.Generator, k: int) -> list[int]:
 def cycle_outcomes(
     cycles: tuple[tuple[int, ...], ...],
     labels: TypingSequence[int],
-    rng: np.random.Generator,
-    then: int = 0,
-) -> tuple[list[int], list[int]]:
+    swaps: TypingSequence[int],
+) -> list[int]:
     """Outcome values of a phase of N Bell measurements along a permutation
-    sigma with the given `cycles` (as `cycle_structure` returns them), then
-    `then` further label values.
+    sigma with the given `cycles` (as `cycle_structure` returns them).
 
     Measurement m joins link m to link sigma(m); link m starts in label
     value labels[m - 1]. In each cycle every measurement but the one at the
-    cycle's largest index is a swap with a uniform outcome; that one closes
-    the cycle and reads the label the swaps left: its own link's label with
-    `residual` folded in once per swap, on that swap's label and outcome.
-    One `draw_labels` call serves the swaps in index order, then the `then`
-    labels.
+    cycle's largest index is a swap, whose outcome `swaps` gives: one
+    uniform label value per swap, N - len(cycles) of them, in index order.
+    The closing measurement reads the label the swaps left: its own link's
+    label with `residual` folded in once per swap, on that swap's label and
+    outcome.
     """
-    swaps = len(labels) - len(cycles)
-    drawn = draw_labels(rng, swaps + then)
+    if len(swaps) != len(labels) - len(cycles):
+        raise ValueError(f"{len(swaps)} outcomes for {len(labels) - len(cycles)} swaps")
     lasts = [max(cycle) for cycle in cycles]
     closing = [False] * len(labels)
     for last in lasts:
         closing[last - 1] = True
-    draws = iter(drawn)
+    draws = iter(swaps)
     out = [0 if c else next(draws) for c in closing]
     for cycle, last in zip(cycles, lasts):
         acc = labels[last - 1]
@@ -318,7 +318,7 @@ def cycle_outcomes(
             if m != last:  # the closing measurement is no swap
                 acc = residual(acc, labels[m - 1], out[m - 1])
         out[last - 1] = acc
-    return out, drawn[swaps:]
+    return out
 
 
 def _records(
@@ -357,6 +357,11 @@ class Strategy:
             raise ValueError(f"flip must be a PauliLabel, not {self.flip!r}")
         if type(self.desired) is not int or self.desired not in (0, 1):
             raise ValueError(f"desired coin must be the int 0 or 1, not {self.desired!r}")
+        # each option belongs to one kind: elsewhere it would go unread
+        if self.flip is not PauliLabel.I and self.kind is not _REFLECT:
+            raise ValueError(f"flip applies to the reflect strategy, not {self.kind.value}")
+        if self.desired and self.kind is not _FAKE_SEQUENCE:
+            raise ValueError(f"desired applies to the fake-seq strategy, not {self.kind.value}")
 
     def describe(self) -> str:
         if self.kind is StrategyKind.REFLECT:
@@ -415,31 +420,33 @@ def cycle_structure(order: TypingSequence[int]) -> tuple[tuple[int, ...], ...]:
 def best_guess_results(
     cycles: tuple[tuple[int, ...], ...],
     labels: TypingSequence[int],
-    targets: dict[int, int] | None = None,
+    flip: int = 0,
 ) -> list[BellLabel]:
     """Optimal fabricated results for the verifier's check, indexed by pair,
     for the cycles `cycle_structure` returns.
 
     Within each cycle the verifier's outcomes are uniform over the
-    assignments whose XOR equals the XOR of the cycle's initial edge labels
-    (all Phi+ unless `targets` overrides a cycle, keyed by its smallest
-    member). Sampling uniformly from that consistent set maximises the
-    per-cycle match probability at 4**(1 - length); a fixed point is
-    guessed exactly. The free guesses are `labels`, uniform label values,
-    one per cycle member after the first, cycle by cycle in orbit order.
+    assignments whose XOR equals the XOR of the cycle's initial edge labels:
+    all Phi+ but one on the cycle through pair 1, `cycles[0]`, in the label
+    that the Pauli value `flip` sets. Sampling uniformly from that
+    consistent set maximises the per-cycle match probability at
+    4**(1 - length); a fixed point is guessed exactly. The free guesses are
+    `labels`, uniform label values, one per cycle member after the first,
+    cycle by cycle in orbit order.
     """
     n = sum(map(len, cycles))
     if len(labels) != n - len(cycles):
         raise ValueError(f"{len(labels)} labels for {n - len(cycles)} free guesses")
     guess = [0] * n  # guess[m - 1] for pair m
     free = iter(labels)
+    acc = int(flip)  # the cycle through pair 1 comes first
     for cycle in cycles:
-        acc = int(targets.get(cycle[0], 0)) if targets else 0
         for m in cycle[1:]:
             lab = next(free)
             acc ^= lab
             guess[m - 1] = lab
         guess[cycle[0] - 1] = acc
+        acc = 0  # every later cycle's edges are all Phi+
     return [BELL_LABELS[g] for g in guess]
 
 
@@ -466,10 +473,11 @@ def run_session(
     announces a uniformly random different sequence (with one pair there is
     none); Bob's coin equals hers either way, so `coin` is his.
 
-    Draws, in order: Alice's sequence; Bob's return order (reflect); the
-    labels of Alice's swaps, then Bob's guesses (reflect), then the noise on
-    Alice's records; the lie's candidate sequences; the labels of Bob's
-    swaps, then the noise on his records.
+    Draws, in order: Alice's sequence; Bob's return order (reflect); one
+    `draw_labels` call for Alice's phase, the outcomes of her swaps, then
+    Bob's guesses (reflect); the noise on Alice's records; the lie's
+    candidate sequences; one `draw_labels` call for the outcomes of Bob's
+    swaps; the noise on his records.
     """
     n, noise = config.n_pairs, config.noise
     alice_ids = travelling(_ALICE, n)
@@ -489,10 +497,12 @@ def run_session(
         # makes and fabricates his results, one free guess per swap.
         edges = [0] * n
         edges[arrived[0] - 1] = flip = int(strategy.flip)
-        raw, guesses = cycle_outcomes(cycles, edges, rng, then=n - len(cycles))
+        swaps = n - len(cycles)
+        drawn = draw_labels(rng, 2 * swaps)  # Alice's swap outcomes, then Bob's guesses
+        raw = cycle_outcomes(cycles, edges, drawn[:swaps])
         alice_results = _records(raw, noise, rng)
         # the flipped pair arrived[0] is in the cycle of index 1, cycles[0]
-        bob_results = tuple(best_guess_results(cycles, guesses, {1: flip}))
+        bob_results = tuple(best_guess_results(cycles, drawn[swaps:], flip))
     else:
         bob_batch = travelling(_BOB, n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
@@ -511,7 +521,8 @@ def run_session(
             sigma = [0] * n
             for claimed, true in zip(announced.order, alice_seq.order):
                 sigma[claimed - 1] = true
-            raw = cycle_outcomes(cycle_structure(sigma), raw, rng)[0]
+            cycles = cycle_structure(sigma)
+            raw = cycle_outcomes(cycles, raw, draw_labels(rng, n - len(cycles)))
         bob_results = _records(raw, noise, rng)
 
     if fake:

@@ -120,8 +120,7 @@ def reference_session(config, strategy, rng) -> SessionRun:
         label[returned[0]] = label[returned[0] ^ 1] = flip = int(strategy.flip)
         alice_results, guesses = measure_phase(
             partner, label, alice_even, returned, config.noise, rng, then=n - len(cycles))
-        targets = {c[0]: flip for c in cycles if arrived[0] in c}
-        bob_results = tuple(best_guess_results(cycles, guesses, targets))
+        bob_results = tuple(best_guess_results(cycles, guesses, flip))
     else:
         bob_batch = travelling(Party.BOB, n)
         alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]

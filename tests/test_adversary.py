@@ -1,5 +1,7 @@
 """Cheating-strategy tests: cycles, best guesses, forcing, futility."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,22 @@ class TestStrategy:
         for kind in ("reflect", "honest", 1, None, PauliLabel.X):
             with pytest.raises(ValueError, match="kind must be a StrategyKind"):
                 Strategy(kind)
+
+    def test_options_belong_to_their_kind(self):
+        with pytest.raises(ValueError, match="flip applies to the reflect strategy, not fake-seq"):
+            Strategy(StrategyKind.FAKE_SEQUENCE, PauliLabel.X)
+        with pytest.raises(ValueError, match="desired applies to the fake-seq strategy, not honest"):
+            Strategy(StrategyKind.HONEST, desired=1)
+        # seven strategies: honest, reflect with each flip, fake-seq for each coin
+        made = set()
+        for kind, flip, desired in itertools.product(StrategyKind, PauliLabel, (0, 1)):
+            try:
+                made.add(Strategy(kind, flip, desired))
+            except ValueError:
+                pass
+        assert made == {Strategy.honest(), *map(Strategy.reflect, PauliLabel),
+                        Strategy.fake_sequence(0), Strategy.fake_sequence(1)}
+        assert len(made) == 7
 
     def test_describe(self):
         assert Strategy.reflect(PauliLabel.Z).describe() == "reflect(flip=Z)"
@@ -119,9 +137,9 @@ class TestBestGuess:
     def test_cycle_xor_matches_target(self):
         rng = session_rng(1)
         cycles = ((1, 3, 4), (2, 5))
-        targets = {1: BellLabel.PSI_PLUS}
         for _ in range(200):
-            guess = best_guess_results(cycles, rng.integers(4, size=3).tolist(), targets)
+            guess = best_guess_results(cycles, rng.integers(4, size=3).tolist(),
+                                       BellLabel.PSI_PLUS)
             xor_a = guess[0].value ^ guess[2].value ^ guess[3].value
             xor_b = guess[1].value ^ guess[4].value
             assert BellLabel(xor_a) is BellLabel.PSI_PLUS
@@ -132,7 +150,7 @@ class TestBestGuess:
         # one given label per cycle member after the first, cycle by cycle
         # in orbit order
         free = [(5 * k + 2) % 4 for k in range(sum(len(c) - 1 for c in cycles))]
-        guess = best_guess_results(cycles, free, {1: BellLabel.PSI_MINUS})
+        guess = best_guess_results(cycles, free, BellLabel.PSI_MINUS)
         want = [0] * sum(len(c) for c in cycles)
         labels = iter(free)
         for cycle in cycles:

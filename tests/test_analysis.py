@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qct.analysis import (
     BiasTarget,
-    RobustnessQuery,
     min_gamma,
     min_pairs_for_bias,
     min_pairs_for_threshold,
@@ -19,7 +18,6 @@ from qct.analysis import (
     pass_prob_composition_sum_exact,
     pass_prob_permutation_model,
     pass_prob_permutation_model_exact,
-    robustness_ok,
 )
 from reference import stirling_first_kind
 
@@ -142,14 +140,6 @@ class TestMonotonicity:
 
 
 class TestRobustness:
-    def test_known_queries(self):
-        assert robustness_ok(RobustnessQuery(0.9992, 11))
-        assert not robustness_ok(RobustnessQuery(0.99, 11))
-
-    def test_perfect_readout_always_ok(self):
-        for n in (1, 2, 11, 64):
-            assert robustness_ok(RobustnessQuery(1.0, n))
-
     def test_min_gamma_values(self):
         assert min_gamma(11, 0.01) == pytest.approx(0.9991, abs=5e-5)
         assert min_gamma(11, pass_prob_closed_form(11)) == pytest.approx(0.999170, abs=5e-7)
@@ -157,18 +147,18 @@ class TestRobustness:
     def test_min_gamma_sits_on_boundary(self):
         # n = 1 is excluded: a single pair tolerates any nonzero readout fidelity
         for n in (2, 5, 11, 40):
-            g = min_gamma(n, pass_prob_closed_form(n))
-            assert robustness_ok(RobustnessQuery(g, n))
-            # nudging below the boundary must fail once the slack is real
-            assert not robustness_ok(RobustnessQuery(g - 1e-6, n))
+            p = pass_prob_closed_form(n)
+            g = min_gamma(n, p)
+            shortfall = 1.0 - g**n
+            assert shortfall <= p or math.isclose(shortfall, p, rel_tol=1e-12)
+            # nudging below the boundary must break the budget once the slack is real
+            assert 1.0 - (g - 1e-6) ** n > p
 
     def test_validation(self):
         with pytest.raises(ValueError):
             min_gamma(0, 0.01)
         with pytest.raises(ValueError):
             min_gamma(5, 0.0)
-        with pytest.raises(ValueError):
-            RobustnessQuery(0.0, 5)
 
     @settings(deadline=None)
     @given(st.floats(0.001, 0.999), st.integers(1, 30))

@@ -8,11 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qct import cli
 from qct.cli import main
-from qct.protocol import SessionConfig, SessionTranscript, run_honest
+from qct.bell import Party
+from qct.protocol import (
+    Sequence,
+    SequenceAnnouncement,
+    SessionConfig,
+    SessionTranscript,
+    run_honest,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,6 +110,15 @@ class TestToss:
         assert len(lines) == 6 and all(line.endswith("\n") for line in lines)
         assert [json.loads(line)["index"] for line in lines] == list(range(6))
 
+    def test_numpy_int_sequence_serialises(self):
+        # the announced order's numpy entries are stored as ints
+        messages = run_honest(SessionConfig(2, seed=1)).messages[:2]
+        order = Sequence((np.int64(2), np.int64(1)))
+        transcript = SessionTranscript(
+            SessionConfig(2), [*messages, SequenceAnnouncement(Party.ALICE, order)])
+        records = [json.loads(line) for line in cli.transcript_to_jsonl(transcript).splitlines()]
+        assert len(records) == 3 and records[2]["payload"]["order"] == [2, 1]
+
     def test_rejected_noisy_session_aborts(self, capsys):
         # gamma far below 1 makes a mismatch overwhelmingly likely at N=8
         code, out, _ = _run_inproc(
@@ -184,6 +201,17 @@ class TestCheat:
             assert mc["ci_low"] == 0.0
         if mc["value"] == 1.0:
             assert mc["ci_high"] == 1.0
+
+    @pytest.mark.parametrize("argv, option, strategy", [
+        (["--strategy", "reflect", "--desired", "1"], "--desired", "fake-seq"),
+        (["--desired", "0"], "--desired", "fake-seq"),
+        (["--strategy", "fake-seq", "--flip", "X"], "--flip", "reflect"),
+        (["--strategy", "fake-seq", "--flip", "I", "--desired", "1"], "--flip", "reflect"),
+    ])
+    def test_option_of_the_other_strategy_exits_two(self, capsys, argv, option, strategy):
+        code, out, err = _run_inproc(["cheat", *argv, "--trials", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} applies to --strategy {strategy}\n"
 
     def test_flip_choices_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:

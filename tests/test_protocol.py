@@ -63,6 +63,12 @@ class TestSequence:
     def test_integer_like_pairs(self):
         assert Sequence((np.int64(2), np.int64(1))).order == (2, 1)
         assert Sequence((True,)).order == (1,)
+        # stored as plain ints, so the repr and a transcript's JSON show ints
+        for order in ((np.int64(2), np.int64(1)), (True,), [np.int32(1)]):
+            seq = Sequence(order)
+            assert type(seq.order) is tuple
+            assert all(type(pair) is int for pair in seq.order)
+        assert repr(Sequence((np.int64(2), np.int64(1)))) == "Sequence(order=(2, 1))"
         with pytest.raises(ValueError):
             Sequence((True, True))
 
@@ -348,7 +354,7 @@ class TestHonestRun:
         assert abs(rate - expected_reject) < 4 * sigma
 
     def test_abort_rate_is_two_sided_not_analysis_bound(self):
-        # analysis.robustness_ok / min_gamma budget the one-sided rate
+        # analysis.min_gamma budgets the one-sided rate
         # 1 - gamma^N; the simulator corrupts both parties' records, so an
         # honest session aborts at 1 - (gamma^2 + (1-gamma)^2/3)^N instead
         gamma, n, runs = 0.9, 4, 10_000

@@ -2,8 +2,10 @@
 
 `ReplayRng` feeds one recorded draws row to `run_reflect_attack`, so the
 scalar session and the kernel consume identical draws and must agree bit
-for bit. Exact enumeration over every equally likely draws row pins the
-kernel's pass rate to the permutation model as a `Fraction`.
+for bit; the scalar rules `cycle_outcomes` and `best_guess_results` take
+a row's draws as arguments and must give the kernel's rows. Exact
+enumeration over every equally likely draws row pins the kernel's pass
+rate to the permutation model as a `Fraction`.
 """
 
 import itertools
@@ -26,7 +28,13 @@ from qct.adversary import (
 )
 from qct.analysis import pass_prob_permutation_model_exact
 from qct.bell import PauliLabel
-from qct.protocol import NoiseModel, SessionConfig
+from qct.protocol import (
+    NoiseModel,
+    SessionConfig,
+    best_guess_results,
+    cycle_outcomes,
+    cycle_structure,
+)
 from qct.seeding import BLOCK_TRIALS, block_rng
 
 
@@ -190,6 +198,30 @@ class TestReplay:
         assert block.bob.tolist() == [[3, 1, 3, 3]]
         assert block.passed.tolist() == [False] and block.coin.tolist() == [1]
         _assert_replay_matches(row, PauliLabel.X, 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_kernel_rows_equal_the_scalar_rules(n):
+    # the scalar rules take a row's draws as arguments: no stream between them
+    gamma = 0.9
+    draws = draw_reflect_block(block_rng(23, n), n)
+    head = ReflectDraws(*(field[:200] for field in draws))
+    blocks = {flip: reflect_kernel(head, flip.value, gamma) for flip in PauliLabel}
+    for i, row in enumerate(zip(*(field.tolist() for field in head))):
+        alice_order, return_order, swap, noise, corrupt, guess = row
+        tau = [alice_order[r] for r in return_order]
+        cycles = cycle_structure([t + 1 for t in tau])
+        closing = {max(cycle) for cycle in cycles}
+        swaps = [swap[m - 1] for m in range(1, n + 1) if m not in closing]
+        guesses = [guess[m - 1] for cycle in cycles for m in cycle[1:]]
+        for flip, block in blocks.items():
+            edges = [0] * n
+            edges[tau[0]] = flip.value  # the pair Alice receives in return slot 1
+            alice = cycle_outcomes(cycles, edges, swaps)
+            alice = [a ^ c if u >= gamma else a for a, u, c in zip(alice, noise, corrupt)]
+            assert alice == block.alice[i].tolist()
+            bob = best_guess_results(cycles, guesses, flip)
+            assert [b.value for b in bob] == block.bob[i].tolist()
 
 
 @pytest.mark.parametrize("flip, gamma, message", [

@@ -130,9 +130,12 @@ def test_lies_and_their_retries_replay_exactly():
 
 
 def test_cycle_rule_on_a_two_cycle_and_a_fixed_point():
-    rng, twin = session_rng(1), session_rng(1)
-    (swap,) = twin.integers(4, size=1).tolist()
     # 1 <-> 3 and 2 fixed: index 1 swaps, index 3 closes the cycle, index 2 reads its label
-    out, extra = cycle_outcomes(((1, 3), (2,)), [1, 2, 3], rng)
-    assert out == [swap, 2, 1 ^ 3 ^ swap] and extra == []
-    assert _state(rng) == _state(twin)
+    for swap in range(4):
+        assert cycle_outcomes(((1, 3), (2,)), [1, 2, 3], [swap]) == [swap, 2, 1 ^ 3 ^ swap]
+
+
+def test_cycle_rule_takes_one_outcome_per_swap():
+    for swaps in ([], [0, 1]):
+        with pytest.raises(ValueError, match=f"{len(swaps)} outcomes for 1 swaps"):
+            cycle_outcomes(((1, 3), (2,)), [1, 2, 3], swaps)
