@@ -8,8 +8,8 @@ the total parity. What he cannot control is her results check: after the
 sequence announcement he knows only which measurements fell into common
 cycles, and within a cycle of length L her outcomes are uniform over the
 4**(L-1) assignments with fixed XOR. Guessing uniformly inside each
-consistent set is his best play, and it succeeds with probability
-4**(m - N) for m cycles.
+consistent set, as her own phase rule run on his uniform guesses does, is
+his best play; it succeeds with probability 4**(m - N) for m cycles.
 
 Alice's fake-sequence attack: she measures before announcing and, when the
 coin is not to her liking, announces a different sequence. The parity
@@ -106,7 +106,7 @@ class ReflectDraws(NamedTuple):
     slot return_order[s]. At index m, swap[m] is the outcome of Alice's
     measurement when it swaps, noise[m] < gamma keeps her record and
     corrupt[m] (1..3) is XORed into it otherwise, and guess[m] is Bob's
-    free guess. Draws a trial never reaches are ignored.
+    free guess where swap[m] is used. Draws a trial never reaches are ignored.
     """
 
     alice_order: np.ndarray  # (B, N) int64 permutations of 0..N-1
@@ -149,8 +149,8 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     the one at the cycle's largest index: it closes the cycle, so its
     outcome is the XOR of the cycle's edge labels (the flip on the cycle
     holding index 0, Phi+ elsewhere) with the cycle's other outcomes. Bob
-    announces his guesses, except at each cycle's smallest index, which
-    takes the same target XOR. A trial passes when Alice's possibly
+    runs the same rule on his guesses, and one walk runs both on packed
+    draws (swap | guess << 2). A trial passes when Alice's possibly
     corrupted records equal Bob's announcement; her coin is the XOR of
     their parities. `flip` must be a Pauli value 0..3 and `gamma` lie in
     (0, 1], as a `NoiseModel`'s.
@@ -162,23 +162,22 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     row_start = index[:, :1]
     tau = (np.take_along_axis(draws.alice_order, draws.return_order, axis=1) + row_start).ravel()
     packed = (draws.swap | (draws.guess << 2)).ravel()
-    # Walk every index round its cycle once: lo and hi end at the cycle's
-    # smallest and largest member, acc at the XOR of its members' packed draws.
+    packed[row_start] ^= np.int8(5 * flip)  # the flip, for both parties, on index 0's cycle
+    # Walk every index round its cycle once: hi ends at the cycle's largest
+    # member, acc at the XOR of its members' packed draws.
     start = index.ravel()
-    cur, lo, hi, acc = start, start, start, packed
+    cur, hi, acc = start, start, packed
     alive = np.ones(b * n, dtype=bool)
     for _ in range(n - 1):
         cur = tau[cur]
         alive &= cur != start
         acc = acc ^ packed[cur] * alive
-        lo = np.minimum(lo, cur)
         hi = np.maximum(hi, cur)
-    lo, hi, acc = lo.reshape(b, n), hi.reshape(b, n), acc.reshape(b, n)
+    closes, acc = hi.reshape(b, n) == index, acc.reshape(b, n)
 
-    edge = np.where(lo == row_start, np.int8(flip), np.int8(0))
-    alice = np.where(hi == index, edge ^ (acc & 3) ^ draws.swap, draws.swap)
+    alice = np.where(closes, (acc & 3) ^ draws.swap, draws.swap)
     alice ^= np.where(draws.noise >= gamma, draws.corrupt, np.int8(0))
-    bob = np.where(lo == index, edge ^ (acc >> 2) ^ draws.guess, draws.guess)
+    bob = np.where(closes, (acc >> 2) ^ draws.guess, draws.guess)
     passed = (alice == bob).all(axis=1)
     coin = parity(np.bitwise_xor.reduce(alice, axis=1))
     return ReflectBlock(alice, bob, passed, coin)

@@ -177,7 +177,9 @@ def cmd_cheat(args: argparse.Namespace) -> int:
         _row(config.n_pairs, "monte-carlo", report.estimate, seed,
              report.ci_low, report.ci_high, report.trials),
     ], key=_ROW_ORDER)
-    note = analysis.MODEL_DISCREPANCY_NOTE if config.n_pairs >= 3 else None
+    note = None  # the note compares models of the reflect attack's pass rate
+    if args.strategy == "reflect" and config.n_pairs >= 3:
+        note = analysis.MODEL_DISCREPANCY_NOTE
     described = report.strategy.describe()
     text = _render(
         args.format,

@@ -191,10 +191,8 @@ def _sampled_swap_counts(samples: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return engine_counts, oracle_counts
 
 
-def check_swap_distribution_sampled(
-    samples: int = 100_000, seed: int = 20_26, threshold: float = 0.02
-) -> CheckResult:
-    """Sampled swap outcomes: numpy's sampler vs oracle vs exact, TV below threshold.
+def check_swap_distribution_sampled(samples: int = 100_000, seed: int = 20_26) -> CheckResult:
+    """Sampled swap outcomes: numpy's sampler vs oracle vs exact, TV below t.
 
     Both sides sample a swap on a Psi- (x) Phi- input (any labels work -
     outcomes are uniform) in batches: the "engine" side as ``rng.integers(4,
@@ -203,6 +201,13 @@ def check_swap_distribution_sampled(
     stream as `samples` scalar `measure_pair` or `bell_measure_collapse`
     calls would, so the counts are those of the scalar loops. No engine and
     no scalar oracle function runs here.
+
+    t = sqrt(2 ln(64 / 1e-6) / n) for n samples, 0.019 at 100,000: by the
+    Bretagnolle-Huber-Carol bound, one sample's L1 distance from uniform
+    over the 4 labels reaches x with probability at most 16 exp(-n x^2 / 2),
+    so correct samplers fail with probability at most (16 + 16 + 32)
+    exp(-n t^2 / 2) = 1e-6 (L1 >= 2t for a TV against exact, L1 >= t on
+    one side for the TV between them).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1 (got {samples})")
@@ -214,6 +219,7 @@ def check_swap_distribution_sampled(
         "engine-vs-exact": _tv(engine_counts, exact),
         "oracle-vs-exact": _tv(oracle_counts, exact),
     }
+    threshold = float(2 * np.log(64 / 1e-6) / samples) ** 0.5
     worst = max(tvs.values())
     detail = ", ".join(f"{k} TV={v:.4f}" for k, v in tvs.items())
     return CheckResult(

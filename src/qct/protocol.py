@@ -236,6 +236,8 @@ class SessionTranscript:
                 f"phase {PHASE_NAMES[phase]} out of order: expected "
                 f"{PHASE_NAMES[expected] if expected < len(PHASE_NAMES) else 'nothing further'}"
             )
+        if PHASE_NAMES[phase] == "coin" and self.messages[-1].verdict is not _ACCEPT:
+            raise ProtocolOrderError("no coin after a reject verdict: Alice aborted")
         self.messages.append(message)
 
     @property
@@ -302,7 +304,7 @@ def cycle_outcomes(
     uniform label value per swap, N - len(cycles) of them, in index order.
     The closing measurement reads the label the swaps left: its own link's
     label with `residual` folded in once per swap, on that swap's label and
-    outcome.
+    outcome. The rule is bitwise, so it runs packed labels field by field.
     """
     if len(swaps) != len(labels) - len(cycles):
         raise ValueError(f"{len(swaps)} outcomes for {len(labels) - len(cycles)} swaps")
@@ -423,31 +425,20 @@ def best_guess_results(
     flip: int = 0,
 ) -> list[BellLabel]:
     """Optimal fabricated results for the verifier's check, indexed by pair,
-    for the cycles `cycle_structure` returns.
+    for the cycles `cycle_structure` returns: the verifier's phase rule
+    `cycle_outcomes` run on `labels`, uniform guesses in place of her swaps.
 
     Within each cycle the verifier's outcomes are uniform over the
     assignments whose XOR equals the XOR of the cycle's initial edge labels:
     all Phi+ but one on the cycle through pair 1, `cycles[0]`, in the label
-    that the Pauli value `flip` sets. Sampling uniformly from that
-    consistent set maximises the per-cycle match probability at
-    4**(1 - length); a fixed point is guessed exactly. The free guesses are
-    `labels`, uniform label values, one per cycle member after the first,
-    cycle by cycle in orbit order.
+    that the Pauli value `flip` sets. The rule draws uniformly from that
+    set, which maximises the per-cycle match probability at 4**(1 - length).
     """
     n = sum(map(len, cycles))
     if len(labels) != n - len(cycles):
         raise ValueError(f"{len(labels)} labels for {n - len(cycles)} free guesses")
-    guess = [0] * n  # guess[m - 1] for pair m
-    free = iter(labels)
-    acc = int(flip)  # the cycle through pair 1 comes first
-    for cycle in cycles:
-        for m in cycle[1:]:
-            lab = next(free)
-            acc ^= lab
-            guess[m - 1] = lab
-        guess[cycle[0] - 1] = acc
-        acc = 0  # every later cycle's edges are all Phi+
-    return [BELL_LABELS[g] for g in guess]
+    edges = [int(flip)] + [0] * (n - 1) if n else []  # pair 1 lies on cycles[0]
+    return [BELL_LABELS[g] for g in cycle_outcomes(cycles, edges, labels)]
 
 
 class SessionRun(NamedTuple):
@@ -465,10 +456,10 @@ def run_session(
     Alice for FAKE_SEQUENCE) and the other party plays honestly.
 
     Honest: without noise both parties record the same outcomes, Alice
-    accepts, and the coin is the XOR of their parities. Reflect: Bob
-    returns Alice's particles in a uniformly random order as his own,
-    applies `strategy.flip` to the one in return slot 1 and announces
-    best-guess results; Alice's coin is then parity(flip). Fake-sequence:
+    accepts, and the coin is the XOR of their parities. Reflect: Bob returns
+    Alice's particles in a uniformly random order as his own, applies
+    `strategy.flip` to the one in return slot 1 and announces what her phase
+    rule gives on his guesses; her coin is then parity(flip). Fake-sequence:
     Alice measures first and, when her coin is not `strategy.desired`,
     announces a uniformly random different sequence (with one pair there is
     none); Bob's coin equals hers either way, so `coin` is his.
@@ -493,16 +484,15 @@ def run_session(
         bob_batch = tuple([alice_ids[m - 1] for m in arrived])
         # Alice measures her kept half of pair m against return slot m, which
         # carries pair arrived[m - 1]: all her pairs are Phi+ but the one in
-        # return slot 1, which carries the flip. Bob knows the cycles this
-        # makes and fabricates his results, one free guess per swap.
+        # return slot 1, which carries the flip. Bob runs her rule on his
+        # guesses, one per swap: one call on labels packed hers | his << 2.
         edges = [0] * n
-        edges[arrived[0] - 1] = flip = int(strategy.flip)
+        edges[arrived[0] - 1] = 5 * int(strategy.flip)  # in both halves of a packed label
         swaps = n - len(cycles)
         drawn = draw_labels(rng, 2 * swaps)  # Alice's swap outcomes, then Bob's guesses
-        raw = cycle_outcomes(cycles, edges, drawn[:swaps])
-        alice_results = _records(raw, noise, rng)
-        # the flipped pair arrived[0] is in the cycle of index 1, cycles[0]
-        bob_results = tuple(best_guess_results(cycles, drawn[swaps:], flip))
+        both = cycle_outcomes(cycles, edges, [s | g << 2 for s, g in zip(drawn, drawn[swaps:])])
+        alice_results = _records([o & 3 for o in both], noise, rng)
+        bob_results = tuple([BELL_LABELS[o >> 2] for o in both])
     else:
         bob_batch = travelling(_BOB, n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob

@@ -95,7 +95,7 @@ def test_criterion_4_engine_oracle_equivalence():
     start = time.perf_counter()
     residual = check_residual_rule()
     exact = check_swap_distribution_exact()
-    sampled = check_swap_distribution_sampled(samples=100_000, seed=2026, threshold=0.02)
+    sampled = check_swap_distribution_sampled(samples=100_000, seed=2026)
     ok = residual.passed and exact.passed and sampled.passed
     _report(
         4,

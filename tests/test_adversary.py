@@ -27,7 +27,7 @@ from qct.bell import (
     PauliLabel,
     total_parity,
 )
-from qct.protocol import SessionConfig
+from qct.protocol import SessionConfig, cycle_outcomes
 from qct.seeding import session_rng
 from reference import stirling_first_kind
 
@@ -133,6 +133,7 @@ class TestBestGuess:
     def test_fixed_points_guessed_exactly(self):
         cycles = ((1,), (2,), (3,))
         assert best_guess_results(cycles, []) == [BellLabel.PHI_PLUS] * 3
+        assert best_guess_results((), []) == []
 
     def test_cycle_xor_matches_target(self):
         rng = session_rng(1)
@@ -146,19 +147,12 @@ class TestBestGuess:
             assert BellLabel(xor_b) is BellLabel.PHI_PLUS
 
     @pytest.mark.parametrize("cycles", [((1,), (2,)), ((1, 3, 4), (2, 5)), ((1, 2, 3, 4, 5, 6),)])
-    def test_free_guesses_taken_in_orbit_order(self, cycles):
-        # one given label per cycle member after the first, cycle by cycle
-        # in orbit order
-        free = [(5 * k + 2) % 4 for k in range(sum(len(c) - 1 for c in cycles))]
+    def test_runs_the_phase_rule_on_the_guesses(self, cycles):
+        # the flip's label on pair 1, the free guesses where the phase swaps
+        n = sum(map(len, cycles))
+        free = [(5 * k + 2) % 4 for k in range(n - len(cycles))]
         guess = best_guess_results(cycles, free, BellLabel.PSI_MINUS)
-        want = [0] * sum(len(c) for c in cycles)
-        labels = iter(free)
-        for cycle in cycles:
-            acc = 3 if cycle[0] == 1 else 0
-            for m in cycle[1:]:
-                want[m - 1] = next(labels)
-                acc ^= want[m - 1]
-            want[cycle[0] - 1] = acc
+        want = cycle_outcomes(cycles, [3] + [0] * (n - 1), free)
         assert guess == [BellLabel(v) for v in want]
 
     def test_one_label_per_free_guess(self):

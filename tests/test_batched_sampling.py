@@ -7,7 +7,9 @@ leaves it, so that later draws agree too. The sampled swap check, which
 draws the oracle's outcomes through it and the engine's as one
 `integers(4, size=k)` call per chunk, must count what scalar
 `bell_measure_collapse` and fresh non-partner
-`EntangledMatching.measure_pair` loops count.
+`EntangledMatching.measure_pair` loops count. Its TV threshold, derived
+from the sample count, must pass correct samplers at few samples and fail
+one that never returns a label.
 """
 
 import numpy as np
@@ -87,3 +89,18 @@ def test_sampled_check_counts_match_scalar_loops(monkeypatch, chunk, offset):
     engine_counts, oracle_counts = _sampled_swap_counts(samples, seed=7)
     assert engine_counts.tolist() == np.bincount(engine, minlength=4).tolist()
     assert oracle_counts.tolist() == np.bincount(oracle, minlength=4).tolist()
+
+
+@pytest.mark.parametrize("samples", [1_000, 5_000])
+def test_sampled_check_passes_correct_samplers_at_few_samples(samples):
+    # a fixed TV threshold of 0.02 failed 176 of these seeds at 1,000 samples
+    check = crosscheck.check_swap_distribution_sampled
+    assert [seed for seed in range(200) if not check(samples, seed).passed] == []
+
+
+def test_sampled_check_fails_a_sampler_that_never_returns_phi_plus(monkeypatch):
+    sample = crosscheck.bell_sample
+    monkeypatch.setattr(crosscheck, "bell_sample",
+                        lambda probs, rng, size: sample(probs, rng, size) % 3 + 1)
+    result = crosscheck.check_swap_distribution_sampled(20_000, 0)
+    assert not result.passed and "oracle-vs-exact TV=0.2" in result.detail

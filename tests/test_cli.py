@@ -160,6 +160,14 @@ class TestCheat:
         assert code == 0
         assert "permutation-exact" in json.loads(out)["note"]
 
+    def test_no_note_for_fake_sequence(self, capsys):
+        # the note speaks of the reflect attack's models, not P(coin = desired)
+        argv = ["cheat", "--strategy", "fake-seq", "--n-pairs", "3", "--trials", "50"]
+        code, out, _ = _run_inproc([*argv, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["note"] is None
+        code, out, _ = _run_inproc([*argv, "--format", "text"], capsys)
+        assert code == 0 and "note:" not in out
+
     def test_csv_json_numeric_identity(self, capsys):
         code, csv_out, _ = _run_inproc([*self.ARGS, "--format", "csv"], capsys)
         assert code == 0
@@ -259,7 +267,8 @@ class TestAnalyze:
 
 
 class TestVerify:
-    # 20k samples keeps the fixed TV threshold ~5 sigma above its sampling noise
+    # 20k samples keeps these fast; the sampled check's TV threshold, derived
+    # from the sample count (0.042 here), fails a correct sampler at rate 1e-6
     FAST = ["verify", "--samples", "20000", "--sequences", "8", "--max-pairs", "2"]
 
     def test_passes_with_exit_zero(self, capsys):

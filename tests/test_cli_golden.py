@@ -3,6 +3,10 @@ command in each format, plus the `--out` file where a case writes one.
 
 `golden/cli.jsonl` holds one JSON line per case. It was written by the
 per-command formatters; the shared renderer must reproduce it exactly.
+Two deliberate changes moved lines since: the reflect `cheat` cases'
+Monte Carlo counts, when Bob's fabricated results became Alice's phase
+rule run on his guesses, and the fake-seq case's note, which it no longer
+prints.
 
 Regenerate it only for a deliberate change to the output:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.

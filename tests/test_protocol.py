@@ -221,8 +221,10 @@ class TestTranscriptOrder:
             VerdictAnnouncement(Party.ALICE, Verdict.ACCEPT),
             CoinAnnouncement(Party.BOB, 1),
         ]
+        rejected = full[:4] + [VerdictAnnouncement(Party.ALICE, Verdict.REJECT), full[5]]
         # (start, messages): the constructor is given full[:start] + messages
         cases = [
+            (0, rejected),  # no coin after a reject verdict
             (0, full),
             (0, full[:5]),
             (2, full[2:]),
@@ -245,6 +247,8 @@ class TestTranscriptOrder:
             assert self._error(lambda: SessionTranscript(SessionConfig(1), given)) == error, given
             if error is None:
                 assert SessionTranscript(SessionConfig(1), given).messages == given
+        assert "no coin after a reject verdict" in self._error(
+            lambda: SessionTranscript(SessionConfig(1), rejected))
 
     @pytest.mark.parametrize(
         "messages",

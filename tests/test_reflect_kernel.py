@@ -61,13 +61,13 @@ class ReplayRng:
     The session draws Alice's sequence and Bob's return order; then the
     phase's swap labels, one per index m in order except where the
     measurement closes its cycle (at the cycle's largest index); then Bob's
-    guesses, cycle by cycle in orbit order, skipping each cycle's smallest
-    index; then, under noise, the noise on the records: at each index m in
-    order a noise uniform and, when the record is corrupted, a corruption
-    label. The swap labels and guesses may come as one `random(k,
-    dtype=np.float32)` call, which pops the next k labels and serves each as
-    label / 4, a float32 uniform that four times truncates to that label. A
-    label asked for after the first noise uniform fails the replay.
+    guesses, by the same rule; then, under noise, the noise on the records:
+    at each index m in order a noise uniform and, when the record is
+    corrupted, a corruption label. The swap labels and guesses may come as
+    one `random(k, dtype=np.float32)` call, which pops the next k labels and
+    serves each as label / 4, a float32 uniform that four times truncates to
+    that label. A label asked for after the first noise uniform fails the
+    replay.
     """
 
     def __init__(self, row: ReflectDraws):
@@ -76,7 +76,7 @@ class ReplayRng:
         closers = {max(cycle) for cycle in cycles}
         self._perms = [row.alice_order, row.return_order]
         self._labels = [row.swap[m] for m in range(n) if m not in closers]
-        self._labels += [row.guess[m] for cycle in cycles for m in cycle[1:]]
+        self._labels += [row.guess[m] for m in range(n) if m not in closers]
         self._noise, self._corrupt = row.noise, row.corrupt
         self._index = -1  # index of the last noise draw
 
@@ -168,9 +168,9 @@ class TestReplay:
             alice_order=np.array([1, 0]), return_order=np.array([0, 1]),
             swap=np.array([2, 0], dtype=np.int8), noise=np.array([0.5, 0.25]),
             corrupt=np.array([1, 1], dtype=np.int8), guess=np.array([0, 3], dtype=np.int8))
-        rng = ReplayRng(row)  # one 2-cycle: the swap label at m=0, the guess at m=1
+        rng = ReplayRng(row)  # one 2-cycle: the swap label and the guess at m=0
         served = rng.random(2, dtype=np.float32)
-        assert served.dtype == np.float32 and (served * 4).tolist() == [2, 3]
+        assert served.dtype == np.float32 and (served * 4).tolist() == [2, 0]
         rng = ReplayRng(row)
         assert rng.random() == 0.5
         with pytest.raises(AssertionError, match="a label drawn after the noise"):
@@ -180,7 +180,7 @@ class TestReplay:
 
     def test_hand_worked_row(self):
         # tau = (0 1)(2 3): swaps at m=0, 2, closers at m=1, 3; Bob guesses
-        # at m=1, 3 and derives m=0, 2.
+        # at m=0, 2 and derives m=1, 3 by Alice's rule.
         row = ReflectDraws(
             alice_order=np.array([[1, 0, 3, 2]]),
             return_order=np.array([[0, 1, 2, 3]]),
@@ -191,11 +191,11 @@ class TestReplay:
         )
         block = reflect_kernel(row, PauliLabel.I.value)
         assert block.alice.tolist() == [[1, 1, 3, 3]]
-        assert block.bob.tolist() == [[1, 1, 3, 3]]
-        assert block.passed.tolist() == [True] and block.coin.tolist() == [0]
+        assert block.bob.tolist() == [[0, 0, 2, 2]]
+        assert block.passed.tolist() == [False] and block.coin.tolist() == [0]
         block = reflect_kernel(row, PauliLabel.X.value)  # flips the cycle holding m=0
         assert block.alice.tolist() == [[1, 3, 3, 3]]
-        assert block.bob.tolist() == [[3, 1, 3, 3]]
+        assert block.bob.tolist() == [[0, 2, 2, 2]]
         assert block.passed.tolist() == [False] and block.coin.tolist() == [1]
         _assert_replay_matches(row, PauliLabel.X, 1.0)
 
@@ -213,7 +213,7 @@ def test_kernel_rows_equal_the_scalar_rules(n):
         cycles = cycle_structure([t + 1 for t in tau])
         closing = {max(cycle) for cycle in cycles}
         swaps = [swap[m - 1] for m in range(1, n + 1) if m not in closing]
-        guesses = [guess[m - 1] for cycle in cycles for m in cycle[1:]]
+        guesses = [guess[m - 1] for m in range(1, n + 1) if m not in closing]
         for flip, block in blocks.items():
             edges = [0] * n
             edges[tau[0]] = flip.value  # the pair Alice receives in return slot 1
@@ -222,6 +222,20 @@ def test_kernel_rows_equal_the_scalar_rules(n):
             assert alice == block.alice[i].tolist()
             bob = best_guess_results(cycles, guesses, flip)
             assert [b.value for b in bob] == block.bob[i].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_guessing_the_swaps_announces_alices_records(n):
+    # Bob runs Alice's rule: given her swap outcomes as his guesses, he
+    # announces exactly her noiseless records, whatever the cycles and flip
+    draws = draw_reflect_block(block_rng(31, n), n)
+    draws = draws._replace(guess=draws.swap)
+    for flip in PauliLabel:
+        block = reflect_kernel(draws, flip.value)
+        assert block.passed.all()
+        np.testing.assert_array_equal(block.bob, block.alice)
+        for i in range(20):
+            assert run_reflect_attack(SessionConfig(n), flip, ReplayRng(_row(draws, i))).passed
 
 
 @pytest.mark.parametrize("flip, gamma, message", [

@@ -13,7 +13,11 @@ phase began to draw all its swap labels first and then its noise through
 session: it shares the honest stream with the noisy N = 11 sessions before
 it, whose new noise draws end one 32-bit half-word later in that stream, so
 its sequence draw starts half a word later. Its outcomes did not move, and
-the stream agrees again from the next session on.
+the stream agrees again from the next session on. The reflect lines' `bob`
+records and results messages (and in three lines `passed`, `verdict` and
+`coin`) were regenerated on purpose when Bob's fabricated results became
+Alice's phase rule run on his guesses: the same guesses now sit at other
+indices. No `alice` record moved.
 
 Regenerate a golden file only for a deliberate change to the streams:
 ``PYTHONPATH=src python tests/test_session_golden.py``.
