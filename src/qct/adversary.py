@@ -19,8 +19,8 @@ equals hers no matter which sequence she names.
 One session under either attack is `protocol.run_session`; this module
 evaluates the attacks over many trials. Reflect trials go through
 `reflect_kernel`, which evaluates a block of sessions at once from explicit
-random draws in int8/int64 arrays; fed the same draws, it and
-`run_reflect_attack` agree bit for bit.
+random draws by `protocol.cycle_kernel`'s pointer doubling, O(N log N) per
+trial; fed the same draws, it and `run_reflect_attack` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .protocol import (
     Strategy,
     StrategyKind,
     best_guess_results,
+    cycle_kernel,
     cycle_structure,
     run_session,
 )
@@ -149,38 +150,32 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     the one at the cycle's largest index: it closes the cycle, so its
     outcome is the XOR of the cycle's edge labels (the flip on the cycle
     holding index 0, Phi+ elsewhere) with the cycle's other outcomes. Bob
-    runs the same rule on his guesses, and one walk runs both on packed
-    draws (swap | guess << 2). A trial passes when Alice's possibly
-    corrupted records equal Bob's announcement; her coin is the XOR of
-    their parities. `flip` must be a Pauli value 0..3 and `gamma` lie in
-    (0, 1], as a `NoiseModel`'s.
+    runs the same rule on his guesses; one index-major `cycle_kernel` call
+    runs both on packed draws (swap | guess << 2). A trial passes when
+    Alice's possibly corrupted records equal Bob's announcement; her coin
+    is the XOR of their parities. The fields must share one (B, N) shape,
+    `flip` be a Pauli value 0..3 and `gamma` lie in (0, 1], as a `NoiseModel`'s.
     """
     validate_labels(flip, "Pauli")
     NoiseModel(gamma)
-    b, n = draws.swap.shape
-    index = np.arange(b * n).reshape(b, n)  # flat position of (trial, m)
-    row_start = index[:, :1]
-    tau = (np.take_along_axis(draws.alice_order, draws.return_order, axis=1) + row_start).ravel()
-    packed = (draws.swap | (draws.guess << 2)).ravel()
-    packed[row_start] ^= np.int8(5 * flip)  # the flip, for both parties, on index 0's cycle
-    # Walk every index round its cycle once: hi ends at the cycle's largest
-    # member, acc at the XOR of its members' packed draws.
-    start = index.ravel()
-    cur, hi, acc = start, start, packed
-    alive = np.ones(b * n, dtype=bool)
-    for _ in range(n - 1):
-        cur = tau[cur]
-        alive &= cur != start
-        acc = acc ^ packed[cur] * alive
-        hi = np.maximum(hi, cur)
-    closes, acc = hi.reshape(b, n) == index, acc.reshape(b, n)
+    shape = draws.alice_order.shape
+    if bad := [name for name, field in zip(ReflectDraws._fields, draws) if field.shape != shape]:
+        raise ValueError(f"draws fields {', '.join(bad)} differ from alice_order's shape {shape}")
+    b = shape[0]
+    # tau[m, t] = alice_order[t, return_order[t, m]], at flat position m * b + t
+    tau = draws.alice_order.T.ravel()[draws.return_order.T * b + np.arange(b)]
+    packed = np.left_shift(draws.guess.T, 2, order="C") | draws.swap.T
+    edge = np.int8(5 * flip)  # XORed in twice: only index 0's cycle's closing outcome keeps it
+    packed[:1] ^= edge
+    _, out = cycle_kernel(tau, packed)
+    out[:1] ^= edge
 
-    alice = np.where(closes, (acc & 3) ^ draws.swap, draws.swap)
-    alice ^= np.where(draws.noise >= gamma, draws.corrupt, np.int8(0))
-    bob = np.where(closes, (acc >> 2) ^ draws.guess, draws.guess)
-    passed = (alice == bob).all(axis=1)
-    coin = parity(np.bitwise_xor.reduce(alice, axis=1))
-    return ReflectBlock(alice, bob, passed, coin)
+    alice = out & 3
+    alice ^= (draws.noise.T >= gamma) * draws.corrupt.T
+    bob = out >> 2
+    passed = (alice == bob).all(axis=0)
+    coin = parity(np.bitwise_xor.reduce(alice, axis=0))
+    return ReflectBlock(alice.T, bob.T, passed, coin)
 
 
 def reflect_blocks(

@@ -3,7 +3,7 @@
 All output is deterministic for a given seed: floats are printed in
 shortest round-trip form, rows are canonically sorted, and nothing
 time- or machine-dependent is emitted. The seed comes from --seed, then
-the QCT_SEED environment variable, then 0.
+the QCT_SEED environment variable, then 0, and must lie in 0..2**64 - 1.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
 """
@@ -127,15 +127,15 @@ def _emit(text: str, out_path: str | None, out_text: str | None = None) -> None:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("QCT_SEED")
-    if env is None:
-        return 0
+    source, text = (("--seed", value) if value is not None
+                    else ("QCT_SEED", os.environ.get("QCT_SEED", "0")))
     try:
-        return int(env)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"QCT_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"QCT_SEED must be an integer, got {text!r}") from None
+    if not 0 <= seed < 1 << 64:  # the streams would reduce it to another seed
+        raise ValueError(f"{source} must lie in 0..2**64 - 1, got {seed}")
+    return seed
 
 
 # -- subcommands ----------------------------------------------------------
@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if n_pairs:
             p.add_argument("--n-pairs", type=int, default=4, help="pairs per party (default 4)")
         p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: QCT_SEED env var, else 0)")
+                       help="master seed in 0..2**64-1 (default: QCT_SEED, else 0)")
         if gamma:
             p.add_argument("--gamma", type=float, default=1.0,
                            help="per-measurement readout survival rate in (0, 1] "

@@ -55,6 +55,7 @@ __all__ = [
     "apply_noise",
     "travelling",
     "cycle_outcomes",
+    "cycle_kernel",
     "StrategyKind",
     "Strategy",
     "cycle_structure",
@@ -323,6 +324,34 @@ def cycle_outcomes(
     return out
 
 
+def cycle_kernel(tau: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`cycle_outcomes` with every label Phi+, for B permutations at once.
+
+    Index-major: column t of the (N, B) arrays is one trial, tau[:, t] a
+    permutation of 0..N-1. Returns `closes`, true at each cycle's largest
+    index, and `out`: `packed` at a swap, the XOR of the cycle's other
+    values where it closes. Pointer doubling (Hillis & Steele, CACM 1986)
+    finds the largest indices, then the suffix XORs along each cycle cut
+    after its largest index; `out` is a slot's suffix XOR its successor's.
+    """
+    n, b = tau.shape
+    nxt = tau.ravel() * b
+    nxt.reshape(n, b)[...] += np.arange(b)  # flat position m * B + t of each successor
+    # hi: the largest index among 2**r successive members, in a narrow signed int
+    hi, jump = np.maximum(tau, np.arange(n)[:, None], dtype=np.min_scalar_type(-n - 1)).ravel(), nxt
+    for _ in range(1, (n - 1).bit_length()):
+        jump = jump[jump]
+        np.maximum(hi, hi[jump], out=hi)
+    closes = hi.reshape(n, b) == np.arange(n)[:, None]
+    # The cut: closing slots hold 0 and point at index N - 1's, which closes in every trial.
+    out, jump = np.where(closes, np.int8(0), packed).ravel(), None
+    for _ in range(max(n - 2, 0).bit_length()):  # a cut cycle has at most N - 1 swaps
+        jump = jump[jump] if jump is not None else np.where(
+            closes, np.arange((n - 1) * b, n * b), nxt.reshape(n, b)).ravel()
+        out ^= out[jump]
+    return closes, (out ^ out[nxt]).reshape(n, b)
+
+
 def _records(
     raw: TypingSequence[int], noise: NoiseModel | None, rng: np.random.Generator
 ) -> tuple[BellLabel, ...]:
@@ -426,13 +455,9 @@ def best_guess_results(
 ) -> list[BellLabel]:
     """Optimal fabricated results for the verifier's check, indexed by pair,
     for the cycles `cycle_structure` returns: the verifier's phase rule
-    `cycle_outcomes` run on `labels`, uniform guesses in place of her swaps.
-
-    Within each cycle the verifier's outcomes are uniform over the
-    assignments whose XOR equals the XOR of the cycle's initial edge labels:
-    all Phi+ but one on the cycle through pair 1, `cycles[0]`, in the label
-    that the Pauli value `flip` sets. The rule draws uniformly from that
-    set, which maximises the per-cycle match probability at 4**(1 - length).
+    `cycle_outcomes` run on `labels`, uniform guesses in place of her swaps,
+    with Phi+ edge labels but the one of pair 1, which the Pauli value
+    `flip` sets (see `qct.adversary` for why this is optimal).
     """
     n = sum(map(len, cycles))
     if len(labels) != n - len(cycles):

@@ -1,8 +1,8 @@
 """Deterministic random streams.
 
-A 64-bit master seed fans out into independent streams through a
-counter-based generator (Philox) keyed by the master seed; only the two
-highest counter words differ between streams:
+A master seed in 0..2**64 - 1 (seeds equal mod 2**64 share every stream)
+fans out into independent streams through a counter-based generator
+(Philox) keyed by it; only the two highest counter words differ:
 
 * `trial_rng(seed, i)` - one stream per trial, counter words (2, 3) set to
   (0, i). The per-session drivers (the fake-sequence Monte Carlo and any

@@ -365,6 +365,26 @@ class TestSeedResolution:
         assert (code, out) == (2, "")
         assert err == f"error: QCT_SEED must be an integer, got {env!r}\n"
 
+    @pytest.mark.parametrize("command", ["toss", "cheat", "analyze", "verify"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("source", ["--seed", "QCT_SEED"])
+    def test_seed_outside_64_bits_exits_two(self, capsys, monkeypatch, command, seed, source):
+        # the streams reduce a seed mod 2**64: -1 would run as 2**64 - 1, 2**64 as 0
+        monkeypatch.setenv("QCT_SEED", str(seed) if source == "QCT_SEED" else "5")
+        argv = [command, *(["--seed", str(seed)] if source == "--seed" else [])]
+        code, out, err = _run_inproc(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {source} must lie in 0..2**64 - 1, got {seed}\n"
+
+    @pytest.mark.parametrize("source", ["--seed", "QCT_SEED"])
+    def test_largest_seed_runs(self, capsys, monkeypatch, source):
+        seed = 2 ** 64 - 1
+        monkeypatch.setenv("QCT_SEED", str(seed) if source == "QCT_SEED" else "5")
+        argv = ["cheat", "--n-pairs", "2", "--trials", "50", "--format", "json",
+                *(["--seed", str(seed)] if source == "--seed" else [])]
+        code, out, _ = _run_inproc(argv, capsys)
+        assert code == 0 and json.loads(out)["rows"][0]["seed"] == seed
+
 
 class TestErrors:
     def test_invalid_pairs_exits_two(self, capsys):

@@ -6,7 +6,9 @@ per-command formatters; the shared renderer must reproduce it exactly.
 Two deliberate changes moved lines since: the reflect `cheat` cases'
 Monte Carlo counts, when Bob's fabricated results became Alice's phase
 rule run on his guesses, and the fake-seq case's note, which it no longer
-prints.
+prints. The two-block N = 128 reflect case was written by the row-major
+walk that the pointer-doubling kernel replaced, so it pins the new kernel
+to the old one's bytes.
 
 Regenerate it only for a deliberate change to the output:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -34,6 +36,9 @@ COMMANDS = [
     (["cheat", "--strategy", "fake-seq", "--n-pairs", "3", "--desired", "1",
       "--trials", "300", "--seed", "2"], False),
     (["cheat", "--n-pairs", "3", "--gamma", "0.8", "--trials", "1000", "--seed", "1"], False),
+    # two blocks at N=128: the block boundary and the forced-coin rate under noise
+    (["cheat", "--n-pairs", "128", "--trials", "2048", "--flip", "Z", "--gamma", "0.9",
+      "--seed", "1"], False),
     (["cheat", "--gamma", "1.5"], False),
     (["analyze", "--n-pairs", "3"], True),
     (["analyze", "--n-pairs", "5", "--p-threshold", "0.05", "--seed", "7"], False),

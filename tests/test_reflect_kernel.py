@@ -32,6 +32,7 @@ from qct.protocol import (
     NoiseModel,
     SessionConfig,
     best_guess_results,
+    cycle_kernel,
     cycle_outcomes,
     cycle_structure,
 )
@@ -200,12 +201,12 @@ class TestReplay:
         _assert_replay_matches(row, PauliLabel.X, 1.0)
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", [*range(1, 12), 32, 128, 1024])
 def test_kernel_rows_equal_the_scalar_rules(n):
     # the scalar rules take a row's draws as arguments: no stream between them
     gamma = 0.9
     draws = draw_reflect_block(block_rng(23, n), n)
-    head = ReflectDraws(*(field[:200] for field in draws))
+    head = ReflectDraws(*(field[:200 if n < 12 else 3] for field in draws))
     blocks = {flip: reflect_kernel(head, flip.value, gamma) for flip in PauliLabel}
     for i, row in enumerate(zip(*(field.tolist() for field in head))):
         alice_order, return_order, swap, noise, corrupt, guess = row
@@ -222,6 +223,53 @@ def test_kernel_rows_equal_the_scalar_rules(n):
             assert alice == block.alice[i].tolist()
             bob = best_guess_results(cycles, guesses, flip)
             assert [b.value for b in bob] == block.bob[i].tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 11, 32, 128, 1024])
+def test_cycle_kernel_closes_each_cycle_at_its_largest_index(n):
+    # columns are trials: B random permutations and packed values at once
+    rng = np.random.default_rng(n)
+    b = 64 if n < 128 else 4
+    tau = rng.permuted(np.broadcast_to(np.arange(n)[:, None], (n, b)), axis=0)
+    packed = rng.integers(0, 16, size=(n, b), dtype=np.int8)
+    closes, out = cycle_kernel(tau, packed)
+    assert closes.shape == out.shape == (n, b) and out.dtype == np.int8
+    for t in range(b):
+        cycles = cycle_structure((tau[:, t] + 1).tolist())
+        lasts = {max(cycle) - 1 for cycle in cycles}
+        assert set(np.flatnonzero(closes[:, t]).tolist()) == lasts
+        # swaps keep their value; each closer reads its cycle's other values' XOR
+        values = packed[:, t].tolist()
+        want = list(values)
+        for cycle in cycles:
+            acc = 0
+            for m in cycle:
+                if m != max(cycle):
+                    acc ^= values[m - 1]
+            want[max(cycle) - 1] = acc
+        assert out[:, t].tolist() == want
+
+
+@pytest.mark.parametrize("field", ReflectDraws._fields)
+@pytest.mark.parametrize("shape", [(8, 1), (8, 4), (7, 3), (3,)])
+def test_kernel_refuses_draws_fields_of_another_shape(field, shape):
+    # unchecked, a (B, 1) noise broadcast one uniform over every index of a trial
+    draws = ReflectDraws(*(a[:8] for a in draw_reflect_block(block_rng(2, 0), 3)))
+    bad = np.zeros(shape, dtype=getattr(draws, field).dtype)
+    with pytest.raises(ValueError, match=rf"draws fields .*\b{field}\b"):
+        reflect_kernel(draws._replace(**{field: bad}), PauliLabel.X.value, 0.9)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("trials", [1, 1000, BLOCK_TRIALS])
+def test_reflect_block_keeps_its_documented_shapes(trials, n):
+    (block,) = reflect_blocks(SessionConfig(n, seed=3, noise=NoiseModel(0.9)),
+                              PauliLabel.Y, trials)
+    for rows in (block.alice, block.bob):
+        assert rows.shape == (trials, n) and rows.dtype == np.int8
+        assert rows.tolist() == np.ascontiguousarray(rows).tolist()
+    assert block.passed.shape == (trials,) and block.passed.dtype == np.bool_
+    assert block.coin.shape == (trials,) and block.coin.dtype == np.int8
 
 
 @pytest.mark.parametrize("n", range(1, 12))
