@@ -165,7 +165,7 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     # tau[m, t] = alice_order[t, return_order[t, m]], at flat position m * b + t
     tau = draws.alice_order.T.ravel()[draws.return_order.T * b + np.arange(b)]
     packed = np.left_shift(draws.guess.T, 2, order="C") | draws.swap.T
-    edge = np.int8(5 * flip)  # XORed in twice: only index 0's cycle's closing outcome keeps it
+    edge = np.int8(5 * flip)  # index 0's edge label in both fields; see cycle_kernel's fold
     packed[:1] ^= edge
     _, out = cycle_kernel(tau, packed)
     out[:1] ^= edge

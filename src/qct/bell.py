@@ -7,15 +7,9 @@ measurement that joins two different pairs (entanglement swapping) leaves the
 two spectator particles in the state ``b1 ^ b2 ^ outcome`` (`residual`). That
 rule and a label's `parity` are the functions every engine and `qct verify`
 call. Both facts are certified against a dense statevector simulation in the
-test suite; the engine itself never touches amplitudes.
-
-`schedule_outcomes` is the batched form of a whole measurement schedule: a
-frame of one ``partner``/``label`` int row per schedule, where one Bell
-measurement is fancy indexing plus XOR across every row at once.
-`validate_schedule` is the input check it shares with the statevector
-kernel `qct.oracle.schedule_outcomes`, so both refuse the same schedules
-with the same messages; `validate_labels` is the one integer range check
-of label, Pauli and qubit values in both modules.
+test suite; the engine itself never touches amplitudes. `validate_labels`
+is the one integer range check of label, Pauli and qubit values here, in
+`qct.oracle` and in the reflect kernel.
 """
 
 from __future__ import annotations
@@ -41,10 +35,8 @@ __all__ = [
     "apply_pauli",
     "parity",
     "residual",
-    "schedule_outcomes",
     "total_parity",
     "validate_labels",
-    "validate_schedule",
 ]
 
 
@@ -136,75 +128,6 @@ def validate_labels(values, noun: str = "label", stop: int = 4) -> None:
     if bad.size:
         kind = "Bell" if noun == "label" else noun
         raise ValueError(f"{noun} {bad[0]} is not a {kind} label value 0..3")
-
-
-def validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
-    """Raise ValueError unless row r of `order` is a schedule on the pairs
-    ``labels[r]`` with one draw per step in ``draws[r]``; returns the step count.
-
-    A schedule measures particles (qubits) ``order[r, 2k]`` and
-    ``order[r, 2k + 1]`` at step k, each particle of the row at most once.
-    """
-    if labels.ndim != 2 or order.ndim != 2 or draws.ndim != 2:
-        raise ValueError("labels, order and draws must be two-dimensional")
-    rows, n = labels.shape
-    steps = order.shape[1] // 2
-    if order.shape != (rows, 2 * steps) or draws.shape[0] != rows or steps > n:
-        raise ValueError("labels, order and draws disagree in shape")
-    if draws.shape[1] < steps:
-        raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
-    validate_labels(labels)
-    validate_labels(order, "qubit", 2 * n)
-    # each (row, particle) counted once: a repeat within a row counts twice
-    if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
-        raise ValueError("measurement qubits must be distinct")
-    return steps
-
-
-def schedule_outcomes(
-    labels: np.ndarray, order: np.ndarray, swap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes of many measurement schedules, run on int arrays at once.
-
-    Row r starts from pairs ``(2i, 2i + 1)`` labelled ``labels[r, i]`` and
-    Bell-measures particles ``order[r, 2k]`` and ``order[r, 2k + 1]`` at
-    step k. As in `EntangledMatching.measure_pair`, partners return their
-    edge label and consume no draw, while non-partners return ``swap[r, k]``
-    and rewire the two spectators into an edge labelled
-    ``b1 ^ b2 ^ outcome``. After every step, on every row, it checks the
-    invariant of `EntangledMatching.conservation_ok`.
-
-    Returns the outcome label values, shape ``(rows, steps)``, and per row
-    whether the invariant held after every step. Inputs `validate_schedule`
-    refuses, and swap draws that are not label values, raise ValueError.
-    """
-    steps = validate_schedule(labels, order, swap)
-    validate_labels(swap)
-    rows, n = labels.shape
-    # particle p of row r at r * 2n + p in the raveled frame
-    index = np.arange(rows * 2 * n)
-    particle = order.astype(np.intp) + (np.arange(rows) * (2 * n))[:, None]
-    partner = index ^ 1
-    label = np.repeat(labels, 2, axis=1).ravel()
-    initial = np.bitwise_xor.reduce(labels, axis=1)
-    history = np.zeros(rows, dtype=labels.dtype)
-    outcomes = np.empty((rows, steps), dtype=labels.dtype)
-    conserved = np.ones(rows, dtype=bool)
-    for k in range(steps):
-        u, v = particle[:, 2 * k], particle[:, 2 * k + 1]
-        pu, pv = partner[u], partner[v]
-        b1, b2 = label[u], label[v]
-        outcomes[:, k] = outcome = np.where(pu == v, b1, swap[:, k])
-        # on partner rows the spectators are v and u themselves, zeroed below
-        partner[pu], partner[pv] = pv, pu
-        label[pu] = label[pv] = residual(b1, b2, outcome)
-        # measured particles keep label 0: no schedule measures them again
-        label[u] = label[v] = 0
-        history ^= outcomes[:, k]
-        # each live edge once: at its lower end
-        live = np.where(partner > index, label, 0).reshape(rows, 2 * n)
-        conserved &= (np.bitwise_xor.reduce(live, axis=1) ^ history) == initial
-    return outcomes, conserved
 
 
 class Party(str, Enum):

@@ -13,11 +13,11 @@ not an engine: its "engine" outcomes are a bare ``rng.integers(4,
 size=k)``, the words k `EntangledMatching.measure_pair` swaps would draw,
 and the oracle's from `oracle.bell_sample` on one Born distribution, read
 by `bell_distributions` from a one-row `prepare_states` batch. The
-parity-conservation checks run their schedules through the batched kernels
-`bell.schedule_outcomes` and `oracle.schedule_outcomes`. The tests replay
-each against `measure_pair` or `oracle.bell_measure_collapse` on identical
-draws. The residual check takes its engine answer from `bell.residual`,
-the swap rule `protocol.cycle_outcomes` and `bell.schedule_outcomes` run.
+engine's parity check runs its schedules through `protocol.cycle_kernel`,
+the kernel behind every `qct cheat` number, and the oracle's through
+`oracle.schedule_outcomes`; the tests replay each against `measure_pair`
+or `oracle.bell_measure_collapse` on identical draws. The residual check
+takes its engine answer from `bell.residual`, the sessions' swap rule.
 
 The three exhaustive checks, `pauli-action-16`, `residual-rule-64` and
 `swap-distribution-exact`, build all their cases as one batch of states
@@ -36,8 +36,8 @@ keeps the cases' order, the comparisons and the detail texts.
 
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules. A kernel call
-takes about CHUNK values, so S is CHUNK // 2n for the engine (2n partner
-entries per schedule) and CHUNK // 4**n for the oracle (4**n amplitudes),
+takes about CHUNK values, so S is CHUNK // 2n for the engine (2n particle
+slots per schedule) and CHUNK // 4**n for the oracle (4**n amplitudes),
 at least 1. Per chunk it draws the labels, ``(S, n)`` int8; then the
 schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BELL_LABELS, BellLabel, PauliLabel, apply_pauli, parity, residual
-from .bell import schedule_outcomes as engine_schedule_outcomes
 from .oracle import (
     MAX_QUBITS,
     apply_pauli_gates,
@@ -66,6 +65,7 @@ from .oracle import (
     prepare_states,
 )
 from .oracle import schedule_outcomes as oracle_schedule_outcomes
+from .protocol import cycle_kernel
 from .seeding import session_rng
 
 # Values per kernel call, from which each check derives its rows: memory
@@ -267,16 +267,38 @@ def _schedule_check(
     return None
 
 
+def engine_schedule_outcomes(
+    labels: np.ndarray, order: np.ndarray, swap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`protocol.cycle_kernel`'s outcomes of the engine check's maximal
+    schedules, ``(S, n)``, and per schedule whether their XOR is the labels'.
+
+    tau sends slot 2k + j (step k's j-th particle) to the slot of its step
+    mate's initial partner. A cycle of pairs and steps is two orbits of tau,
+    both largest at its last step, which measures partners; every other
+    step swaps with ``swap[:, k]``. Labels fold in as `cycle_kernel` says.
+    """
+    measured = order.T  # (2n, S), index-major as the kernel takes it
+    slots = np.arange(len(measured))
+    slot_of = np.empty(measured.shape, dtype=np.intp)
+    np.put_along_axis(slot_of, measured, slots[:, None], axis=0)
+    tau = np.take_along_axis(slot_of, measured[slots ^ 1] ^ 1, axis=0)
+    label = np.take_along_axis(labels.T, measured >> 1, axis=0)
+    _, out = cycle_kernel(tau, np.repeat(swap.T, 2, axis=0) ^ label)
+    outcomes = (out[::2] ^ label[::2]).T
+    return outcomes, np.bitwise_xor.reduce(outcomes ^ labels, axis=1) == 0
+
+
 def check_parity_conservation_engine(
     max_pairs: int = 4, sequences: int = 1000, seed: int = 20_26
 ) -> CheckResult:
     """Random maximal measurement schedules on random labels: the XOR of
     outcome parities must equal the XOR of initial parities, exactly.
 
-    Runs `bell.schedule_outcomes` on chunks of CHUNK // 2n schedules; each
+    Runs `engine_schedule_outcomes` on chunks of CHUNK // 2n schedules; each
     chunk's swap outcomes, ``(S, n)`` int8, follow its schedules in the
-    stream. The kernel also checks the matching's conservation invariant
-    after every step of every schedule.
+    stream. The outcomes' XOR must also equal the labels' on both bits: the
+    matching's conservation invariant after the last step.
     """
 
     def run(rng, labels, order):

@@ -27,8 +27,8 @@ The batched entry points hold many states as the rows of one ``(rows,
 (of `apply_pauli_gate`, one Pauli and qubit per row), `bell_distributions`
 (of `bell_distribution`) and `schedule_outcomes`, the one batched
 collapse, which runs a measurement schedule per row on the outcomes its
-uniforms pick and refuses what the engine's kernel refuses
-(`bell.validate_schedule`). The Bell measurements share one copy of each
+uniforms pick and refuses the schedules the scalar functions refuse, with
+their messages. The Bell measurements share one copy of each
 rule: one gather that reorders qubits (`_transpose_index`; a measurement
 of one qubit pair gathers every row through one shared index), one Born
 rule (`_born_of`), one outcome rule (`_outcomes_of`, the scalar samplers'
@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellLabel, PauliLabel, validate_labels, validate_schedule
+from .bell import BellLabel, PauliLabel, validate_labels
 
 __all__ = [
     "MAX_QUBITS",
@@ -293,6 +293,26 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
     return out
 
 
+def _validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
+    """Raise ValueError unless row r of `order` is a schedule on the pairs
+    ``labels[r]``, each qubit measured at most once, with one draw per step
+    in ``draws[r]``; returns the step count."""
+    if labels.ndim != 2 or order.ndim != 2 or draws.ndim != 2:
+        raise ValueError("labels, order and draws must be two-dimensional")
+    rows, n = labels.shape
+    steps = order.shape[1] // 2
+    if order.shape != (rows, 2 * steps) or draws.shape[0] != rows or steps > n:
+        raise ValueError("labels, order and draws disagree in shape")
+    if draws.shape[1] < steps:
+        raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
+    validate_labels(labels)
+    validate_labels(order, "qubit", 2 * n)
+    # each (row, qubit) counted once: a repeat within a row counts twice
+    if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
+        raise ValueError("measurement qubits must be distinct")
+    return steps
+
+
 def schedule_outcomes(
     labels: np.ndarray, order: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -312,10 +332,10 @@ def schedule_outcomes(
 
     Returns the outcome label values, shape ``(rows, steps)``, and the state
     of the qubits never measured, shape ``(rows, 4**(n - steps))``. Inputs
-    `bell.validate_schedule` refuses raise its ValueError, as they do in
-    the engine's `bell.schedule_outcomes`; so do uniforms outside [0, 1).
+    `_validate_schedule` refuses raise its ValueError; so do uniforms
+    outside [0, 1).
     """
-    steps = validate_schedule(labels, order, uniforms)
+    steps = _validate_schedule(labels, order, uniforms)
     outside = uniforms[~((uniforms >= 0) & (uniforms < 1))]
     if outside.size:
         raise ValueError(f"uniform {outside[0]} is not in [0, 1)")

@@ -333,6 +333,10 @@ def cycle_kernel(tau: np.ndarray, packed: np.ndarray) -> tuple[np.ndarray, np.nd
     values where it closes. Pointer doubling (Hillis & Steele, CACM 1986)
     finds the largest indices, then the suffix XORs along each cycle cut
     after its largest index; `out` is a slot's suffix XOR its successor's.
+
+    Labels fold in by XOR: ``cycle_kernel(tau, swaps ^ labels)[1] ^ labels``
+    is `cycle_outcomes` on `labels`, its swaps read at the indices that do
+    not close: a swap gets its value back, a closer its cycle's labels' and swaps' XOR.
     """
     n, b = tau.shape
     nxt = tau.ravel() * b

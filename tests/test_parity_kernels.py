@@ -1,14 +1,16 @@
 """Batched parity-conservation kernels replayed against their scalar references.
 
-`bell.schedule_outcomes` must return exactly the outcomes of
+The engine check's schedules, run through `protocol.cycle_kernel` by
+`crosscheck.engine_schedule_outcomes`, must return exactly the outcomes of
 `EntangledMatching.measure_pair` fed the same swap draws, with
 `conservation_ok()` true after every step, and `oracle.schedule_outcomes`
 exactly the outcomes of successive `bell_measure_collapse` calls fed the
 same uniforms, with the same collapsed amplitudes. The parity checks in
 `crosscheck` must draw their documented stream, give the same verdict at
 every chunk boundary, stay bounded in memory and catch a broken kernel. The
-residual check and the session driver must both run the shared swap rule
-`bell.residual`, so that a broken rule fails `qct verify`.
+engine check and the reflect kernel must run the one cycle kernel, and the
+residual check and the session driver the one swap rule `bell.residual`,
+so that a broken rule fails `qct verify`.
 """
 
 import tracemalloc
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import bell, crosscheck, oracle, protocol
+from qct import adversary, bell, crosscheck, oracle, protocol
+from qct.adversary import draw_reflect_block, reflect_kernel
 from qct.bell import BellLabel, EntangledMatching, ParticleId, Party
 from qct.crosscheck import (
     CHUNK,
@@ -29,7 +32,9 @@ from qct.crosscheck import (
     check_residual_rule,
 )
 from qct.oracle import bell_measure_collapse, prepare_pairs
-from qct.seeding import session_rng, trial_rng
+from qct.seeding import block_rng, session_rng, trial_rng
+
+engine_schedule_outcomes = crosscheck.engine_schedule_outcomes  # the helper, also where a test wraps it
 
 EXACT = {0.0, 0.25, 1.0}  # every Born probability of a product of Bell pairs
 
@@ -170,7 +175,7 @@ class TestEngineKernel:
         rng = np.random.default_rng(seed)
         labels, order = schedules(rng, rows, n, partner_first)
         swap = rng.integers(4, size=(rows, n), dtype=np.int8)
-        outcomes, conserved = bell.schedule_outcomes(labels, order, swap)
+        outcomes, conserved = engine_schedule_outcomes(labels, order, swap)
         assert conserved.all()
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
@@ -179,23 +184,11 @@ class TestEngineKernel:
         labels = rng.integers(4, size=(50, 6), dtype=np.int8)
         order = np.tile(np.arange(12, dtype=np.int8), (50, 1))
         swap = rng.integers(4, size=(50, 6), dtype=np.int8)
-        outcomes, conserved = bell.schedule_outcomes(labels, order, swap)
+        outcomes, conserved = engine_schedule_outcomes(labels, order, swap)
         assert conserved.all()
         assert outcomes.tolist() == labels.tolist()
 
-    def test_shape_mismatch(self):
-        labels = np.zeros((2, 2), dtype=np.int8)
-        with pytest.raises(ValueError):
-            bell.schedule_outcomes(labels, np.zeros((3, 4), dtype=np.int8), labels)
 
-
-KERNEL_DRAWS = {
-    "engine": (bell.schedule_outcomes, lambda shape: np.zeros(shape, dtype=np.int8)),
-    "oracle": (oracle.schedule_outcomes, lambda shape: np.full(shape, 0.5)),
-}
-
-
-@pytest.mark.parametrize("kernel", sorted(KERNEL_DRAWS))
 @pytest.mark.parametrize("labels, order, width, message", [
     ([-1, 0], [0, 1, 2, 3], 2, "label -1 is not a Bell label value 0..3"),
     ([0, 4], [0, 1, 2, 3], 2, "label 4 is not a Bell label value 0..3"),
@@ -210,30 +203,14 @@ KERNEL_DRAWS = {
     ([0, 0], np.array([0.0, 1.0, 2.0, 3.0]), 2, "qubits must be integers, not float64"),
 ], ids=["label-1", "label4", "label9", "same-step", "measured-twice", "out-of-range", "narrow",
         "float-labels", "bool-labels", "float-qubits"])
-def test_kernels_refuse_the_same_bad_input(kernel, labels, order, width, message):
+def test_oracle_kernel_refuses_bad_schedules(labels, order, width, message):
     # the first row is a good schedule; the second row holds the bad input,
     # whose dtype the whole array takes (int8 for a list)
-    run, draws = KERNEL_DRAWS[kernel]
     labels = np.array([[0, 0], labels], dtype=getattr(labels, "dtype", np.int8))
     order = np.array([[0, 1, 2, 3], order], dtype=getattr(order, "dtype", np.int8))
     with pytest.raises(ValueError) as refused:
-        run(labels, order, draws((2, width)))
+        oracle.schedule_outcomes(labels, order, np.full((2, width), 0.5))
     assert str(refused.value) == message
-
-
-def test_engine_kernel_refuses_swap_draws_that_are_not_labels():
-    # a swap draw of 7 would come back as the outcome and the residual
-    with pytest.raises(ValueError) as refused:
-        bell.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]), np.array([[7, -1]]))
-    assert str(refused.value) == "label 7 is not a Bell label value 0..3"
-
-
-@pytest.mark.parametrize("swap", [np.array([[0.5, 1.0]]), np.array([[True, False]])],
-                         ids=["float", "bool"])
-def test_engine_kernel_refuses_swap_draws_that_are_not_integers(swap):
-    with pytest.raises(ValueError) as refused:
-        bell.schedule_outcomes(np.array([[0, 0]]), np.array([[0, 2, 1, 3]]), swap)
-    assert str(refused.value) == f"labels must be integers, not {swap.dtype}"
 
 
 @pytest.mark.parametrize("bad", [-0.5, 1.0, 1.5, np.nan])
@@ -376,7 +353,7 @@ def test_engine_check_chunks(monkeypatch, chunk, offset):
     )
     assert_same_draws(calls, engine_stream(9, 3, sequences, chunk))
     for labels, order, swap in calls:
-        outcomes, _ = bell.schedule_outcomes(labels, order, swap)
+        outcomes, _ = engine_schedule_outcomes(labels, order, swap)
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
 
@@ -418,13 +395,30 @@ def test_verify_defaults_kernel_traffic(monkeypatch):
 
 
 class TestNegativeControls:
-    # a flip by 3 keeps every parity, so only the per-step invariant sees it
+    # a flip by 3 keeps every parity, so only the check on both label bits sees it
     @pytest.mark.parametrize("flip", [1, 2, 3])
-    def test_wrong_residual_breaks_the_engine_check(self, monkeypatch, flip):
-        monkeypatch.setattr(bell, "residual", lambda b1, b2, outcome: b1 ^ b2 ^ outcome ^ flip)
+    def test_wrong_closing_rule_breaks_the_engine_check_and_the_reflect_kernel(
+        self, monkeypatch, flip
+    ):
+        # the check and the reflect Monte Carlo call the one kernel, not a copy
+        assert crosscheck.cycle_kernel is adversary.cycle_kernel is protocol.cycle_kernel
+        kernel = protocol.cycle_kernel
+
+        def wrong(tau, packed):  # XORs the flip into every closing slot
+            closes, out = kernel(tau, packed)
+            return closes, out ^ closes * np.int8(flip)
+
+        draws = draw_reflect_block(block_rng(3, 0), 4)
+        want = reflect_kernel(draws, 0)
+        for module in (crosscheck, adversary):
+            monkeypatch.setattr(module, "cycle_kernel", wrong)
         result = check_parity_conservation_engine(max_pairs=3, sequences=50)
-        # n = 1 has no swaps, so the first broken schedule has two pairs
-        assert result == CheckResult("parity-conservation-engine", False, "invariant broke at n=2")
+        # at n = 1 the one measurement closes its cycle, so the first schedule breaks
+        assert result == CheckResult("parity-conservation-engine", False, "invariant broke at n=1")
+        got = reflect_kernel(draws, 0)
+        # Alice's records read the closing outcomes, Bob's bits 2-3 keep his guesses
+        assert got.bob.tolist() == want.bob.tolist()
+        assert set((got.alice ^ want.alice).ravel().tolist()) == {0, flip}
 
     @pytest.mark.parametrize("flip", [1, 2, 3])
     def test_wrong_shared_swap_rule_breaks_verify_and_the_sessions(self, monkeypatch, flip):

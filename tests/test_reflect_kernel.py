@@ -250,6 +250,22 @@ def test_cycle_kernel_closes_each_cycle_at_its_largest_index(n):
         assert out[:, t].tolist() == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 32, 128])
+def test_cycle_kernel_folds_labels_in_by_xor(n):
+    # the identity the engine check and the reflect kernel run their labels through
+    rng = np.random.default_rng(n + 7)
+    b = 64 if n < 128 else 4
+    tau = rng.permuted(np.broadcast_to(np.arange(n)[:, None], (n, b)), axis=0)
+    labels = rng.integers(0, 4, size=(n, b), dtype=np.int8)
+    swaps = rng.integers(0, 4, size=(n, b), dtype=np.int8)
+    closes, out = cycle_kernel(tau, swaps ^ labels)
+    out ^= labels
+    for t in range(b):
+        cycles = cycle_structure((tau[:, t] + 1).tolist())
+        drawn = swaps[~closes[:, t], t].tolist()
+        assert out[:, t].tolist() == cycle_outcomes(cycles, labels[:, t].tolist(), drawn)
+
+
 @pytest.mark.parametrize("field", ReflectDraws._fields)
 @pytest.mark.parametrize("shape", [(8, 1), (8, 4), (7, 3), (3,)])
 def test_kernel_refuses_draws_fields_of_another_shape(field, shape):
