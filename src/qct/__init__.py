@@ -43,10 +43,7 @@ from .adversary import (
     run_reflect_attack,
 )
 from .analysis import (
-    BiasTarget,
     min_gamma,
-    min_pairs_for_bias,
-    min_pairs_for_threshold,
     pass_prob_closed_form,
     pass_prob_composition_sum,
     pass_prob_permutation_model,

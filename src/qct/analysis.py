@@ -17,7 +17,10 @@ implemented side by side.
   real and surfaced in reports; the simulated attack follows the
   permutation model.
 
-`pass_prob_closed_form` is the reference curve (5/8)**(N-1) itself.
+`pass_prob_closed_form` is the reference curve (5/8)**(N-1) itself; the
+paper's N = 11 is the first N it puts at or below 0.01, and the permutation
+model is below 0.01 from N = 7. Both rest on the conservation law (outcome
+XOR = label XOR) that `qct verify`'s two schedule checks compare in full.
 Robustness: readout noise gamma per measurement must keep the honest abort
 rate below the cheat pass probability. `min_gamma` is the one-sided noise
 budget, 1 - gamma**N <= P(N): only one party's N records are noisy. The simulator (`protocol.NoiseModel`) corrupts both
@@ -29,19 +32,15 @@ the budget here does not describe that model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "BiasTarget",
     "pass_prob_closed_form",
     "pass_prob_composition_sum",
     "pass_prob_composition_sum_exact",
     "pass_prob_permutation_model",
     "pass_prob_permutation_model_exact",
     "min_gamma",
-    "min_pairs_for_threshold",
-    "min_pairs_for_bias",
     "MODEL_DISCREPANCY_NOTE",
 ]
 
@@ -99,44 +98,3 @@ def min_gamma(n: int, p_threshold: float) -> float:
     if not 0.0 < p_threshold < 1.0:
         raise ValueError("p_threshold must lie in (0, 1)")
     return (1.0 - p_threshold) ** (1.0 / n)
-
-
-def min_pairs_for_threshold(p_threshold: float) -> int:
-    """Smallest N >= 1 with (5/8)**(N-1) <= p_threshold (exact arithmetic)."""
-    if not 0.0 < p_threshold <= 1.0:
-        raise ValueError("p_threshold must lie in (0, 1]")
-    bound = Fraction(p_threshold)
-    power = Fraction(1)
-    n = 1
-    while power > bound:
-        power *= Fraction(5, 8)
-        n += 1
-    return n
-
-
-@dataclass(frozen=True)
-class BiasTarget:
-    """Desired bound xi on a cheater's excess success probability over 1/2."""
-
-    xi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.xi < 0.5:
-            raise ValueError("xi must lie in (0, 1/2)")
-
-
-def min_pairs_for_bias(target: BiasTarget) -> int:
-    """Smallest N whose pass probability bounds the bias by target.xi.
-
-    A coin-forcing strategy mixed with honest play wins its preferred value
-    with probability at most 1/2 + P/2 once it must survive the results
-    check with probability P, so P <= 2*xi suffices for a bias of xi.
-
-    The bound holds against the two modelled attacks (reflection and fake
-    sequence) only, not against every cheater: ideal quantum coin tossing
-    is impossible (Lo & Chau, quant-ph/9711065), and by Kitaev's bound some
-    cheater of any quantum strong coin-flipping protocol reaches a bias of
-    1/sqrt(2) - 1/2 ~ 0.207 (Chailloux & Kerenidis, arXiv:0904.1511), so a
-    target below 0.207 holds only against the two modelled attacks.
-    """
-    return min_pairs_for_threshold(2.0 * target.xi)

@@ -4,9 +4,10 @@ The symbolic matching engine claims two algebraic facts: a one-sided Pauli
 XORs the pair label, and an entanglement swap leaves the spectators in
 ``b1 ^ b2 ^ outcome`` with a uniform outcome. The checks here re-derive
 both from raw statevector simulation, compare exact distributions, compare
-sampled distributions (total-variation distance), and confirm parity
-conservation on random maximal measurement schedules in engine and oracle
-alike. `run_all` powers the `verify` CLI subcommand.
+sampled distributions (total-variation distance), and confirm on random
+maximal measurement schedules, in engine and oracle alike, that the XOR of
+the outcomes is the XOR of the labels on both label bits, one comparison
+for both checks. `run_all` powers the `verify` CLI subcommand.
 
 The sampled-distribution check tests numpy's sampler against the oracle's,
 not an engine: its "engine" outcomes are a bare ``rng.integers(4,
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BELL_LABELS, BellLabel, PauliLabel, apply_pauli, parity, residual
+from .bell import BELL_LABELS, BellLabel, PauliLabel, apply_pauli, residual
 from .oracle import (
     MAX_QUBITS,
     apply_pauli_gates,
@@ -237,10 +238,10 @@ def _schedule_check(
 ) -> CheckResult | None:
     """Draw ``CHUNK // width(n)`` schedules (at least one) at a time per pair
     count n, a schedule holding ``width(n)`` values, as the module's stream
-    contract says, and run each chunk through
-    ``run(rng, labels, order) -> (outcomes, conserved)``, which draws what
-    its kernel needs next. The first failing schedule's result, or None if
-    every schedule conserves parity."""
+    contract says, and run each chunk through ``run(rng, labels, order)``,
+    which draws what its kernel needs next and returns the ``(S, n)``
+    outcomes. The first schedule whose outcomes' XOR is not its labels' XOR,
+    on either bit, fails the check; None if every schedule conserves it."""
     if not 1 <= max_pairs <= MAX_QUBITS // 2:
         raise ValueError(f"max_pairs must lie in 1..{MAX_QUBITS // 2} (got {max_pairs})")
     if sequences < 1:
@@ -253,25 +254,19 @@ def _schedule_check(
             labels = rng.integers(4, size=(size, n), dtype=np.int8)
             order = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (size, 1)), axis=1)
             order = np.sort(order.reshape(size, n, 2), axis=2).reshape(size, 2 * n)
-            outcomes, conserved = run(rng, labels, order)
-            same = parity(np.bitwise_xor.reduce(outcomes, axis=1)) == parity(
-                np.bitwise_xor.reduce(labels, axis=1)
-            )
-            failed = np.flatnonzero(~(conserved & same))
+            outcomes = run(rng, labels, order)
+            failed = np.flatnonzero(np.bitwise_xor.reduce(outcomes ^ labels, axis=1))
             if failed.size:
-                r = failed[0]
-                if not conserved[r]:
-                    return CheckResult(name, False, f"invariant broke at n={n}")
-                row = [BellLabel(int(x)) for x in labels[r]]
-                return CheckResult(name, False, f"parity mismatch at n={n}: {row}")
+                row = [BellLabel(int(x)) for x in labels[failed[0]]]
+                return CheckResult(name, False, f"XOR mismatch at n={n}: {row}")
     return None
 
 
 def engine_schedule_outcomes(
     labels: np.ndarray, order: np.ndarray, swap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """`protocol.cycle_kernel`'s outcomes of the engine check's maximal
-    schedules, ``(S, n)``, and per schedule whether their XOR is the labels'.
+    schedules, ``(S, n)``.
 
     tau sends slot 2k + j (step k's j-th particle) to the slot of its step
     mate's initial partner. A cycle of pairs and steps is two orbits of tau,
@@ -285,20 +280,18 @@ def engine_schedule_outcomes(
     tau = np.take_along_axis(slot_of, measured[slots ^ 1] ^ 1, axis=0)
     label = np.take_along_axis(labels.T, measured >> 1, axis=0)
     _, out = cycle_kernel(tau, np.repeat(swap.T, 2, axis=0) ^ label)
-    outcomes = (out[::2] ^ label[::2]).T
-    return outcomes, np.bitwise_xor.reduce(outcomes ^ labels, axis=1) == 0
+    return (out[::2] ^ label[::2]).T
 
 
 def check_parity_conservation_engine(
     max_pairs: int = 4, sequences: int = 1000, seed: int = 20_26
 ) -> CheckResult:
     """Random maximal measurement schedules on random labels: the XOR of
-    outcome parities must equal the XOR of initial parities, exactly.
+    the outcomes must equal the XOR of the labels, on both bits, exactly.
 
     Runs `engine_schedule_outcomes` on chunks of CHUNK // 2n schedules; each
     chunk's swap outcomes, ``(S, n)`` int8, follow its schedules in the
-    stream. The outcomes' XOR must also equal the labels' on both bits: the
-    matching's conservation invariant after the last step.
+    stream.
     """
 
     def run(rng, labels, order):
@@ -320,7 +313,8 @@ def check_parity_conservation_oracle(
     max_pairs: int = 4, sequences: int = 250, seed: int = 20_26
 ) -> CheckResult:
     """Same conservation law on the statevector: measure random disjoint
-    qubit pairs to exhaustion; sampled branch outcomes must satisfy it.
+    qubit pairs to exhaustion; the sampled branch outcomes' XOR must equal
+    the labels' on both bits.
 
     Runs `oracle.schedule_outcomes` on chunks of CHUNK // 4**n schedules;
     each chunk's collapse uniforms, ``(S, n)`` float64, follow its schedules
@@ -328,8 +322,7 @@ def check_parity_conservation_oracle(
     """
 
     def run(rng, labels, order):
-        outcomes, _ = oracle_schedule_outcomes(labels, order, rng.random(labels.shape))
-        return outcomes, np.ones(len(labels), dtype=bool)
+        return oracle_schedule_outcomes(labels, order, rng.random(labels.shape))[0]
 
     failure = _schedule_check(
         "parity-conservation-oracle", max_pairs, sequences, seed, lambda n: 4**n, run

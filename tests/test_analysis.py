@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qct.analysis import (
-    BiasTarget,
     min_gamma,
-    min_pairs_for_bias,
-    min_pairs_for_threshold,
     pass_prob_closed_form,
     pass_prob_composition_sum,
     pass_prob_composition_sum_exact,
@@ -167,32 +164,15 @@ class TestRobustness:
         assert 1.0 - g**n == pytest.approx(p, rel=1e-9)
 
 
-class TestMinPairs:
-    def test_known_thresholds(self):
-        assert min_pairs_for_threshold(0.01) == 11
-        assert min_pairs_for_threshold(1.0) == 1
-        assert min_pairs_for_threshold(0.625) == 2
+class TestDesignPoint:
+    def test_smallest_n_at_each_threshold(self):
+        """The paper's curve (5/8)^(N-1) first reaches p at N = 11, 16 and 31,
+        the simulated attack's C(N+3,3)/4^N at N = 7, 9 and 15."""
 
-    def test_result_is_minimal(self):
-        for threshold in (0.3, 0.05, 0.004, 1e-6):
-            n = min_pairs_for_threshold(threshold)
-            assert pass_prob_closed_form(n) <= threshold
-            if n > 1:
-                assert pass_prob_closed_form(n - 1) > threshold
+        def smallest(prob, p):
+            return next(n for n in range(1, 100) if prob(n) <= p)
 
-    def test_bias_target(self):
-        with pytest.raises(ValueError):
-            BiasTarget(0.5)
-        with pytest.raises(ValueError):
-            BiasTarget(0.0)
-        # xi = 0.005 caps the pass probability at 0.01
-        assert min_pairs_for_bias(BiasTarget(0.005)) == 11
-        # xi = 0.3 caps it at 0.6, first satisfied by three pairs
-        assert min_pairs_for_bias(BiasTarget(0.3)) == 3
-        assert min_pairs_for_bias(BiasTarget(0.49)) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_pairs_for_threshold(0.0)
-        with pytest.raises(ValueError):
-            min_pairs_for_threshold(1.5)
+        thresholds = [Fraction(1, 10**k) for k in (2, 3, 6)]
+        assert [smallest(lambda n: Fraction(5, 8) ** (n - 1), p) for p in thresholds] == [
+            11, 16, 31]
+        assert [smallest(pass_prob_permutation_model_exact, p) for p in thresholds] == [7, 9, 15]

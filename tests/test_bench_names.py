@@ -3,10 +3,11 @@
 `perfbench/tracing.py` wraps every function its `LAYERS` table names, on
 that function's ``qct`` module (methods on their class), and the
 `sessions` workload calls `run_reflect_attack` with `record_transcript`.
-`perfbench/workloads.py` and `perfbench/run.py` import ``qct`` names and
+`perfbench/workloads.py`, `perfbench/run.py`, `perfbench/checks.py` and
+the benchmark's own tests, `perfbench/tests/*.py`, import ``qct`` names and
 read attributes of ``qct`` modules. A name that moved without a re-export
-would only show up as a failed or traced benchmark run; these tests catch
-it in the test suite.
+would only show up as a failed or traced benchmark run, or as a failing
+benchmark test; these tests catch it in the test suite.
 """
 
 import ast
@@ -70,9 +71,12 @@ def _imported_names(path: Path) -> list[str]:
     return sorted(names)
 
 
+SCRIPTS = ["workloads.py", "run.py", "checks.py"] + sorted(
+    path.relative_to(PERFBENCH).as_posix() for path in (PERFBENCH / "tests").glob("*.py"))
+
+
 @pytest.mark.parametrize("name", [
-    f"{script}:{name}" for script in ("workloads.py", "run.py")
-    for name in _imported_names(PERFBENCH / script)])
+    f"{script}:{name}" for script in SCRIPTS for name in _imported_names(PERFBENCH / script)])
 def test_benchmark_script_name_resolves(name):
     module, _, attr = name.partition(":")[2].rpartition(".")
     if module == "qct" and attr in MODULES:

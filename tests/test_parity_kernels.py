@@ -39,6 +39,11 @@ engine_schedule_outcomes = crosscheck.engine_schedule_outcomes  # the helper, al
 EXACT = {0.0, 0.25, 1.0}  # every Born probability of a product of Bell pairs
 
 
+def conserved(labels, outcomes):
+    """Per schedule, whether its outcomes' XOR is its labels' XOR on both bits."""
+    return np.bitwise_xor.reduce(outcomes ^ labels, axis=1) == 0
+
+
 class StepRng:
     """Serves one recorded draw to one scalar measurement and records
     whether it was asked for."""
@@ -175,8 +180,8 @@ class TestEngineKernel:
         rng = np.random.default_rng(seed)
         labels, order = schedules(rng, rows, n, partner_first)
         swap = rng.integers(4, size=(rows, n), dtype=np.int8)
-        outcomes, conserved = engine_schedule_outcomes(labels, order, swap)
-        assert conserved.all()
+        outcomes = engine_schedule_outcomes(labels, order, swap)
+        assert conserved(labels, outcomes).all()
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
     def test_partner_schedules_return_the_labels(self):
@@ -184,8 +189,8 @@ class TestEngineKernel:
         labels = rng.integers(4, size=(50, 6), dtype=np.int8)
         order = np.tile(np.arange(12, dtype=np.int8), (50, 1))
         swap = rng.integers(4, size=(50, 6), dtype=np.int8)
-        outcomes, conserved = engine_schedule_outcomes(labels, order, swap)
-        assert conserved.all()
+        outcomes = engine_schedule_outcomes(labels, order, swap)
+        assert conserved(labels, outcomes).all()
         assert outcomes.tolist() == labels.tolist()
 
 
@@ -353,7 +358,8 @@ def test_engine_check_chunks(monkeypatch, chunk, offset):
     )
     assert_same_draws(calls, engine_stream(9, 3, sequences, chunk))
     for labels, order, swap in calls:
-        outcomes, _ = engine_schedule_outcomes(labels, order, swap)
+        outcomes = engine_schedule_outcomes(labels, order, swap)
+        assert conserved(labels, outcomes).all()
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
 
@@ -394,8 +400,13 @@ def test_verify_defaults_kernel_traffic(monkeypatch):
     assert [size for _, _, size in sampled] == [8192] * 12 + [1696]
 
 
+def first_labels(stream):
+    """The labels of a stream's first schedule, as a failing check lists them."""
+    return [BellLabel(int(x)) for x in next(stream)[0][0]]
+
+
 class TestNegativeControls:
-    # a flip by 3 keeps every parity, so only the check on both label bits sees it
+    # a flip by 3 keeps every parity, so only a check on both label bits sees it
     @pytest.mark.parametrize("flip", [1, 2, 3])
     def test_wrong_closing_rule_breaks_the_engine_check_and_the_reflect_kernel(
         self, monkeypatch, flip
@@ -414,7 +425,9 @@ class TestNegativeControls:
             monkeypatch.setattr(module, "cycle_kernel", wrong)
         result = check_parity_conservation_engine(max_pairs=3, sequences=50)
         # at n = 1 the one measurement closes its cycle, so the first schedule breaks
-        assert result == CheckResult("parity-conservation-engine", False, "invariant broke at n=1")
+        first = first_labels(engine_stream(20_26, 1, 50, CHUNK))
+        assert result == CheckResult(
+            "parity-conservation-engine", False, f"XOR mismatch at n=1: {first}")
         got = reflect_kernel(draws, 0)
         # Alice's records read the closing outcomes, Bob's bits 2-3 keep his guesses
         assert got.bob.tolist() == want.bob.tolist()
@@ -464,8 +477,23 @@ class TestNegativeControls:
         labels = next(oracle_stream(20_26, 1, 50, CHUNK))[0][:, 0]
         first = BellLabel(int(labels[labels >= 2][0]))
         assert result == CheckResult(
-            "parity-conservation-oracle", False, f"parity mismatch at n=1: [{first!r}]"
+            "parity-conservation-oracle", False, f"XOR mismatch at n=1: [{first!r}]"
         )
+
+    def test_parity_preserving_fault_breaks_the_oracle_check(self, monkeypatch):
+        kernel = crosscheck.oracle_schedule_outcomes
+
+        def flipped(*args):  # XORs 3 into every schedule's last outcome
+            outcomes, amps = kernel(*args)
+            outcomes[:, -1] ^= 3
+            return outcomes, amps
+
+        monkeypatch.setattr(crosscheck, "oracle_schedule_outcomes", flipped)
+        result = check_parity_conservation_oracle(max_pairs=3, sequences=50)
+        # the flip keeps the parity but not the label, so the first schedule fails
+        first = first_labels(oracle_stream(20_26, 1, 50, CHUNK))
+        assert result == CheckResult(
+            "parity-conservation-oracle", False, f"XOR mismatch at n=1: {first}")
 
 
 def traced_peak(call):
