@@ -155,6 +155,10 @@ def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> Reflec
     Alice's possibly corrupted records equal Bob's announcement; her coin
     is the XOR of their parities. The fields must share one (B, N) shape,
     `flip` be a Pauli value 0..3 and `gamma` lie in (0, 1], as a `NoiseModel`'s.
+    Each row of both orders must be a permutation of 0..N-1, as
+    `draw_reflect_block` draws them; that goes unchecked, since a check costs
+    more than the kernel, and rows that are no permutation give meaningless
+    trials (with an all-zero `alice_order` every trial passes).
     """
     validate_labels(flip, "Pauli")
     NoiseModel(gamma)

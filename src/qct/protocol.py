@@ -129,10 +129,11 @@ class Sequence:
 
 
 def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
-    order = tuple([x + 1 for x in rng.permutation(n).tolist()])
-    # numpy drew a permutation: no second check, but of the empty one, which it refuses
-    seq = object.__new__(Sequence) if order else Sequence(order)
-    object.__setattr__(seq, "order", order)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)  # numpy's Fisher-Yates: the words and the order of `permutation(n)`
+    # a shuffle of 1..n is a permutation: no second check, but of the empty one, which it refuses
+    seq = object.__new__(Sequence) if order else Sequence(())
+    object.__setattr__(seq, "order", tuple(order))
     return seq
 
 
@@ -506,9 +507,10 @@ def run_session(
 
     alice_seq = announced = random_sequence(n, rng)
     if kind is _REFLECT:
-        return_order = rng.permutation(n)  # return slot s holds received slot return_order[s-1]+1
-        # True pair content of each return slot: Alice's pair alice_seq(rho(s)).
-        arrived = [alice_seq.order[r] for r in return_order.tolist()]
+        # True pair content of each return slot: Alice's pair alice_seq(rho(s)),
+        # for Bob's return order rho, which the shuffle draws as `permutation(n)` would.
+        arrived = list(alice_seq.order)
+        rng.shuffle(arrived)
         cycles = cycle_structure(arrived)
         bob_batch = tuple([alice_ids[m - 1] for m in arrived])
         # Alice measures her kept half of pair m against return slot m, which

@@ -24,6 +24,9 @@ one stream, so both families raise ValueError outside that range.
 Within a stream, a label is the top two bits of one 32-bit word, whichever
 call reads it: `rng.integers(4)`, `rng.integers(4, size=k)`, or 4 *
 `rng.random(k, dtype=np.float32)` truncated, so the choice moves no stream.
+An order is numpy's Fisher-Yates shuffle on the stream: `rng.permutation(n)`
+and `rng.shuffle` of an n-entry list read the same words and move entry
+perm[i] to slot i alike, so a session's orders are drawn by shuffling lists.
 
 Both families build their Philox generator from a seed sequence that hands
 over the key words [seed & MASK64, 0] unchanged, where `Philox(key=...)`

@@ -7,7 +7,8 @@ the particle's edge. Alice's particle i is code i - 1 and Bob's 2N + i - 1,
 so a source pair's halves are codes c and c ^ 1. `measure_phase` is held to
 successive `EntangledMatching.measure_pair` calls in `test_int_path.py`, and
 `reference_session` runs a whole session on it with the draws, in the
-order, that `run_session` documents.
+order, that `run_session` documents; it draws every order by
+`rng.permutation`, where the driver shuffles lists.
 
 `stirling_first_kind` gives the cycle counts that the permutation model's
 closed form and the reflect attack's cycle histogram are held to.
@@ -23,6 +24,7 @@ from qct.protocol import (
     CoinAnnouncement,
     ParticleBatch,
     ResultsAnnouncement,
+    Sequence,
     SequenceAnnouncement,
     SessionRun,
     SessionTranscript,
@@ -33,7 +35,6 @@ from qct.protocol import (
     apply_noise,
     best_guess_results,
     cycle_structure,
-    random_sequence,
     toss_from_outcomes,
     travelling,
 )
@@ -102,6 +103,11 @@ def measure_phase(partner, label, kept, received, noise, rng, then=0):
     return tuple(out), drawn[swaps:]
 
 
+def permuted_sequence(n: int, rng) -> Sequence:
+    """A transmission order drawn as `rng.permutation(n)`, shifted to 1..n."""
+    return Sequence(tuple([x + 1 for x in rng.permutation(n).tolist()]))
+
+
 def reference_session(config, strategy, rng) -> SessionRun:
     """`protocol.run_session` with every phase walked by `measure_phase`."""
     n = config.n_pairs
@@ -110,7 +116,7 @@ def reference_session(config, strategy, rng) -> SessionRun:
     alice_ids = travelling(Party.ALICE, n)
     fake = strategy.kind is StrategyKind.FAKE_SEQUENCE
 
-    alice_seq = announced = random_sequence(n, rng)
+    alice_seq = announced = permuted_sequence(n, rng)
     if strategy.kind is StrategyKind.REFLECT:
         return_order = rng.permutation(n)
         arrived = [alice_seq.order[r] for r in return_order.tolist()]
@@ -126,7 +132,7 @@ def reference_session(config, strategy, rng) -> SessionRun:
         alice_results = measure_phase(partner, label, alice_even, bob_odd, config.noise, rng)[0]
         if fake and n > 1 and toss_from_outcomes(alice_results) != strategy.desired:
             while announced == alice_seq:
-                announced = random_sequence(n, rng)
+                announced = permuted_sequence(n, rng)
         sent = [alice_odd[m - 1] for m in alice_seq.order]  # sent[t - 1] travels in slot t
         claimed = [0] * n  # claimed[m - 1] travels in the slot announced for pair m
         for pair, code in zip(announced.order, sent):

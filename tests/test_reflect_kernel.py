@@ -59,7 +59,8 @@ class ReplayRng:
     """Minimal rng stand-in that serves `run_reflect_attack` the draws of one
     recorded row, in the order the scalar session asks for them.
 
-    The session draws Alice's sequence and Bob's return order; then the
+    The session draws Alice's sequence and Bob's return order, each by a
+    `shuffle` that reorders its list by the recorded row; then the
     phase's swap labels, one per index m in order except where the
     measurement closes its cycle (at the cycle's largest index); then Bob's
     guesses, by the same rule; then, under noise, the noise on the records:
@@ -81,10 +82,11 @@ class ReplayRng:
         self._noise, self._corrupt = row.noise, row.corrupt
         self._index = -1  # index of the last noise draw
 
-    def permutation(self, n: int) -> np.ndarray:
+    def shuffle(self, x: list) -> None:
+        # entry i becomes entry perm[i], as numpy's shuffle with `permutation`'s draws
         perm = self._perms.pop(0)
-        assert len(perm) == n
-        return perm
+        assert len(perm) == len(x)
+        x[:] = [x[i] for i in perm.tolist()]
 
     def integers(self, low: int, high: int | None = None, size: int | None = None):
         if high is None:
@@ -286,6 +288,17 @@ def test_reflect_block_keeps_its_documented_shapes(trials, n):
         assert rows.tolist() == np.ascontiguousarray(rows).tolist()
     assert block.passed.shape == (trials,) and block.passed.dtype == np.bool_
     assert block.coin.shape == (trials,) and block.coin.dtype == np.int8
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 1024])
+def test_block_orders_are_permutations(n):
+    # the kernel does not check its orders, so the drawn ones must be permutations
+    for seed, k in ((0, 0), (7, 3)):
+        draws = draw_reflect_block(block_rng(seed, k), n)
+        for order in (draws.alice_order, draws.return_order):
+            assert order.shape == (BLOCK_TRIALS, n)
+            np.testing.assert_array_equal(np.sort(order, axis=1),
+                                          np.broadcast_to(np.arange(n), order.shape))
 
 
 @pytest.mark.parametrize("n", range(1, 12))

@@ -1,8 +1,8 @@
 """Stream construction: `trial_rng` and `block_rng` yield the words of the
 Philox generator keyed by the masked seed at their counter and refuse any
 index outside 0..2**63 - 1, `draw_labels` reads the words numpy's bounded
-label draw reads, and importing `qct` leaves `numpy.random` unloaded until
-the first stream."""
+label draw reads, a list shuffle reads those of `permutation`, and importing
+`qct` leaves `numpy.random` unloaded until the first stream."""
 
 import subprocess
 import sys
@@ -68,7 +68,8 @@ def test_key_words_refuse_any_other_request():
 # permutation's length; odd label counts leave a half-word buffered.
 PREFIXES = [("labels", 0), ("labels", 1), ("labels", 2), ("labels", 3),
             ("permutation", 2), ("permutation", 5), ("permutation", 11)]
-STREAM_MAKERS = {"trial": lambda seed: trial_rng(seed, 3), "session": session_rng}
+STREAM_MAKERS = {"trial": lambda seed: trial_rng(seed, 3), "block": lambda seed: block_rng(seed, 3),
+                 "session": session_rng}
 
 
 @pytest.mark.parametrize("stream", sorted(STREAM_MAKERS))
@@ -91,6 +92,34 @@ def test_draw_labels_reads_the_words_of_the_bounded_draw(stream):
                 assert rng.integers(4) == twin.integers(4)
                 assert rng.permutation(5).tolist() == twin.permutation(5).tolist()
     assert buffered == {0, 1}  # both buffer states came before a draw
+
+
+@pytest.mark.parametrize("stream", sorted(STREAM_MAKERS))
+def test_list_shuffle_reads_the_words_of_the_permutation(stream):
+    # `random_sequence` shuffles 1..N and the reflect branch a copy of
+    # Alice's order; both must read the words, and give the order, of
+    # `permutation(n)`
+    make = STREAM_MAKERS[stream]
+    buffered = set()
+    for seed in range(6):
+        for labels in (0, 1):  # one scalar label leaves a half-word buffered
+            for n in (1, 2, 3, 11, 32, 1024):
+                rng, twin, other = make(seed), make(seed), make(seed)
+                for r in (rng, twin, other):
+                    for _ in range(labels):
+                        r.integers(4)
+                buffered.add(rng.bit_generator.state["has_uint32"])
+                perm = twin.permutation(n).tolist()
+                order = list(range(n))
+                rng.shuffle(order)
+                assert order == perm, (seed, labels, n)
+                assert _state(rng) == _state(twin)
+                entries = [3 * x + 1 for x in reversed(perm)]
+                arrived = list(entries)
+                other.shuffle(arrived)
+                assert arrived == [entries[r] for r in perm]
+                assert _state(other) == _state(twin)
+    assert buffered == {0, 1}  # both buffer states came before a shuffle
 
 
 def test_import_leaves_numpy_random_unloaded():

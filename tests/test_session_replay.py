@@ -4,8 +4,10 @@ The driver computes each phase from the cycles of the permutation it
 measures along (`protocol.cycle_outcomes`); `reference.reference_session`
 walks the same phases particle by particle on partner and label lists. On
 identical streams both must give the same messages, records, verdict and
-coin, and leave the generator in the same state. A counting proxy pins how
-many generator calls a session makes, without timing anything.
+coin, and leave the generator in the same state. The driver draws its
+orders by shuffling lists and the reference by `rng.permutation`, so the
+replay also ties those two calls together on one stream. A counting proxy
+pins how many generator calls a session makes, without timing anything.
 """
 
 from collections import Counter
@@ -71,10 +73,11 @@ class CountingRng:
 
 
 def _tally(calls) -> Counter:
-    """Calls by kind: permutations, batched label draws, noise uniforms,
-    noise corruptions; any other call is counted under its own signature."""
+    """Calls by kind: list shuffles, batched label draws, noise uniforms,
+    noise corruptions; any other call, a `permutation` too, is counted under
+    its own signature."""
     kinds = {
-        ("permutation", 1, ()): "permutation",
+        ("shuffle", 1, ()): "shuffle",
         ("random", 1, ("dtype",)): "labels",
         ("random", 0, ()): "uniform",
         ("integers", 2, ()): "corruption",
@@ -97,7 +100,7 @@ def test_draw_counts_per_session(n):
                 if messages[2].sequence.order != sent:
                     continue  # she lied: the lie's draws are the replay test's
                 tally = _tally(rng.calls)
-                assert tally.pop("permutation") == 1
+                assert tally.pop("shuffle") == 1
                 assert tally.pop("labels") == 1
                 assert tally.pop("uniform", 0) == (2 * n if noisy else 0)
                 assert tally.pop("corruption", 0) <= 2 * n
@@ -106,7 +109,7 @@ def test_draw_counts_per_session(n):
             messages = run_session(config, Strategy.reflect(PauliLabel.X), rng).transcript.messages
             arrived = [p.index // 2 + 1 for p in messages[1].particles]
             tally = _tally(rng.calls)
-            assert tally.pop("permutation") == 2
+            assert tally.pop("shuffle") == 2
             # a return order of fixed points only leaves no swap and no guess to draw
             assert tally.pop("labels", 0) == (len(cycle_structure(arrived)) < n)
             assert tally.pop("uniform", 0) == (n if noisy else 0)
@@ -125,7 +128,7 @@ def test_lies_and_their_retries_replay_exactly():
                 rng = CountingRng(trial_rng(seed, 2))
                 got = _run(run_session, config, strategy, rng)
                 assert got == _run(reference_session, config, strategy, trial_rng(seed, 2))
-                retries += _tally(rng.calls)["permutation"] > 2
+                retries += _tally(rng.calls)["shuffle"] > 2
     assert retries > 50
 
 
