@@ -18,9 +18,10 @@ equals hers no matter which sequence she names.
 
 One session under either attack is `protocol.run_session`; this module
 evaluates the attacks over many trials. Reflect trials go through
-`reflect_kernel`, which evaluates a block of sessions at once from explicit
-random draws by `protocol.cycle_kernel`'s pointer doubling, O(N log N) per
-trial; fed the same draws, it and `run_reflect_attack` agree bit for bit.
+`reflect_kernel`: from explicit draws (tau, packed labels, any noise) it
+evaluates a block of sessions at once by `protocol.cycle_kernel`'s pointer
+doubling, O(N log N) per trial; fed the same draws, it and
+`run_reflect_attack` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -102,20 +103,18 @@ def run_fake_sequence_attack(
 class ReflectDraws(NamedTuple):
     """Random draws of B reflection-attack trials at N pairs, one row each.
 
-    Indices are 0-based. Slot t of Alice's sequence carries her pair
-    alice_order[t]; Bob's return slot s holds the particle he received in
-    slot return_order[s]. At index m, swap[m] is the outcome of Alice's
-    measurement when it swaps, noise[m] < gamma keeps her record and
-    corrupt[m] (1..3) is XORed into it otherwise, and guess[m] is Bob's
-    free guess where swap[m] is used. Draws a trial never reaches are ignored.
-    """
+    Indices are 0-based. Bob's return slot m holds Alice's pair tau[m]:
+    alice_order[return_order[m]], her secret order composed with his return
+    order, so tau is uniform as they are. At index m, bits 0-1 of labels[m]
+    are Alice's outcome when her measurement swaps and bits 2-3 Bob's free
+    guess where he uses one. Under noise, noise[m] < gamma keeps her record
+    and corrupt[m] (1..3) is XORed into it otherwise; a noiseless block has
+    neither. Draws a trial never reaches are ignored."""
 
-    alice_order: np.ndarray  # (B, N) int64 permutations of 0..N-1
-    return_order: np.ndarray  # (B, N) int64 permutations of 0..N-1
-    swap: np.ndarray  # (B, N) int8 labels
-    noise: np.ndarray  # (B, N) float64 uniforms in [0, 1)
-    corrupt: np.ndarray  # (B, N) int8 in 1..3
-    guess: np.ndarray  # (B, N) int8 labels
+    tau: np.ndarray  # (B, N) int64 permutations of 0..N-1
+    labels: np.ndarray  # (B, N) int8 in 0..15: swap | guess << 2
+    noise: np.ndarray | None  # (B, N) float64 uniforms in [0, 1), or None
+    corrupt: np.ndarray | None  # (B, N) int8 in 1..3, or None
 
 
 class ReflectBlock(NamedTuple):
@@ -128,54 +127,51 @@ class ReflectBlock(NamedTuple):
     coin: np.ndarray  # (B,) int8
 
 
-def draw_reflect_block(rng: np.random.Generator, n: int) -> ReflectDraws:
-    """BLOCK_TRIALS rows of draws, taken from `rng` field by field in order."""
+def draw_reflect_block(rng: np.random.Generator, n: int, gamma: float = 1.0) -> ReflectDraws:
+    """BLOCK_TRIALS rows of draws, taken from `rng` field by field in order;
+    noise and corrupt only when `gamma` < 1."""
     shape = (BLOCK_TRIALS, n)
-    pairs = np.broadcast_to(np.arange(n), shape)
-    return ReflectDraws(
-        alice_order=rng.permuted(pairs, axis=1),
-        return_order=rng.permuted(pairs, axis=1),
-        swap=rng.integers(0, 4, size=shape, dtype=np.int8),
-        noise=rng.random(shape),
-        corrupt=rng.integers(1, 4, size=shape, dtype=np.int8),
-        guess=rng.integers(0, 4, size=shape, dtype=np.int8),
-    )
+    tau = rng.permuted(np.broadcast_to(np.arange(n), shape), axis=1)
+    labels = rng.integers(0, 16, size=shape, dtype=np.int8)
+    noise = rng.random(shape) if gamma < 1.0 else None
+    corrupt = rng.integers(1, 4, size=shape, dtype=np.int8) if gamma < 1.0 else None
+    return ReflectDraws(tau, labels, noise, corrupt)
 
 
 def reflect_kernel(draws: ReflectDraws, flip: int, gamma: float = 1.0) -> ReflectBlock:
     """`run_reflect_attack` for every row of `draws` at once, in int arrays.
 
-    Alice's pairs arrive in the order tau = alice_order o return_order. In
-    each cycle of tau her measurements swap with the drawn outcome, except
-    the one at the cycle's largest index: it closes the cycle, so its
-    outcome is the XOR of the cycle's edge labels (the flip on the cycle
-    holding index 0, Phi+ elsewhere) with the cycle's other outcomes. Bob
-    runs the same rule on his guesses; one index-major `cycle_kernel` call
-    runs both on packed draws (swap | guess << 2). A trial passes when
-    Alice's possibly corrupted records equal Bob's announcement; her coin
-    is the XOR of their parities. The fields must share one (B, N) shape,
-    `flip` be a Pauli value 0..3 and `gamma` lie in (0, 1], as a `NoiseModel`'s.
-    Each row of both orders must be a permutation of 0..N-1, as
-    `draw_reflect_block` draws them; that goes unchecked, since a check costs
-    more than the kernel, and rows that are no permutation give meaningless
-    trials (with an all-zero `alice_order` every trial passes).
+    In each cycle of tau Alice's measurements swap with the drawn outcome,
+    except the one at the cycle's largest index: it closes the cycle, so
+    its outcome is the XOR of the cycle's edge labels (the flip on the
+    cycle holding index 0, Phi+ elsewhere) with the cycle's other outcomes.
+    Bob runs the same rule on his guesses; one index-major `cycle_kernel`
+    call runs both on the packed labels. A trial passes when Alice's records,
+    corrupted only when `gamma` < 1, equal Bob's announcement; her coin is
+    the XOR of their parities. Fields present must share tau's (B, N) shape,
+    noise and corrupt be present when `gamma` < 1, `flip` be a Pauli value
+    0..3 and `gamma` lie in (0, 1], as a `NoiseModel`'s. Each row of tau
+    must be a permutation of 0..N-1, as drawn; that goes unchecked, since a
+    check costs more than the kernel, and rows that are no permutation give
+    meaningless trials (with an all-zero tau every trial passes).
     """
     validate_labels(flip, "Pauli")
     NoiseModel(gamma)
-    shape = draws.alice_order.shape
-    if bad := [name for name, field in zip(ReflectDraws._fields, draws) if field.shape != shape]:
-        raise ValueError(f"draws fields {', '.join(bad)} differ from alice_order's shape {shape}")
-    b = shape[0]
-    # tau[m, t] = alice_order[t, return_order[t, m]], at flat position m * b + t
-    tau = draws.alice_order.T.ravel()[draws.return_order.T * b + np.arange(b)]
-    packed = np.left_shift(draws.guess.T, 2, order="C") | draws.swap.T
-    edge = np.int8(5 * flip)  # index 0's edge label in both fields; see cycle_kernel's fold
+    shape = draws.tau.shape
+    if bad := [k for k, a in zip(draws._fields, draws) if a is not None and a.shape != shape]:
+        raise ValueError(f"draws fields {', '.join(bad)} differ from tau's shape {shape}")
+    noisy = gamma < 1.0
+    if noisy and (missing := [f for f in ("noise", "corrupt") if getattr(draws, f) is None]):
+        raise ValueError(f"draws fields {', '.join(missing)} are None at gamma {gamma}")
+    packed = draws.labels.T.copy()  # index-major, and the draws stay unchanged
+    edge = np.int8(5 * flip)  # index 0's edge label in both halves; see cycle_kernel's fold
     packed[:1] ^= edge
-    _, out = cycle_kernel(tau, packed)
+    _, out = cycle_kernel(draws.tau.T, packed)
     out[:1] ^= edge
 
     alice = out & 3
-    alice ^= (draws.noise.T >= gamma) * draws.corrupt.T
+    if noisy:
+        alice ^= (draws.noise.T >= gamma) * draws.corrupt.T
     bob = out >> 2
     passed = (alice == bob).all(axis=0)
     coin = parity(np.bitwise_xor.reduce(alice, axis=0))
@@ -187,15 +183,16 @@ def reflect_blocks(
 ) -> Iterator[ReflectBlock]:
     """Kernel output for trials 0..trials-1 under config.seed, block by block.
 
-    Block k is `draw_reflect_block(block_rng(seed, k), N)` run through the
-    kernel. Every block draws all its rows, so the streams do not depend on
-    the trial count, but the kernel evaluates only the trials asked for.
+    Block k is `draw_reflect_block(block_rng(seed, k), N, gamma)` run
+    through the kernel. Every block draws all its rows, so the streams do
+    not depend on the trial count; the kernel runs only the trials asked for.
     """
     gamma = config.noise.gamma if config.noise is not None else 1.0
     for k in range(-(-trials // BLOCK_TRIALS)):
-        draws = draw_reflect_block(block_rng(config.seed, k), config.n_pairs)
+        draws = draw_reflect_block(block_rng(config.seed, k), config.n_pairs, gamma)
         keep = min(BLOCK_TRIALS, trials - k * BLOCK_TRIALS)
-        yield reflect_kernel(ReflectDraws(*(a[:keep] for a in draws)), flip.value, gamma)
+        rows = ReflectDraws(*(a if a is None else a[:keep] for a in draws))
+        yield reflect_kernel(rows, flip.value, gamma)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ fans out into independent streams through a counter-based generator
 * `block_rng(seed, b)` - one stream per block of BLOCK_TRIALS trials,
   counter words (2, 3) set to (1, b). The batched reflect kernel draws a
   whole block from it at once, always BLOCK_TRIALS rows, whatever the trial
-  count. Trial i therefore lives in row i % BLOCK_TRIALS of block
+  count, field by field: tau by one `permuted`, the packed labels by one
+  int8 `integers(0, 16)`, then, only under noise (gamma < 1), the noise
+  uniforms and the corruption labels, so a noisy run has the noiseless
+  run's tau and labels. Trial i lives in row i % BLOCK_TRIALS of block
   i // BLOCK_TRIALS and is reproduced by regenerating that block, and a
   T-trial run is a prefix of every longer run with the same seed.
 

@@ -1,11 +1,12 @@
 """The batched reflect kernel against the scalar session and the exact model.
 
-`ReplayRng` feeds one recorded draws row to `run_reflect_attack`, so the
-scalar session and the kernel consume identical draws and must agree bit
-for bit; the scalar rules `cycle_outcomes` and `best_guess_results` take
-a row's draws as arguments and must give the kernel's rows. Exact
-enumeration over every equally likely draws row pins the kernel's pass
-rate to the permutation model as a `Fraction`.
+`ReplayRng` feeds one recorded draws row, with any order of Alice's, to
+`run_reflect_attack`, so the scalar session and the kernel consume
+identical draws and must agree bit for bit; the scalar rules
+`cycle_outcomes` and `best_guess_results` take a row's draws as arguments
+and must give the kernel's rows. Exact enumeration over every equally
+likely draws row pins the kernel's pass rate to the permutation model as a
+`Fraction`.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from qct.protocol import (
     cycle_structure,
 )
 from qct.seeding import BLOCK_TRIALS, block_rng
+from test_int_path import _state
 
 
 def _cycles(tau) -> list[list[int]]:
@@ -60,25 +62,27 @@ class ReplayRng:
     recorded row, in the order the scalar session asks for them.
 
     The session draws Alice's sequence and Bob's return order, each by a
-    `shuffle` that reorders its list by the recorded row; then the
-    phase's swap labels, one per index m in order except where the
-    measurement closes its cycle (at the cycle's largest index); then Bob's
-    guesses, by the same rule; then, under noise, the noise on the records:
-    at each index m in order a noise uniform and, when the record is
-    corrupted, a corruption label. The swap labels and guesses may come as
-    one `random(k, dtype=np.float32)` call, which pops the next k labels and
-    serves each as label / 4, a float32 uniform that four times truncates to
-    that label. A label asked for after the first noise uniform fails the
-    replay.
+    `shuffle`: the first reorders its list by `alice_order`, any
+    permutation alpha of 0..N-1, the second by alpha^-1 o tau, so that the
+    pairs arrive in the row's order tau. Then come the phase's swap labels
+    (bits 0-1 of the row's labels), one per index m in order except where
+    the measurement closes its cycle (at the cycle's largest index); then
+    Bob's guesses (bits 2-3), by the same rule; then, under noise, the noise
+    on the records: at each index m in order a noise uniform and, when the
+    record is corrupted, a corruption label. The swap labels and guesses may
+    come as one `random(k, dtype=np.float32)` call, which pops the next k
+    labels and serves each as label / 4, a float32 uniform that four times
+    truncates to that label. A label asked for after the first noise uniform
+    fails the replay.
     """
 
-    def __init__(self, row: ReflectDraws):
-        n = len(row.swap)
-        cycles = _cycles(row.alice_order[row.return_order])
-        closers = {max(cycle) for cycle in cycles}
-        self._perms = [row.alice_order, row.return_order]
-        self._labels = [row.swap[m] for m in range(n) if m not in closers]
-        self._labels += [row.guess[m] for m in range(n) if m not in closers]
+    def __init__(self, row: ReflectDraws, alice_order):
+        n = len(row.tau)
+        closers = {max(cycle) for cycle in _cycles(row.tau)}
+        alice_order = np.asarray(alice_order)
+        self._perms = [alice_order, np.argsort(alice_order)[row.tau]]
+        self._labels = [row.labels[m] & 3 for m in range(n) if m not in closers]
+        self._labels += [row.labels[m] >> 2 for m in range(n) if m not in closers]
         self._noise, self._corrupt = row.noise, row.corrupt
         self._index = -1  # index of the last noise draw
 
@@ -113,20 +117,32 @@ class ReplayRng:
     @property
     def exhausted(self) -> bool:
         """Every draw served: noise uniforms at no index or at all of them."""
-        noise_draws_ok = self._index in (-1, len(self._noise) - 1)
+        indices = 0 if self._noise is None else len(self._noise)
+        noise_draws_ok = self._index in (-1, indices - 1)
         return not self._perms and not self._labels and noise_draws_ok
 
 
 def _row(draws: ReflectDraws, i: int) -> ReflectDraws:
-    return ReflectDraws(*(field[i] for field in draws))
+    return ReflectDraws(*(field if field is None else field[i] for field in draws))
 
 
-def _assert_replay_matches(draws: ReflectDraws, flip: PauliLabel, gamma: float) -> None:
-    n = draws.swap.shape[1]
+def _head(draws: ReflectDraws, rows: int) -> ReflectDraws:
+    return ReflectDraws(*(field if field is None else field[:rows] for field in draws))
+
+
+def _alice_orders(n: int, rows: int, seed: int) -> np.ndarray:
+    """A fixed order of Alice's per row, the identity only by chance."""
+    return np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
+
+
+def _assert_replay_matches(
+    draws: ReflectDraws, alice_orders, flip: PauliLabel, gamma: float
+) -> None:
+    n = draws.tau.shape[1]
     config = SessionConfig(n, noise=NoiseModel(gamma) if gamma < 1.0 else None)
     block = reflect_kernel(draws, flip.value, gamma)
-    for i in range(len(draws.swap)):
-        rng = ReplayRng(_row(draws, i))
+    for i in range(len(draws.tau)):
+        rng = ReplayRng(_row(draws, i), alice_orders[i])
         run = run_reflect_attack(config, flip, rng)
         assert rng.exhausted
         assert [o.value for o in run.transcript.alice_outcomes] == block.alice[i].tolist()
@@ -137,44 +153,56 @@ def _assert_replay_matches(draws: ReflectDraws, flip: PauliLabel, gamma: float) 
 
 @st.composite
 def draws_rows(draw, max_pairs: int = 8):
+    """One draws row and an order of Alice's to replay it with."""
     n = draw(st.integers(1, max_pairs))
-    labels = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    return ReflectDraws(
-        alice_order=np.array([draw(st.permutations(range(n)))]),
-        return_order=np.array([draw(st.permutations(range(n)))]),
-        swap=np.array([draw(labels)], dtype=np.int8),
+    row = ReflectDraws(
+        tau=np.array([draw(st.permutations(range(n)))]),
+        labels=np.array([draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))],
+                        dtype=np.int8),
         noise=np.array([draw(st.lists(
             st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))]),
         corrupt=np.array([draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))],
                          dtype=np.int8),
-        guess=np.array([draw(labels)], dtype=np.int8),
     )
+    return row, np.array([draw(st.permutations(range(n)))])
 
 
 class TestReplay:
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
     @pytest.mark.parametrize("flip", list(PauliLabel))
     @settings(deadline=None, max_examples=60)
-    @given(draws=draws_rows())
-    def test_scalar_session_equals_kernel(self, draws, flip, gamma):
-        _assert_replay_matches(draws, flip, gamma)
+    @given(row=draws_rows(), drop_noise=st.booleans())
+    def test_scalar_session_equals_kernel(self, row, drop_noise, flip, gamma):
+        draws, alice_orders = row
+        if gamma == 1.0 and drop_noise:  # a noiseless row may carry noise, read by neither
+            draws = draws._replace(noise=None, corrupt=None)
+        _assert_replay_matches(draws, alice_orders, flip, gamma)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_block_stream_rows_replay(self, n, gamma):
-        draws = draw_reflect_block(block_rng(2026, 3), n)
-        head = ReflectDraws(*(field[:150] for field in draws))
-        _assert_replay_matches(head, PauliLabel.Y, gamma)
+        head = _head(draw_reflect_block(block_rng(2026, 3), n, gamma), 150)
+        _assert_replay_matches(head, _alice_orders(n, 150, n), PauliLabel.Y, gamma)
+
+    def test_replay_serves_alices_order_then_the_arrival_order(self):
+        row = ReflectDraws(tau=np.array([2, 0, 1]), labels=np.zeros(3, dtype=np.int8),
+                           noise=None, corrupt=None)
+        rng = ReplayRng(row, [1, 2, 0])
+        sent = [1, 2, 3]
+        rng.shuffle(sent)
+        arrived = list(sent)
+        rng.shuffle(arrived)
+        # Alice ships pair alpha[t] + 1 in slot t; her pair tau[m] + 1 returns in slot m
+        assert sent == [2, 3, 1] and arrived == [3, 1, 2]
 
     def test_replay_serves_labels_as_float32_and_none_after_the_noise(self):
         row = ReflectDraws(
-            alice_order=np.array([1, 0]), return_order=np.array([0, 1]),
-            swap=np.array([2, 0], dtype=np.int8), noise=np.array([0.5, 0.25]),
-            corrupt=np.array([1, 1], dtype=np.int8), guess=np.array([0, 3], dtype=np.int8))
-        rng = ReplayRng(row)  # one 2-cycle: the swap label and the guess at m=0
+            tau=np.array([1, 0]), labels=np.array([2, 12], dtype=np.int8),
+            noise=np.array([0.5, 0.25]), corrupt=np.array([1, 1], dtype=np.int8))
+        rng = ReplayRng(row, [0, 1])  # one 2-cycle: the swap label and the guess at m=0
         served = rng.random(2, dtype=np.float32)
         assert served.dtype == np.float32 and (served * 4).tolist() == [2, 0]
-        rng = ReplayRng(row)
+        rng = ReplayRng(row, [1, 0])
         assert rng.random() == 0.5
         with pytest.raises(AssertionError, match="a label drawn after the noise"):
             rng.random(1, dtype=np.float32)
@@ -183,14 +211,13 @@ class TestReplay:
 
     def test_hand_worked_row(self):
         # tau = (0 1)(2 3): swaps at m=0, 2, closers at m=1, 3; Bob guesses
-        # at m=0, 2 and derives m=1, 3 by Alice's rule.
+        # at m=0, 2 and derives m=1, 3 by Alice's rule. Swaps 1, 2, 3, 0
+        # and guesses 0, 1, 2, 3 pack to swap | guess << 2.
         row = ReflectDraws(
-            alice_order=np.array([[1, 0, 3, 2]]),
-            return_order=np.array([[0, 1, 2, 3]]),
-            swap=np.array([[1, 2, 3, 0]], dtype=np.int8),
-            noise=np.zeros((1, 4)),
-            corrupt=np.ones((1, 4), dtype=np.int8),
-            guess=np.array([[0, 1, 2, 3]], dtype=np.int8),
+            tau=np.array([[1, 0, 3, 2]]),
+            labels=np.array([[1, 6, 11, 12]], dtype=np.int8),
+            noise=None,
+            corrupt=None,
         )
         block = reflect_kernel(row, PauliLabel.I.value)
         assert block.alice.tolist() == [[1, 1, 3, 3]]
@@ -200,23 +227,21 @@ class TestReplay:
         assert block.alice.tolist() == [[1, 3, 3, 3]]
         assert block.bob.tolist() == [[0, 2, 2, 2]]
         assert block.passed.tolist() == [False] and block.coin.tolist() == [1]
-        _assert_replay_matches(row, PauliLabel.X, 1.0)
+        _assert_replay_matches(row, [[2, 0, 3, 1]], PauliLabel.X, 1.0)
 
 
 @pytest.mark.parametrize("n", [*range(1, 12), 32, 128, 1024])
 def test_kernel_rows_equal_the_scalar_rules(n):
     # the scalar rules take a row's draws as arguments: no stream between them
     gamma = 0.9
-    draws = draw_reflect_block(block_rng(23, n), n)
-    head = ReflectDraws(*(field[:200 if n < 12 else 3] for field in draws))
+    head = _head(draw_reflect_block(block_rng(23, n), n, gamma), 200 if n < 12 else 3)
     blocks = {flip: reflect_kernel(head, flip.value, gamma) for flip in PauliLabel}
     for i, row in enumerate(zip(*(field.tolist() for field in head))):
-        alice_order, return_order, swap, noise, corrupt, guess = row
-        tau = [alice_order[r] for r in return_order]
+        tau, labels, noise, corrupt = row
         cycles = cycle_structure([t + 1 for t in tau])
         closing = {max(cycle) for cycle in cycles}
-        swaps = [swap[m - 1] for m in range(1, n + 1) if m not in closing]
-        guesses = [guess[m - 1] for m in range(1, n + 1) if m not in closing]
+        swaps = [labels[m - 1] & 3 for m in range(1, n + 1) if m not in closing]
+        guesses = [labels[m - 1] >> 2 for m in range(1, n + 1) if m not in closing]
         for flip, block in blocks.items():
             edges = [0] * n
             edges[tau[0]] = flip.value  # the pair Alice receives in return slot 1
@@ -272,10 +297,21 @@ def test_cycle_kernel_folds_labels_in_by_xor(n):
 @pytest.mark.parametrize("shape", [(8, 1), (8, 4), (7, 3), (3,)])
 def test_kernel_refuses_draws_fields_of_another_shape(field, shape):
     # unchecked, a (B, 1) noise broadcast one uniform over every index of a trial
-    draws = ReflectDraws(*(a[:8] for a in draw_reflect_block(block_rng(2, 0), 3)))
+    draws = _head(draw_reflect_block(block_rng(2, 0), 3, 0.9), 8)
     bad = np.zeros(shape, dtype=getattr(draws, field).dtype)
-    with pytest.raises(ValueError, match=rf"draws fields .*\b{field}\b"):
-        reflect_kernel(draws._replace(**{field: bad}), PauliLabel.X.value, 0.9)
+    for gamma in (1.0, 0.9):
+        with pytest.raises(ValueError, match=rf"draws fields .*\b{field}\b"):
+            reflect_kernel(draws._replace(**{field: bad}), PauliLabel.X.value, gamma)
+
+
+@pytest.mark.parametrize("missing", [("noise",), ("corrupt",), ("noise", "corrupt")])
+def test_kernel_refuses_missing_noise_under_noise(missing):
+    # unchecked, a noiseless block run at gamma < 1 would fail on None or read no noise
+    draws = _head(draw_reflect_block(block_rng(2, 0), 3, 0.9), 8)
+    draws = draws._replace(**{name: None for name in missing})
+    with pytest.raises(ValueError, match=rf"draws fields {', '.join(missing)} are None"):
+        reflect_kernel(draws, PauliLabel.X.value, 0.9)
+    reflect_kernel(draws, PauliLabel.X.value)  # a noiseless run reads neither
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -290,15 +326,46 @@ def test_reflect_block_keeps_its_documented_shapes(trials, n):
     assert block.coin.shape == (trials,) and block.coin.dtype == np.int8
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
 @pytest.mark.parametrize("n", [1, 2, 11, 1024])
-def test_block_orders_are_permutations(n):
-    # the kernel does not check its orders, so the drawn ones must be permutations
+def test_block_orders_are_permutations(n, gamma):
+    # the kernel does not check tau, so the drawn one must be a permutation
     for seed, k in ((0, 0), (7, 3)):
-        draws = draw_reflect_block(block_rng(seed, k), n)
-        for order in (draws.alice_order, draws.return_order):
-            assert order.shape == (BLOCK_TRIALS, n)
-            np.testing.assert_array_equal(np.sort(order, axis=1),
-                                          np.broadcast_to(np.arange(n), order.shape))
+        tau = draw_reflect_block(block_rng(seed, k), n, gamma).tau
+        assert tau.shape == (BLOCK_TRIALS, n)
+        np.testing.assert_array_equal(np.sort(tau, axis=1),
+                                      np.broadcast_to(np.arange(n), tau.shape))
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_noise_is_drawn_after_the_noiseless_fields(n):
+    # noise never moves tau or the labels: a noisy run is the noiseless run
+    # plus corruption, at every (seed, block)
+    for seed, k in ((0, 0), (7, 3), (2**64 - 1, 5)):
+        quiet = draw_reflect_block(block_rng(seed, k), n)
+        noisy = draw_reflect_block(block_rng(seed, k), n, 0.9)
+        assert quiet.noise is None and quiet.corrupt is None
+        np.testing.assert_array_equal(noisy.tau, quiet.tau)
+        np.testing.assert_array_equal(noisy.labels, quiet.labels)
+        assert noisy.noise.shape == noisy.corrupt.shape == (BLOCK_TRIALS, n)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_block_draws_exactly_its_fields(n, gamma):
+    # a noiseless block makes two draw calls, a noisy one four, in field order
+    rng, twin = block_rng(9, 2), block_rng(9, 2)
+    draws = draw_reflect_block(rng, n, gamma)
+    shape = (BLOCK_TRIALS, n)
+    want = [twin.permuted(np.broadcast_to(np.arange(n), shape), axis=1),
+            twin.integers(0, 16, size=shape, dtype=np.int8)]
+    if gamma < 1.0:
+        want += [twin.random(shape), twin.integers(1, 4, size=shape, dtype=np.int8)]
+    assert _state(rng) == _state(twin)
+    assert [field is None for field in draws] == [False, False, *[gamma == 1.0] * 2]
+    for got, field in zip(draws, want):
+        np.testing.assert_array_equal(got, field)
+    assert draws.labels.dtype == np.int8
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -306,13 +373,15 @@ def test_guessing_the_swaps_announces_alices_records(n):
     # Bob runs Alice's rule: given her swap outcomes as his guesses, he
     # announces exactly her noiseless records, whatever the cycles and flip
     draws = draw_reflect_block(block_rng(31, n), n)
-    draws = draws._replace(guess=draws.swap)
+    draws = draws._replace(labels=5 * (draws.labels & 3))  # guess = swap
+    alice_orders = _alice_orders(n, 20, n)
     for flip in PauliLabel:
         block = reflect_kernel(draws, flip.value)
         assert block.passed.all()
         np.testing.assert_array_equal(block.bob, block.alice)
         for i in range(20):
-            assert run_reflect_attack(SessionConfig(n), flip, ReplayRng(_row(draws, i))).passed
+            rng = ReplayRng(_row(draws, i), alice_orders[i])
+            assert run_reflect_attack(SessionConfig(n), flip, rng).passed
 
 
 @pytest.mark.parametrize("flip, gamma, message", [
@@ -327,35 +396,27 @@ def test_kernel_refuses_bad_flip_and_gamma(flip, gamma, message):
         reflect_kernel(draw_reflect_block(block_rng(1, 0), 3), flip, gamma)
 
 
-def _all_rows(n: int) -> ReflectDraws:
-    """Every noiseless draws row at n pairs, each once: both permutations and
-    a label per index for swaps and guesses."""
-    perms = np.array(list(itertools.permutations(range(n))))
-    labels = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.int8)
-    a, r, s, g = (
-        axis.ravel()
-        for axis in np.meshgrid(
-            np.arange(len(perms)), np.arange(len(perms)),
-            np.arange(len(labels)), np.arange(len(labels)), indexing="ij",
-        )
-    )
-    rows = a.size
-    return ReflectDraws(
-        perms[a], perms[r], labels[s], np.zeros((rows, n)),
-        np.ones((rows, n), dtype=np.int8), labels[g],
-    )
+def _all_rows(n: int) -> list[ReflectDraws]:
+    """Every noiseless draws row at n pairs, each once: a permutation tau and
+    a packed label per index. One chunk of 16**n rows per tau, all sharing
+    one labels array, bounds the kernel's memory by a chunk's."""
+    labels = np.array(list(itertools.product(range(16), repeat=n)), dtype=np.int8)
+    return [ReflectDraws(np.broadcast_to(np.array(tau), labels.shape), labels, None, None)
+            for tau in itertools.permutations(range(n))]
 
 
 class TestExactEnumeration:
-    @pytest.mark.parametrize("n,rows", [(1, 16), (2, 1024), (3, 147_456)])
+    @pytest.mark.parametrize("n,rows", [(1, 16), (2, 512), (3, 24_576), (4, 1_572_864)])
     def test_pass_count_equals_permutation_model(self, n, rows):
-        draws = _all_rows(n)
-        assert len(draws.swap) == rows
+        chunks = _all_rows(n)
+        assert sum(len(chunk.tau) for chunk in chunks) == rows
         for flip in PauliLabel:
-            block = reflect_kernel(draws, flip.value)
-            passes = int(np.count_nonzero(block.passed))
+            passes = forced = 0
+            for chunk in chunks:
+                block = reflect_kernel(chunk, flip.value)
+                passes += int(np.count_nonzero(block.passed))
+                forced += int(np.count_nonzero(block.coin == flip.parity))
             assert Fraction(passes, rows) == pass_prob_permutation_model_exact(n)
-            forced = int(np.count_nonzero(block.coin == flip.parity))
             assert Fraction(forced, rows) == 1
 
 
@@ -381,7 +442,7 @@ class TestBlockStreams:
         trials = 3 * BLOCK_TRIALS
         run = _concat(reflect_blocks(config, PauliLabel.X, trials))
         for i in (0, BLOCK_TRIALS - 1, BLOCK_TRIALS, trials - 1):
-            draws = draw_reflect_block(block_rng(5, i // BLOCK_TRIALS), 4)
+            draws = draw_reflect_block(block_rng(5, i // BLOCK_TRIALS), 4, 0.9)
             alone = reflect_kernel(draws, PauliLabel.X.value, 0.9)
             for got, want in zip(run, alone):
                 np.testing.assert_array_equal(got[i], want[i % BLOCK_TRIALS])
@@ -389,7 +450,7 @@ class TestBlockStreams:
     @pytest.mark.parametrize("gamma", [1.0, 0.9])
     def test_one_trial_is_row_zero_of_the_full_block(self, gamma):
         config = SessionConfig(4, seed=11, noise=NoiseModel(gamma))
-        draws = draw_reflect_block(block_rng(11, 0), 4)
+        draws = draw_reflect_block(block_rng(11, 0), 4, gamma)
         for flip in PauliLabel:
             (one,) = reflect_blocks(config, flip, 1)
             full = reflect_kernel(draws, flip.value, gamma)
