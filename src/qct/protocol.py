@@ -10,7 +10,9 @@ results first, Alice compares them index by index against her own and
 accepts or aborts. Alice never announces her outcomes.
 
 A transcript records the message flow in its fixed phase order and refuses
-out-of-order construction.
+out-of-order construction. Bob's plain-order batch, the verdicts and the
+coins are shared frozen instances; messages, sequences and transcripts are
+slotted and refuse an ad-hoc attribute.
 
 `run_session` runs one session under any `Strategy`: honest play, or one
 party deviating inside the same exchange (Bob's reflection attack, Alice's
@@ -110,7 +112,7 @@ class SessionConfig:
             raise ValueError(f"noise must be a NoiseModel or None, not {self.noise!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
     """Transmission order: order[slot - 1] = 1-based pair index in that slot."""
 
@@ -137,19 +139,19 @@ def random_sequence(n: int, rng: np.random.Generator) -> Sequence:
     return seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticleBatch:
     sender: Party
     particles: tuple[ParticleId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceAnnouncement:
     sender: Party
     sequence: Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultsAnnouncement:
     sender: Party
     results: tuple[BellLabel, ...]
@@ -168,13 +170,13 @@ class Verdict(str, Enum):
 _ALICE, _BOB, _ACCEPT = Party.ALICE, Party.BOB, Verdict.ACCEPT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerdictAnnouncement:
     sender: Party
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoinAnnouncement:
     sender: Party
     coin: int
@@ -203,20 +205,27 @@ _PHASES = (
 PHASE_NAMES = tuple(dict.fromkeys(name for _, _, name in _PHASES))
 # (type, sender) -> phase index
 _PHASE_OF = {(kind, sender): PHASE_NAMES.index(name) for kind, sender, name in _PHASES}
+# Both verdicts and the four coins, each built once and shared by every session.
+_VERDICTS = {verdict: VerdictAnnouncement(_ALICE, verdict) for verdict in Verdict}
+_COINS = {party: (CoinAnnouncement(party, 0), CoinAnnouncement(party, 1)) for party in Party}
+
+
+def _phase(message: object) -> int | None:
+    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
+    return _PHASE_OF.get((type(message), sender if type(sender) is Party else None))
 
 
 def phase_of(message: Message) -> int:
-    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
-    phase = _PHASE_OF.get((type(message), sender if type(sender) is Party else None))
-    if phase is None:
+    if (phase := _phase(message)) is None:
         raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
     return phase
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionTranscript:
-    """Message log plus both parties' private outcome records; the given
-    messages are admitted or refused by successive `append` calls."""
+    """Message log plus both parties' private outcome records. The given
+    messages are read once and checked in one pass; a log that fails is
+    refused with the error `append` raises at its first misfit."""
 
     config: SessionConfig
     messages: list[Message] = field(default_factory=list)
@@ -226,9 +235,12 @@ class SessionTranscript:
     coin: int | None = None  # None = aborted (no coin produced)
 
     def __post_init__(self) -> None:
-        messages, self.messages = self.messages, []
-        for message in messages:
-            self.append(message)
+        messages = self.messages = list(self.messages)  # once: a generator reads only once
+        if list(map(_phase, messages)) != list(range(len(messages))) or (
+                len(messages) > 5 and messages[4].verdict is not _ACCEPT):
+            self.messages = []
+            for message in messages:  # raises at the first misfit
+                self.append(message)
 
     def append(self, message: Message) -> None:
         phase = phase_of(message)
@@ -284,6 +296,12 @@ def apply_noise(
 def travelling(party: Party, n_pairs: int) -> tuple[ParticleId, ...]:
     """The party's odd halves, which travel; pair m's at index m - 1."""
     return tuple([ParticleId(party, 2 * m - 1) for m in range(1, n_pairs + 1)])
+
+
+@lru_cache(maxsize=None)
+def _plain_batch(n_pairs: int) -> ParticleBatch:
+    """Bob's batch in plain pair order: one shared frozen instance per N."""
+    return ParticleBatch(_BOB, travelling(_BOB, n_pairs))
 
 
 def draw_labels(rng: np.random.Generator, k: int) -> list[int]:
@@ -512,7 +530,7 @@ def run_session(
         arrived = list(alice_seq.order)
         rng.shuffle(arrived)
         cycles = cycle_structure(arrived)
-        bob_batch = tuple([alice_ids[m - 1] for m in arrived])
+        bob_batch = ParticleBatch(_BOB, tuple([alice_ids[m - 1] for m in arrived]))
         # Alice measures her kept half of pair m against return slot m, which
         # carries pair arrived[m - 1]: all her pairs are Phi+ but the one in
         # return slot 1, which carries the flip. Bob runs her rule on his
@@ -525,7 +543,7 @@ def run_session(
         alice_results = _records([o & 3 for o in both], noise, rng)
         bob_results = tuple([BELL_LABELS[o >> 2] for o in both])
     else:
-        bob_batch = travelling(_BOB, n)
+        bob_batch = _plain_batch(n)
         # Alice: her kept half of pair m against Bob's odd half of pair m (Bob
         # ships in pair order, so slot m is his pair m): N swaps of Phi+ pairs,
         # each leaving her odd half of pair m linked to Bob's even half in the
@@ -544,25 +562,26 @@ def run_session(
                 sigma[claimed - 1] = true
             cycles = cycle_structure(sigma)
             raw = cycle_outcomes(cycles, raw, draw_labels(rng, n - len(cycles)))
-        bob_results = _records(raw, noise, rng)
+        bob_results = (alice_results if noise is None and announced is alice_seq
+                       else _records(raw, noise, rng))  # no noise, no lie: her records
 
     if fake:
         # A cheating Alice has nothing to gain from aborting her own attack.
-        verdict, coin, coin_sender = _ACCEPT, toss_from_outcomes(bob_results), _BOB
+        verdict, coin, coins = _ACCEPT, toss_from_outcomes(bob_results), _COINS[_BOB]
     else:
         verdict = alice_verify(alice_results, bob_results)
-        coin, coin_sender = toss_from_outcomes(alice_results), _ALICE
+        coin, coins = toss_from_outcomes(alice_results), _COINS[_ALICE]
     passed = verdict is _ACCEPT
 
     messages = [
         ParticleBatch(_ALICE, tuple([alice_ids[m - 1] for m in alice_seq.order])),
-        ParticleBatch(_BOB, bob_batch),
+        bob_batch,
         SequenceAnnouncement(_ALICE, announced),
         ResultsAnnouncement(_BOB, bob_results),
-        VerdictAnnouncement(_ALICE, verdict),
+        _VERDICTS[verdict],
     ]
     if passed:
-        messages.append(CoinAnnouncement(coin_sender, coin))
+        messages.append(coins[coin])
     transcript = SessionTranscript(  # positional: keywords cost more on this per-session path
         config, messages, alice_results, bob_results, verdict, coin if passed else None)
     return SessionRun(transcript, passed, coin)
