@@ -210,22 +210,18 @@ _VERDICTS = {verdict: VerdictAnnouncement(_ALICE, verdict) for verdict in Verdic
 _COINS = {party: (CoinAnnouncement(party, 0), CoinAnnouncement(party, 1)) for party in Party}
 
 
-def _phase(message: object) -> int | None:
-    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
-    return _PHASE_OF.get((type(message), sender if type(sender) is Party else None))
-
-
 def phase_of(message: Message) -> int:
-    if (phase := _phase(message)) is None:
+    sender = getattr(message, "sender", None)  # a str equal to a Party member fits no phase
+    phase = _PHASE_OF.get((type(message), sender if type(sender) is Party else None))
+    if phase is None:
         raise ProtocolOrderError(f"message does not fit any protocol phase: {message!r}")
     return phase
 
 
 @dataclass(slots=True)
 class SessionTranscript:
-    """Message log plus both parties' private outcome records. The given
-    messages are read once and checked in one pass; a log that fails is
-    refused with the error `append` raises at its first misfit."""
+    """Message log plus both parties' private outcome records; the given
+    messages are admitted or refused by successive `append` calls."""
 
     config: SessionConfig
     messages: list[Message] = field(default_factory=list)
@@ -235,12 +231,9 @@ class SessionTranscript:
     coin: int | None = None  # None = aborted (no coin produced)
 
     def __post_init__(self) -> None:
-        messages = self.messages = list(self.messages)  # once: a generator reads only once
-        if list(map(_phase, messages)) != list(range(len(messages))) or (
-                len(messages) > 5 and messages[4].verdict is not _ACCEPT):
-            self.messages = []
-            for message in messages:  # raises at the first misfit
-                self.append(message)
+        messages, self.messages = self.messages, []
+        for message in messages:
+            self.append(message)
 
     def append(self, message: Message) -> None:
         phase = phase_of(message)

@@ -1,12 +1,11 @@
-"""Transcripts share their constant messages and check their log in one pass.
+"""Transcripts share their constant messages.
 
 Bob's plain-order batch, the two verdicts and the four coins are built once
 and shared by every session; each is frozen and slotted, so no session can
-change another's. `SessionTranscript` checks the log it is given in one
-pass and falls back to `append` only to raise its error. These tests pin
-that the check admits and refuses what `append` does, that sharing leaks
-no edit from one transcript into another, and how many objects a kept
-session retains.
+change another's. `SessionTranscript` admits the log it is given through
+`append`, whatever iterable it comes in. These tests pin that construction
+admits and refuses what `append` does, that sharing leaks no edit from one
+transcript into another, and how many objects a kept session retains.
 """
 
 import copy
@@ -83,7 +82,7 @@ def _logs():
 
 
 @pytest.mark.parametrize("log", _logs())
-def test_one_pass_check_matches_append(log):
+def test_construction_matches_append(log):
     want = _appended(log)
     assert _constructed(log) == want
     assert _constructed(tuple(log)) == want
@@ -146,7 +145,8 @@ def test_shared_messages_are_frozen_and_slotted():
             message.sender = Party.BOB
         with pytest.raises(AttributeError):
             object.__setattr__(message, "note", 1)
-        # Python 3.11's frozen __setattr__ names the class slots=True replaces
+        # A new name is refused too; on Python 3.11 with TypeError, as its
+        # frozen __setattr__ names the class that slots=True replaces.
         with pytest.raises((AttributeError, TypeError)):
             message.note = 1
     with pytest.raises(AttributeError):
@@ -198,13 +198,15 @@ def test_transcript_round_trips(strategy):
 
 
 # Objects the gc tracks that one kept session retains, by what the public
-# function of each kind returns: honest keeps 9, fake-seq 10 or 11 (11 when
-# Alice lies), reflect 13; each was 13, 14 and 14 before the constant
-# messages were shared.
+# function of each kind returns. On CPython 3.11.7 honest keeps 9, fake-seq
+# 10 or 11 (11 when Alice lies; 10.5 on average), reflect 13; each was 13,
+# 14 and 14 before the constant messages were shared. Which objects the gc
+# tracks is an interpreter detail, so each limit sits between the two counts:
+# it leaves room for another interpreter yet fails if the sharing is undone.
 RETAINED = {
-    "honest": (lambda config, rng: run_honest(config, rng), 9),
-    "fake-seq": (lambda config, rng: run_fake_sequence_attack(config, 1, rng), 11),
-    "reflect": (lambda config, rng: run_reflect_attack(config, PauliLabel.X, rng), 13),
+    "honest": (lambda config, rng: run_honest(config, rng), 11),
+    "fake-seq": (lambda config, rng: run_fake_sequence_attack(config, 1, rng), 12.5),
+    "reflect": (lambda config, rng: run_reflect_attack(config, PauliLabel.X, rng), 13.5),
 }
 
 
