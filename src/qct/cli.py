@@ -47,6 +47,8 @@ _ROW_FIELDS = ("n_pairs", "model", "value", "ci_low", "ci_high", "trials", "seed
 _ROW_ORDER = operator.itemgetter("n_pairs", "model")  # sort key of model rows
 # Largest --n-pairs per command, from the time and memory measured there (README)
 _MAX_PAIRS = {"toss": 100_000, "cheat": 1024, "analyze": 256}
+# Largest --trials times --n-pairs of `cheat`, from the time measured at it (README)
+_MAX_CHEAT_TRIAL_PAIRS = 1 << 22
 
 
 def _payload(message: Message) -> dict[str, Any]:
@@ -324,6 +326,10 @@ def main(argv: TypingSequence[str] | None = None) -> int:
     try:
         if limit is not None and args.n_pairs > limit:
             raise ValueError(f"{args.command} takes at most {limit} pairs, not {args.n_pairs}")
+        trial_pairs = args.trials * args.n_pairs if args.command == "cheat" else 0
+        if trial_pairs > _MAX_CHEAT_TRIAL_PAIRS and args.trials > 0:  # not two negatives
+            raise ValueError(f"cheat takes at most {_MAX_CHEAT_TRIAL_PAIRS} trials x pairs, "
+                             f"not {args.trials} x {args.n_pairs}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

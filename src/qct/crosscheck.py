@@ -38,8 +38,11 @@ keeps the cases' order, the comparisons and the detail texts.
 Stream contract of the parity checks: each draws from ``session_rng(seed)``,
 pair count n = 1, 2, ... in turn, in chunks of S schedules. A kernel call
 takes about CHUNK values, so S is CHUNK // 2n for the engine (2n particle
-slots per schedule) and CHUNK // 4**n for the oracle (4**n amplitudes),
-at least 1. Per chunk it draws the labels, ``(S, n)`` int8; then the
+slots per schedule), at least 1. The oracle prepares its 4**n amplitudes
+per schedule as int8 signs, one byte against a float64 value's eight, so
+S is 8 * CHUNK // 4**n for it, at least 1: `verify`'s default 250 oracle
+schedules run in one call per pair count up to 4. Per chunk it draws the
+labels, ``(S, n)`` int8; then the
 schedules, one ``rng.permuted`` row of 0..2n-1 per schedule, read as
 consecutive (min, max) pairs; then the engine's swap outcomes, ``(S, n)``
 int8, or the oracle's collapse uniforms, ``(S, n)`` float64. A uniform
@@ -233,22 +236,22 @@ def _schedule_check(
     max_pairs: int,
     sequences: int,
     seed: int,
-    width,
+    chunk_rows,
     run,
 ) -> CheckResult | None:
-    """Draw ``CHUNK // width(n)`` schedules (at least one) at a time per pair
-    count n, a schedule holding ``width(n)`` values, as the module's stream
-    contract says, and run each chunk through ``run(rng, labels, order)``,
-    which draws what its kernel needs next and returns the ``(S, n)``
-    outcomes. The first schedule whose outcomes' XOR is not its labels' XOR,
-    on either bit, fails the check; None if every schedule conserves it."""
+    """Draw ``chunk_rows(n)`` schedules at a time per pair count n, as the
+    module's stream contract says, and run each chunk through ``run(rng,
+    labels, order)``, which draws what its kernel needs next and returns the
+    ``(S, n)`` outcomes. The first schedule whose outcomes' XOR is not its
+    labels' XOR, on either bit, fails the check; None if every schedule
+    conserves it."""
     if not 1 <= max_pairs <= MAX_QUBITS // 2:
         raise ValueError(f"max_pairs must lie in 1..{MAX_QUBITS // 2} (got {max_pairs})")
     if sequences < 1:
         raise ValueError(f"sequences must be at least 1 (got {sequences})")
     rng = session_rng(seed)
     for n in range(1, max_pairs + 1):
-        rows = max(1, CHUNK // width(n))
+        rows = chunk_rows(n)
         for start in range(0, sequences, rows):
             size = min(rows, sequences - start)
             labels = rng.integers(4, size=(size, n), dtype=np.int8)
@@ -300,7 +303,8 @@ def check_parity_conservation_engine(
         )
 
     failure = _schedule_check(
-        "parity-conservation-engine", max_pairs, sequences, seed, lambda n: 2 * n, run
+        "parity-conservation-engine", max_pairs, sequences, seed,
+        lambda n: max(1, CHUNK // (2 * n)), run,
     )
     return failure or CheckResult(
         "parity-conservation-engine",
@@ -316,16 +320,18 @@ def check_parity_conservation_oracle(
     qubit pairs to exhaustion; the sampled branch outcomes' XOR must equal
     the labels' on both bits.
 
-    Runs `oracle.schedule_outcomes` on chunks of CHUNK // 4**n schedules;
-    each chunk's collapse uniforms, ``(S, n)`` float64, follow its schedules
-    in the stream.
+    Runs `oracle.schedule_outcomes` on chunks of 8 * CHUNK // 4**n
+    schedules: the kernel holds its prepared amplitudes as int8 signs, so 8
+    of them take a float64 value's bytes. Each chunk's collapse uniforms,
+    ``(S, n)`` float64, follow its schedules in the stream.
     """
 
     def run(rng, labels, order):
         return oracle_schedule_outcomes(labels, order, rng.random(labels.shape))[0]
 
     failure = _schedule_check(
-        "parity-conservation-oracle", max_pairs, sequences, seed, lambda n: 4**n, run
+        "parity-conservation-oracle", max_pairs, sequences, seed,
+        lambda n: max(1, 8 * CHUNK >> 2 * n), run,
     )
     return failure or CheckResult(
         "parity-conservation-oracle",

@@ -11,10 +11,13 @@ Every state the oracle builds is a product of Bell pairs (up to a sign),
 whose nonzero amplitudes all have one magnitude. It holds one on 2k qubits
 as 2**k entries of +-1 and zeros (the amplitudes times 2**(k/2)) and
 measures through the Bell matrix times sqrt(2), whose entries are 0 and
-+-1, so all arithmetic is on small integers and exact in float64: a Born
-probability is exactly 0, 1/4 or 1, and a collapse divides the chosen
-branch by its largest |entry|, 1 or 2. Every state built is checked for
-that form (`_require_normalized`).
++-1, so all arithmetic is on small integers and exact: a Born probability
+is exactly 0, 1/4 or 1, and a collapse divides the chosen branch by its
+largest |entry|, 1 or 2. `schedule_outcomes` holds its products of Bell
+pairs as int8 signs, one byte per amplitude, until its first collapse,
+which returns float64 like every collapse, so every state the oracle hands
+out is float64. Every state built is checked for that form
+(`_require_normalized`).
 
 `bell_measure_collapse` samples one outcome and returns the collapsed
 state; `bell_sample(probs, rng, k)` draws k outcomes from one Born
@@ -30,9 +33,10 @@ collapse, which runs a measurement schedule per row on the outcomes its
 uniforms pick and refuses the schedules the scalar functions refuse, with
 their messages. The Bell measurements share one copy of each
 rule: one gather that reorders qubits (`_transpose_index`; a measurement
-of one qubit pair gathers every row through one shared index), one Born
-rule (`_born_of`), one outcome rule (`_outcomes_of`, the scalar samplers'
-too) and one collapse (`_collapse`). They give the scalar functions'
+of one qubit pair gathers every row through one shared index), one Bell
+transform (`_bell_coefficients`), one Born rule (`_born_of`), one outcome
+rule (`_outcomes_of`, the scalar samplers' too) and one collapse
+(`_collapse`). They give the scalar functions'
 amplitudes, probabilities and outcomes bit for bit, but build no
 `QuantumState`.
 
@@ -77,6 +81,14 @@ _BELL_MATRIX = np.array(
     dtype=np.float64,
 )
 
+# Each Bell row is +1 at one column i and +-1 at another, j: its
+# coefficient is amplitude row i plus or minus amplitude row j.
+_BELL_TERMS = tuple(
+    (i, j, np.add if row[j] > 0 else np.subtract)
+    for row in _BELL_MATRIX
+    for i, j in [np.flatnonzero(row)]
+)
+
 # Indexed by PauliLabel value; the real Y = X @ Z keeps every matrix real.
 _PAULI_MATRICES = np.array(
     [
@@ -92,11 +104,12 @@ _PAULI_MATRICES = np.array(
 def _require_normalized(amplitudes: np.ndarray) -> None:
     """Raise unless every row (last axis) of 4**k amplitudes is 2**k real
     entries of +-1 and zeros: a normalised product of k Bell pairs as the
-    oracle holds it. A NaN or a complex array fails too."""
+    oracle holds it. A NaN or a complex array fails too. Only boolean
+    arrays of the entries are made, no float ones."""
     size = amplitudes.shape[-1]
-    magnitudes = np.abs(amplitudes)
-    ones = magnitudes.sum(axis=-1)  # the row's count of +-1, once every entry is 0 or 1
-    exact = ((magnitudes == 1.0) | (magnitudes == 0.0)).all() and (ones * ones == size).all()
+    units = (amplitudes == 1) | (amplitudes == -1)
+    ones = units.sum(axis=-1)  # the row's count of +-1
+    exact = (ones * ones == size).all() and (units | (amplitudes == 0)).all()
     if np.iscomplexobj(amplitudes) or not exact:
         raise ValueError(f"state is not normalized: not sqrt({size}) entries of +-1, the rest 0")
 
@@ -147,16 +160,31 @@ def _pair_view(state: QuantumState, q1: int, q2: int) -> np.ndarray:
     return np.moveaxis(state.amplitudes.reshape([2] * n), (q1, q2), (0, 1)).reshape(4, -1)
 
 
+def _bell_coefficients(pair: np.ndarray) -> np.ndarray:
+    """``_BELL_MATRIX @ pair``: the Bell-basis coefficients ``(..., 4,
+    rest)`` of amplitudes ``(..., 4, rest)`` whose leading axis is the
+    measured pair. Float amplitudes take the matrix product; int8 signs,
+    which numpy would multiply without BLAS, take one sum or difference of
+    two amplitude rows per Bell row and stay int8."""
+    if pair.dtype != np.int8:
+        return _BELL_MATRIX @ pair
+    coeffs = np.empty_like(pair)
+    for v, (i, j, op) in enumerate(_BELL_TERMS):
+        op(pair[..., i, :], pair[..., j, :], out=coeffs[..., v, :])
+    return coeffs
+
+
 def _born_of(coeffs: np.ndarray) -> np.ndarray:
     """Born probabilities ``(..., 4)`` of Bell-basis coefficients ``(..., 4,
-    rest)``: each branch's sum of squares over the row's total."""
-    weights = np.einsum("...ij,...ij->...i", coeffs, coeffs)
+    rest)``: each branch's sum of squares over the row's total, summed in
+    float64 whatever the coefficients' dtype."""
+    weights = np.einsum("...ij,...ij->...i", coeffs, coeffs, dtype=np.float64)
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray]:
     """Bell-basis coefficients (4, rest) and their Born probabilities."""
-    coeffs = _BELL_MATRIX @ _pair_view(state, q1, q2)
+    coeffs = _bell_coefficients(_pair_view(state, q1, q2))
     return coeffs, _born_of(coeffs)
 
 
@@ -172,7 +200,8 @@ def _outcomes_of(probs: np.ndarray, uniforms):
 
 def _collapse(branch: np.ndarray) -> np.ndarray:
     """The state the qubits left in a Bell branch's coefficients ``(...,
-    rest)`` collapse to: the branch divided by its largest |entry|."""
+    rest)`` collapse to: the branch divided by its largest |entry|, in
+    float64 whatever the branch's dtype."""
     return branch / np.abs(branch).max(axis=-1, keepdims=True)
 
 
@@ -207,10 +236,14 @@ def bell_sample(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.nd
 
     Consumes `rng` exactly as `size` successive `bell_measure_collapse`
     calls on the measured state would and returns the same outcomes, from
-    one array of `size` uniforms.
+    one array of `size` uniforms. Raises ValueError unless `probs` is four
+    finite, nonnegative weights with a positive total.
     """
     if np.shape(probs) != (4,):
         raise ValueError(f"probs must hold the 4 Bell outcomes, not shape {np.shape(probs)}")
+    probs = np.asarray(probs, dtype=np.float64)
+    if not (np.isfinite(probs).all() and (probs >= 0).all() and probs.sum() > 0):
+        raise ValueError(f"probs must be finite and nonnegative with a positive total, not {probs}")
     return _outcomes_of(probs, rng.random(size))
 
 
@@ -226,24 +259,33 @@ def _transpose_index(qubits: np.ndarray) -> np.ndarray:
     permutation ``qubits[r]`` of 0..n-1, is np.transpose of its ``(2,) *
     n`` tensor to those axes, so qubit t of the result is qubit
     ``qubits[r, t]`` of the state. Each half of the new qubits' bits is
-    weighed through one small table."""
+    weighed through one small table. The indices are uint16, 2 bytes each,
+    which holds every index of MAX_QUBITS = 16 qubits."""
     n = qubits.shape[-1]
     weight = 1 << (n - 1 - qubits.astype(np.intp))  # new qubit t's place in the old index
-    high = weight[..., : n // 2] @ _bits(n // 2).T
-    low = weight[..., n // 2 :] @ _bits(n - n // 2).T
+    high = (weight[..., : n // 2] @ _bits(n // 2).T).astype(np.uint16)
+    low = (weight[..., n // 2 :] @ _bits(n - n // 2).T).astype(np.uint16)
     return (high[..., :, None] + low[..., None, :]).reshape(*qubits.shape[:-1], -1)
+
+
+def _pair_products(labels: np.ndarray, bell: np.ndarray) -> np.ndarray:
+    """Row r is the product of the Bell pairs labelled ``labels[r]`` (label
+    values, pair i on qubits 2i, 2i + 1), shape ``(rows, 4**n)``, each pair
+    the row of `bell`, the Bell matrix in its dtype, that its label picks."""
+    rows, n = labels.shape
+    _check_pair_count(n)
+    validate_labels(labels)
+    amps = np.ones((rows, 1), dtype=bell.dtype)
+    for i in reversed(range(n)):  # np.kron's outer product, row by row, last pair first
+        amps = (bell[labels[:, i]][:, :, None] * amps[:, None, :]).reshape(rows, -1)
+    return amps
 
 
 def prepare_states(labels: np.ndarray) -> np.ndarray:
     """Batched `prepare_pairs`: row r is the product of Bell pairs labelled
     ``labels[r]`` (label values, pair i on qubits 2i, 2i + 1), shape
     ``(rows, 4**n)``, with every row checked for normalisation."""
-    rows, n = labels.shape
-    _check_pair_count(n)
-    validate_labels(labels)
-    amps = np.ones((rows, 1))
-    for i in reversed(range(n)):  # np.kron's outer product, row by row, last pair first
-        amps = (_BELL_MATRIX[labels[:, i]][:, :, None] * amps[:, None, :]).reshape(rows, -1)
+    amps = _pair_products(labels, _BELL_MATRIX)
     _require_normalized(amps)
     return amps
 
@@ -269,7 +311,7 @@ def _pair_index(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
 def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
     by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
-    return _born_of(_BELL_MATRIX @ amps[:, _pair_index(amps, q1, q2)])
+    return _born_of(_bell_coefficients(amps[:, _pair_index(amps, q1, q2)]))
 
 
 def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) -> np.ndarray:
@@ -277,7 +319,7 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
     convention) on qubit ``qubits[r]`` of row r, every row checked for
     normalisation."""
     n = _qubits(amps)
-    rows, size = amps.shape
+    rows = len(amps)
     if paulis.shape != (rows,) or qubits.shape != (rows,):
         raise ValueError("one Pauli and one qubit per row are required")
     validate_labels(paulis, "Pauli")
@@ -285,10 +327,9 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
     # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`
     others = np.arange(n - 1) + (np.arange(n - 1) >= qubits[:, None])
     where = _transpose_index(np.column_stack([qubits, others])).reshape(rows, 2, -1)
-    where += (np.arange(rows) * size)[:, None, None]
-    out = np.empty(rows * size, dtype=amps.dtype)
-    out[where] = _PAULI_MATRICES[paulis] @ amps.reshape(-1)[where]
-    out = out.reshape(rows, size)
+    row = np.arange(rows)[:, None, None]
+    out = np.empty_like(amps)
+    out[row, where] = _PAULI_MATRICES[paulis] @ amps[row, where]
     _require_normalized(out)
     return out
 
@@ -328,7 +369,13 @@ def schedule_outcomes(
     leaves, in order: every step measures the two leading qubits and keeps
     only the rest, since the measured pair is left in the outcome's Bell
     state, which no later step reads. Every row is checked for
-    normalisation after every step.
+    normalisation once gathered and after every step.
+
+    Memory: the rows are prepared and gathered as int8 signs through a
+    uint16 index, and the first step's Bell coefficients are int8 too; the
+    first collapse leaves float64 states of a quarter as many amplitudes.
+    So no array holds more than 2 bytes per prepared amplitude, and a call
+    on 65,536 amplitudes peaks at about 0.4 MiB of traced allocations.
 
     Returns the outcome label values, shape ``(rows, steps)``, and the state
     of the qubits never measured, shape ``(rows, 4**(n - steps))``. Inputs
@@ -344,11 +391,14 @@ def schedule_outcomes(
     left = np.ones((rows, 2 * n), dtype=bool)  # the qubits the schedule leaves
     left[row[:, None], order] = False
     qubits = np.concatenate([order, np.nonzero(left)[1].reshape(rows, 2 * (n - steps))], axis=1)
-    index = _transpose_index(qubits) + (row << 2 * n)[:, None]  # into the flattened batch
-    amps = prepare_states(labels).take(index)
+    # int8 signs (entries 0, +-1) unless no step collapses them to float64:
+    # then the float64 product, whose zeros carry prepare_states' signs
+    bell = _BELL_MATRIX.astype(np.int8) if steps else _BELL_MATRIX
+    amps = _pair_products(labels, bell)[row[:, None], _transpose_index(qubits)]
+    _require_normalized(amps)
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     for k in range(steps):
-        coeffs = _BELL_MATRIX @ amps.reshape(rows, 4, -1)
+        coeffs = _bell_coefficients(amps.reshape(rows, 4, -1))
         outcomes[:, k] = outcome = _outcomes_of(_born_of(coeffs), uniforms[:, k])
         amps = _collapse(coeffs[row, outcome])
         _require_normalized(amps)

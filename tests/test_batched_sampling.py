@@ -77,6 +77,18 @@ class TestBellSample:
         with pytest.raises(ValueError, match="4 Bell outcomes"):
             bell_sample(probs, np.random.default_rng(0), 3)
 
+    @pytest.mark.parametrize("probs", [
+        np.zeros(4),  # no total: every draw would be label 4
+        np.array([np.nan, 0.5, 0.25, 0.25]),  # NaN: every draw would be label 0
+        np.array([0.5, -0.25, 0.5, 0.25]),  # negative: label 1 sampled around
+        np.array([np.inf, 0.0, 0.0, 0.0]),
+    ], ids=["zeros", "nan", "negative", "inf"])
+    def test_refuses_probs_that_are_no_distribution(self, probs):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="finite and nonnegative with a positive total"):
+            bell_sample(probs, rng, 3)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
 
 @pytest.mark.parametrize("chunk", [5, CHUNK])
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -448,6 +448,41 @@ class TestErrors:
         assert _run_inproc(argv + ["--n-pairs", "3"], capsys)[0] == 0
         assert _run_inproc(argv + ["--n-pairs", "4"], capsys)[:2] == (2, "")
 
+    @pytest.mark.parametrize("n, trials", [(1, 2**22 + 1), (4, 2**20 + 1), (1024, 4097), (3, 10**9)])
+    def test_cheat_trials_above_the_limit_exit_two_before_any_work(self, capsys, monkeypatch,
+                                                                   n, trials):
+        def no_work(*args):
+            raise AssertionError("an oversized run started")
+
+        for name in ("run_cheat_experiment", "_reference_rows"):
+            monkeypatch.setattr(cli, name, no_work)
+        limit = cli._MAX_CHEAT_TRIAL_PAIRS
+        assert limit == 2**22
+        code, out, err = _run_inproc(
+            ["cheat", "--n-pairs", str(n), "--trials", str(trials)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cheat takes at most {limit} trials x pairs, not {trials} x {n}\n"
+
+    def test_cheat_trials_and_pairs_below_one_keep_their_messages(self, capsys):
+        # two negatives multiply to a large product; the pair count is refused first
+        assert _run_inproc(["cheat", "--n-pairs", "-5", "--trials", str(-10**9)], capsys) == (
+            2, "", "error: n_pairs must be at least 1\n")
+
+    @pytest.mark.parametrize("n, trials", [(4, 1_000_000), (1024, 1024), (3, 100_000), (1024, 4096)])
+    def test_cheat_trials_at_or_below_the_limit_start_the_run(self, monkeypatch, n, trials):
+        # criterion 7's million trials at N = 4, the 1024 x 1024 run and the
+        # README's 100,000 trials fit; the run itself is stopped as it starts
+        class Started(Exception):
+            pass
+
+        def started(config, strategy, count):
+            assert (config.n_pairs, count) == (n, trials)
+            raise Started
+
+        monkeypatch.setattr(cli, "run_cheat_experiment", started)
+        with pytest.raises(Started):
+            main(["cheat", "--n-pairs", str(n), "--trials", str(trials)])
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--n-pairs", "7"], ["verify", "--gamma", "5"], ["analyze", "--gamma", "0.5"]],

@@ -259,15 +259,46 @@ class TestOracleKernel:
         order[swapped] = order[swapped].reshape(-1, n, 2)[:, :, ::-1].reshape(-1, 2 * n)
         replay_every_prefix(monkeypatch, labels, order, edge_uniforms(rng, (200, n)))
 
-    def test_partner_first_never_leaves_the_label(self):
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(2, 12), st.integers(0, 4), st.integers(0, 2**32))
+    def test_batch_invariance(self, n, rows, steps, seed):
+        # one batch, the same rows one at a time and the rows in two halves
+        # give the same outcomes and residual states, bit for bit, partial
+        # schedules (fewer steps than pairs) included
+        rng = np.random.default_rng(seed)
+        labels, order = schedules(rng, rows, n)
+        order = order[:, : 2 * min(steps, n)]
+        uniforms = edge_uniforms(rng, (rows, n))
+        whole = oracle.schedule_outcomes(labels, order, uniforms)
+        half = rows // 2
+        for parts in ([slice(r, r + 1) for r in range(rows)], [slice(0, half), slice(half, rows)]):
+            split = [oracle.schedule_outcomes(labels[p], order[p], uniforms[p]) for p in parts]
+            for pieces, want in zip(zip(*split), whole):
+                got = np.concatenate(pieces)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_no_steps_return_the_prepared_rows(self):
+        # with nothing measured the qubits stay in order: the rows are
+        # prepare_states' own, bytes and signed zeros included
+        rng = np.random.default_rng(4)
+        labels, order = schedules(rng, 30, 3)
+        outcomes, amps = oracle.schedule_outcomes(labels, order[:, :0], rng.random((30, 3)))
+        assert outcomes.shape == (30, 0)
+        assert amps.tobytes() == oracle.prepare_states(labels).tobytes()
+
+    # at 8 pairs a first branch weighs 2**9 in int8 coefficients, more than
+    # an int8 sum can hold
+    @pytest.mark.parametrize("n, rows", [(3, 200), (8, 3)])
+    def test_partner_first_never_leaves_the_label(self, n, rows):
         # the first measurement is a point mass on the pair's label: the
         # other branches have probability zero and must never be drawn
         rng = np.random.default_rng(11)
-        labels, order = schedules(rng, 200, 3, partner_first=True)
-        uniforms = edge_uniforms(rng, (200, 3))
+        labels, order = schedules(rng, rows, n, partner_first=True)
+        uniforms = edge_uniforms(rng, (rows, n))
         outcomes, _ = oracle.schedule_outcomes(labels, order, uniforms)
         first = order[:, 0] // 2
-        assert outcomes[:, 0].tolist() == labels[np.arange(200), first].tolist()
+        assert outcomes[:, 0].tolist() == labels[np.arange(rows), first].tolist()
         assert outcomes.tolist() == collapse_outcomes(labels, order, uniforms)[0].tolist()
 
     @pytest.mark.parametrize("bad", [[0, 5, 1, 2], [0, 9, 1, 2], [0, 0, 1, 2], [-1, 2, 0, 1]])
@@ -286,11 +317,18 @@ class TestOracleKernel:
         amps = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
         oracle._require_normalized(amps)
         oracle._require_normalized(np.array([[1.0], [-1.0]]))  # no qubits left
-        for bad in (0.5, 2.0, np.nan, 0.0):
+        # at [1, 1] a +-1 turns bad; at [1, 0] a zero does, which keeps the
+        # row's count of +-1 right, so only the entries' values fail it
+        bad = (0.5, 2.0, -2.0, np.nan, np.inf)
+        for where, value in [((1, 1), 0.0), *product([(1, 1), (1, 0)], bad)]:
             wrong = amps.copy()
-            wrong[1, 1] = bad
+            wrong[where] = value
             with pytest.raises(ValueError, match="state is not normalized"):
                 oracle._require_normalized(wrong)
+        # int8 signs, as the kernel gathers them, are checked the same way
+        oracle._require_normalized(amps.astype(np.int8))
+        with pytest.raises(ValueError, match="state is not normalized"):
+            oracle._require_normalized(np.array([[1, -1, 2, 0]], dtype=np.int8))
         checked = []
         monkeypatch.setattr(oracle, "_require_normalized", checked.append)
         rng = np.random.default_rng(2)
@@ -317,7 +355,7 @@ def engine_stream(seed, max_pairs, sequences, chunk):
 
 
 def oracle_stream(seed, max_pairs, sequences, chunk):
-    return check_stream(seed, max_pairs, sequences, lambda n: max(1, chunk >> (2 * n)),
+    return check_stream(seed, max_pairs, sequences, lambda n: max(1, 8 * chunk >> (2 * n)),
                         lambda rng, shape: rng.random(shape))
 
 
@@ -363,14 +401,25 @@ def test_engine_check_chunks(monkeypatch, chunk, offset):
         assert outcomes.tolist() == matching_outcomes(labels, order, swap).tolist()
 
 
-# a budget of 64 gives chunks of 16, 4 and 1 schedules at n = 1, 2, 3; 2048
-# and 4096 are the stream layouts of the earlier, smaller batches
-@pytest.mark.parametrize("chunk", [64, 2048, 4096, CHUNK])
+def chunked(sequences, rows):
+    """Rows per kernel call when `sequences` schedules go in chunks of `rows`."""
+    return [rows] * (sequences // rows) + [sequences % rows] * (sequences % rows > 0)
+
+
+# The oracle takes 8 * CHUNK amplitudes a call, 4**n per schedule. A CHUNK
+# of 8 gives chunks of 16, 4 and 1 schedules at n = 1, 2, 3, so 15 to 17
+# schedules cross a chunk boundary at every n; 1024 gives the layout before
+# the 8-fold budget (32 schedules at n = 4), and CHUNK the one `verify` runs,
+# each crossing a boundary at n = 4.
+@pytest.mark.parametrize("chunk, sequences, rows", [
+    (8, 16, [16, 4, 1]),
+    (1024, 32, [2048, 512, 128, 32]),
+    (CHUNK, 256, [16384, 4096, 1024, 256]),
+])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_oracle_check_chunks(monkeypatch, chunk, offset):
+def test_oracle_check_chunks(monkeypatch, chunk, sequences, rows, offset):
     monkeypatch.setattr(crosscheck, "CHUNK", chunk)
-    max_pairs = 3 if chunk == 64 else 1
-    sequences = (chunk >> 2) + offset
+    max_pairs, sequences = len(rows), sequences + offset
     calls = recording(monkeypatch, "oracle_schedule_outcomes")
     result = check_parity_conservation_oracle(max_pairs=max_pairs, sequences=sequences, seed=9)
     assert result == CheckResult(
@@ -379,6 +428,8 @@ def test_oracle_check_chunks(monkeypatch, chunk, offset):
         f"{max_pairs * sequences} random maximal schedules up to {max_pairs} pairs, "
         "exact per branch",
     )
+    assert [len(labels) for labels, _, _ in calls] == [
+        size for n_rows in rows for size in chunked(sequences, n_rows)]
     assert_same_draws(calls, oracle_stream(9, max_pairs, sequences, chunk))
     for labels, order, uniforms in calls:
         outcomes, _ = oracle.schedule_outcomes(labels, order, uniforms)
@@ -394,9 +445,9 @@ def test_verify_defaults_kernel_traffic(monkeypatch):
     )
     assert all(result.passed for result in crosscheck.run_all())
     assert [len(labels) for labels, _, _ in engine] == [1000] * 4
-    # the residual check's one call of 64 forced swaps, then the parity check
-    assert [len(labels) for labels, _, _ in statevector] == (
-        [64, 250, 250, 128, 122] + [32] * 7 + [26])
+    # the residual check's one call of 64 forced swaps, then the parity
+    # check's 250 schedules in one call per pair count
+    assert [len(labels) for labels, _, _ in statevector] == [64, 250, 250, 250, 250]
     assert [size for _, _, size in sampled] == [8192] * 12 + [1696]
 
 
@@ -523,3 +574,29 @@ def test_engine_check_memory_flat_in_schedules():
     _, small = traced_peak(lambda: check_parity_conservation_engine(sequences=1_000))
     _, large = traced_peak(lambda: check_parity_conservation_engine(sequences=100_000))
     assert large <= 2 * small
+
+
+def warm_peak(call):
+    """`traced_peak` of a call that ran once before, so that imports and
+    caches made on a first call do not count."""
+    call()
+    return traced_peak(call)
+
+
+def test_oracle_check_peak_at_its_defaults():
+    # 250 schedules a pair count, n = 4 in one call of 64,000 amplitudes,
+    # gathered as int8 signs: 444 KB measured (CPython 3.11, numpy 2.4),
+    # bound about 30% above; a float64 gather through an intp index peaks
+    # at ~1.9 MB on such a batch
+    result, peak = warm_peak(check_parity_conservation_oracle)
+    assert result.passed
+    assert peak < 576 * 2**10
+
+
+def test_verify_at_sixteen_qubits_peak():
+    # --max-pairs 8: one 65,536-amplitude schedule per oracle call, 417 KB
+    # measured (CPython 3.11, numpy 2.4, 1.84 MB with a float64 gather),
+    # bound about 40% above
+    results, peak = warm_peak(lambda: crosscheck.run_all(max_pairs=8, sequences=4))
+    assert all(r.passed for r in results)
+    assert peak < 576 * 2**10
