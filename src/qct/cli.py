@@ -49,6 +49,8 @@ _ROW_ORDER = operator.itemgetter("n_pairs", "model")  # sort key of model rows
 _MAX_PAIRS = {"toss": 100_000, "cheat": 1024, "analyze": 256}
 # Largest --trials times --n-pairs of `cheat`, from the time measured at it (README)
 _MAX_CHEAT_TRIAL_PAIRS = 1 << 22
+# Largest --samples and --sequences of `verify`, from the time measured at them (README)
+_MAX_VERIFY = {"samples": 10**9, "sequences": 10**5}
 
 
 def _payload(message: Message) -> dict[str, Any]:
@@ -231,6 +233,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for option, limit in _MAX_VERIFY.items():
+        if getattr(args, option) > limit:
+            raise ValueError(f"verify takes at most {limit} {option}, not {getattr(args, option)}")
     results = run_all(
         samples=args.samples,
         sequences=args.sequences,
@@ -307,9 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="engine-vs-oracle equivalence suite")
     common(verify, n_pairs=False, gamma=False)
     verify.add_argument("--samples", type=int, default=100_000,
-                        help="samples for the TV distribution check (at least 1)")
+                        help="samples for the TV distribution check "
+                        f"(1..{_MAX_VERIFY['samples']:,})")
     verify.add_argument("--sequences", type=int, default=1000,
-                        help="random maximal schedules per pair count (at least 1)")
+                        help="random maximal schedules per pair count "
+                        f"(1..{_MAX_VERIFY['sequences']:,})")
     verify.add_argument("--max-pairs", type=int, default=4,
                         help=f"largest pair count in the schedules (1..{MAX_QUBITS // 2})")
     verify.add_argument("--inject-fault", action="store_true",

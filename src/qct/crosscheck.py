@@ -146,7 +146,7 @@ def check_residual_rule(fault_injection: bool = False) -> CheckResult:
     if fault_injection:
         engine = engine ^ 0b01
     got, left = oracle_schedule_outcomes(
-        np.stack([b1, b2], axis=1), np.tile([1, 2], (64, 1)), (outcome[:, None] + 0.5) / 4)
+        np.stack([b1, b2], axis=1), np.array([[1, 2]]), (outcome[:, None] + 0.5) / 4)
     oracle = np.where(got[:, 0] == outcome, _point_masses(bell_distributions(left, 0, 1)), -1)
     failures = np.flatnonzero(oracle != engine)
     shown = []
@@ -255,10 +255,14 @@ def _schedule_check(
         for start in range(0, sequences, rows):
             size = min(rows, sequences - start)
             labels = rng.integers(4, size=(size, n), dtype=np.int8)
-            order = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (size, 1)), axis=1)
-            order = np.sort(order.reshape(size, n, 2), axis=2).reshape(size, 2 * n)
-            outcomes = run(rng, labels, order)
-            failed = np.flatnonzero(np.bitwise_xor.reduce(outcomes ^ labels, axis=1))
+            drawn = rng.permuted(np.tile(np.arange(2 * n, dtype=np.int8), (size, 1)), axis=1)
+            order = np.empty_like(drawn)  # each pair as (min, max)
+            np.minimum(drawn[:, 0::2], drawn[:, 1::2], out=order[:, 0::2])
+            np.maximum(drawn[:, 0::2], drawn[:, 1::2], out=order[:, 1::2])
+            mismatch = run(rng, labels, order) ^ labels
+            for k in range(1, n):  # XOR the columns into the first
+                mismatch[:, 0] ^= mismatch[:, k]
+            failed = np.flatnonzero(mismatch[:, 0])
             if failed.size:
                 row = [BellLabel(int(x)) for x in labels[failed[0]]]
                 return CheckResult(name, False, f"XOR mismatch at n={n}: {row}")
@@ -276,12 +280,12 @@ def engine_schedule_outcomes(
     both largest at its last step, which measures partners; every other
     step swaps with ``swap[:, k]``. Labels fold in as `cycle_kernel` says.
     """
-    measured = order.T  # (2n, S), index-major as the kernel takes it
-    slots = np.arange(len(measured))
-    slot_of = np.empty(measured.shape, dtype=np.intp)
-    np.put_along_axis(slot_of, measured, slots[:, None], axis=0)
-    tau = np.take_along_axis(slot_of, measured[slots ^ 1] ^ 1, axis=0)
-    label = np.take_along_axis(labels.T, measured >> 1, axis=0)
+    measured = order.T.astype(np.intp)  # (2n, S), index-major as the kernel takes it
+    slots, column = np.arange(len(measured)), np.arange(measured.shape[1])
+    slot_of = np.empty_like(measured)
+    slot_of[measured, column] = slots[:, None]
+    tau = slot_of[measured[slots ^ 1] ^ 1, column]
+    label = labels.T[measured >> 1, column]
     _, out = cycle_kernel(tau, np.repeat(swap.T, 2, axis=0) ^ label)
     return (out[::2] ^ label[::2]).T
 

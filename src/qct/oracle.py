@@ -31,14 +31,14 @@ The batched entry points hold many states as the rows of one ``(rows,
 (of `bell_distribution`) and `schedule_outcomes`, the one batched
 collapse, which runs a measurement schedule per row on the outcomes its
 uniforms pick and refuses the schedules the scalar functions refuse, with
-their messages. The Bell measurements share one copy of each
-rule: one gather that reorders qubits (`_transpose_index`; a measurement
-of one qubit pair gathers every row through one shared index), one Bell
+their messages. The Bell measurements share one copy of each rule: one
+reordering of qubits (`_transpose_halves`; `bell_distributions` gathers
+every row through one shared `_transpose_index`, `schedule_outcomes`
+through flat indices built a block at a time by `_gather`), one Bell
 transform (`_bell_coefficients`), one Born rule (`_born_of`), one outcome
 rule (`_outcomes_of`, the scalar samplers' too) and one collapse
-(`_collapse`). They give the scalar functions'
-amplitudes, probabilities and outcomes bit for bit, but build no
-`QuantumState`.
+(`_collapse`). They give the scalar functions' amplitudes, probabilities
+and outcomes bit for bit, but build no `QuantumState`.
 
 Qubits are big-endian: qubit 0 is the most significant bit of the basis
 index. `prepare_pairs` places pair i on qubits (2i, 2i+1).
@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 MAX_QUBITS = 16
+# Flat indices `_gather` builds at a time: 64 KiB of intp
+_GATHER_SIZE = 8192
 
 # Rows indexed by BellLabel value, columns by |q1 q2> in the order 00,01,10,11:
 # each Bell state times sqrt(2).
@@ -108,7 +110,10 @@ def _require_normalized(amplitudes: np.ndarray) -> None:
     arrays of the entries are made, no float ones."""
     size = amplitudes.shape[-1]
     units = (amplitudes == 1) | (amplitudes == -1)
-    ones = units.sum(axis=-1)  # the row's count of +-1
+    # the row's count of +-1, summed as bytes into uint16, which numpy
+    # widens without its bool-to-intp cast; a row of 65,536 units wraps to
+    # 0 and fails as it should
+    ones = units.view(np.uint8).sum(axis=-1, dtype=np.uint16).astype(np.intp)
     exact = (ones * ones == size).all() and (units | (amplitudes == 0)).all()
     if np.iscomplexobj(amplitudes) or not exact:
         raise ValueError(f"state is not normalized: not sqrt({size}) entries of +-1, the rest 0")
@@ -189,13 +194,16 @@ def _born(state: QuantumState, q1: int, q2: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _outcomes_of(probs: np.ndarray, uniforms):
-    """Outcome index for each uniform in [0, 1), row by row: the first index
-    whose cumulative probability exceeds ``u * total``, so a zero-probability
-    branch is never chosen, not even at u = 0. `uniforms` broadcasts against
-    the leading axes of `probs`, shape ``(..., 4)``."""
+    """Outcome index, int8, for each uniform in [0, 1), row by row: the
+    first index whose cumulative probability exceeds ``u * total``, so a
+    zero-probability branch is never chosen, not even at u = 0. `uniforms`
+    broadcasts against the leading axes of `probs`, shape ``(..., 4)``."""
     cumulative = np.cumsum(probs, axis=-1)
     point = uniforms * cumulative[..., -1]
-    return sum(cumulative[..., j] <= point for j in range(4))  # searchsorted, side="right"
+    outcome = (cumulative[..., 0] <= point).astype(np.int8)  # searchsorted, side="right"
+    for j in range(1, 4):
+        outcome += cumulative[..., j] <= point
+    return outcome
 
 
 def _collapse(branch: np.ndarray) -> np.ndarray:
@@ -231,8 +239,9 @@ def bell_measure_collapse(
 
 
 def bell_sample(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Outcomes (BellLabel values) of `size` independent draws from the Born
-    distribution `probs` of a Bell measurement, as `bell_distribution` gives it.
+    """Outcomes (BellLabel values, int8) of `size` independent draws from the
+    Born distribution `probs` of a Bell measurement, as `bell_distribution`
+    gives it.
 
     Consumes `rng` exactly as `size` successive `bell_measure_collapse`
     calls on the measured state would and returns the same outcomes, from
@@ -253,19 +262,50 @@ def _bits(width: int) -> np.ndarray:
     return np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1) & 1
 
 
+def _transpose_halves(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two intp tables ``(..., 2**(n // 2))`` and ``(..., 2**(n - n //
+    2))`` whose outer sum is `_transpose_index`: each weighs one half of
+    the new qubits' bits by their places in the old index."""
+    n = qubits.shape[-1]
+    weight = 1 << (n - 1 - qubits.astype(np.intp))  # new qubit t's place in the old index
+    return weight[..., : n // 2] @ _bits(n // 2).T, weight[..., n // 2 :] @ _bits(n - n // 2).T
+
+
 def _transpose_index(qubits: np.ndarray) -> np.ndarray:
     """Basis indices ``(..., 2**n)`` that reorder the n qubits of a state:
     gathering a state through row r of the index, built from the
     permutation ``qubits[r]`` of 0..n-1, is np.transpose of its ``(2,) *
     n`` tensor to those axes, so qubit t of the result is qubit
-    ``qubits[r, t]`` of the state. Each half of the new qubits' bits is
-    weighed through one small table. The indices are uint16, 2 bytes each,
+    ``qubits[r, t]`` of the state. The indices are uint16, 2 bytes each,
     which holds every index of MAX_QUBITS = 16 qubits."""
-    n = qubits.shape[-1]
-    weight = 1 << (n - 1 - qubits.astype(np.intp))  # new qubit t's place in the old index
-    high = (weight[..., : n // 2] @ _bits(n // 2).T).astype(np.uint16)
-    low = (weight[..., n // 2 :] @ _bits(n - n // 2).T).astype(np.uint16)
+    high, low = (half.astype(np.uint16) for half in _transpose_halves(qubits))
     return (high[..., :, None] + low[..., None, :]).reshape(*qubits.shape[:-1], -1)
+
+
+def _gather(amps: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    """Row r of ``(rows, 2**n)`` `amps` with its qubits reordered by row r
+    of ``qubits``, as gathering it through `_transpose_index` does; one
+    row of ``qubits`` serves every row. The flat indices are built
+    _GATHER_SIZE at a time in one reused intp buffer and read by one
+    `np.take` each, so the whole index is never held."""
+    rows, size = amps.shape
+    high, low = _transpose_halves(qubits)
+    high = high + (np.arange(rows) * size)[:, None]  # row r starts at r * size
+    low = np.broadcast_to(low, (rows, low.shape[1]))
+    width = low.shape[1]
+    # every size is a power of 2: a block is whole rows or part of one row
+    per_row, per_high = max(1, _GATHER_SIZE // size), min(high.shape[1], _GATHER_SIZE // width)
+    buffer = np.empty(min(_GATHER_SIZE, amps.size), dtype=np.intp)
+    source, out = amps.reshape(-1), np.empty(amps.size, dtype=amps.dtype)
+    start = 0
+    for r in range(0, rows, per_row):
+        for h in range(0, high.shape[1], per_high):
+            part = high[r : r + per_row, h : h + per_high, None]
+            index = buffer[: part.size * width].reshape(*part.shape[:2], width)
+            np.add(part, low[r : r + per_row, None, :], out=index)
+            np.take(source, index.reshape(-1), out=out[start : start + index.size])
+            start += index.size
+    return out.reshape(rows, size)
 
 
 def _pair_products(labels: np.ndarray, bell: np.ndarray) -> np.ndarray:
@@ -335,21 +375,23 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
 
 
 def _validate_schedule(labels: np.ndarray, order: np.ndarray, draws: np.ndarray) -> int:
-    """Raise ValueError unless row r of `order` is a schedule on the pairs
-    ``labels[r]``, each qubit measured at most once, with one draw per step
-    in ``draws[r]``; returns the step count."""
+    """Raise ValueError unless row r of `order` (its one row, if it has one)
+    is a schedule on the pairs ``labels[r]``, each qubit measured at most
+    once, with one draw per step in ``draws[r]``; returns the step count."""
     if labels.ndim != 2 or order.ndim != 2 or draws.ndim != 2:
         raise ValueError("labels, order and draws must be two-dimensional")
     rows, n = labels.shape
     steps = order.shape[1] // 2
-    if order.shape != (rows, 2 * steps) or draws.shape[0] != rows or steps > n:
+    if (len(order) not in (1, rows) or order.shape[1] != 2 * steps
+            or draws.shape[0] != rows or steps > n):
         raise ValueError("labels, order and draws disagree in shape")
     if draws.shape[1] < steps:
         raise ValueError(f"{steps} steps need {steps} draws per schedule, not {draws.shape[1]}")
     validate_labels(labels)
     validate_labels(order, "qubit", 2 * n)
-    # each (row, qubit) counted once: a repeat within a row counts twice
-    if np.bincount((np.arange(rows)[:, None] * (2 * n) + order).ravel(), minlength=1).max() > 1:
+    # each (schedule, qubit) counted once: a repeat within a row counts twice
+    if np.bincount((np.arange(len(order))[:, None] * (2 * n) + order).ravel(),
+                   minlength=1).max() > 1:
         raise ValueError("measurement qubits must be distinct")
     return steps
 
@@ -361,21 +403,23 @@ def schedule_outcomes(
 
     Row r starts from ``prepare_pairs(labels[r])`` and Bell-measures qubits
     ``order[r, 2k]`` and ``order[r, 2k + 1]`` at step k, collapsing on the
-    outcome picked by ``uniforms[r, k]``. Each step runs the Born rule, the
-    outcome rule and the collapse of `bell_measure_collapse`, so it agrees
-    bit for bit with it on the same uniform, and a zero-probability branch
-    is never chosen. The prepared rows are gathered once, with each row's
-    qubits in the order its schedule measures them and then the qubits it
-    leaves, in order: every step measures the two leading qubits and keeps
-    only the rest, since the measured pair is left in the outcome's Bell
-    state, which no later step reads. Every row is checked for
-    normalisation once gathered and after every step.
+    outcome picked by ``uniforms[r, k]``; an `order` of one row is every
+    row's schedule. Each step runs the Born rule, the outcome rule and the
+    collapse of `bell_measure_collapse`, so it agrees bit for bit with it
+    on the same uniform, and a zero-probability branch is never chosen.
+    The prepared rows are gathered once, with each row's qubits in the
+    order its schedule measures them and then the qubits it leaves, in
+    order: every step measures the two leading qubits and keeps only the
+    rest, since the measured pair is left in the outcome's Bell state,
+    which no later step reads. Every row is checked for normalisation once
+    gathered and after every step.
 
-    Memory: the rows are prepared and gathered as int8 signs through a
-    uint16 index, and the first step's Bell coefficients are int8 too; the
-    first collapse leaves float64 states of a quarter as many amplitudes.
-    So no array holds more than 2 bytes per prepared amplitude, and a call
-    on 65,536 amplitudes peaks at about 0.4 MiB of traced allocations.
+    Memory: the rows are prepared as int8 signs and gathered by `_gather`,
+    whose flat intp indices take 64 KiB at a time, and the first step's
+    Bell coefficients are int8 too; the first collapse leaves float64
+    states of a quarter as many amplitudes. A call on 65,536 amplitudes
+    peaks at about 0.4 MiB of traced allocations (424 KiB at 256 rows of 4
+    pairs, 403 KiB at one row of 8; CPython 3.11, numpy 2.4).
 
     Returns the outcome label values, shape ``(rows, steps)``, and the state
     of the qubits never measured, shape ``(rows, 4**(n - steps))``. Inputs
@@ -387,16 +431,18 @@ def schedule_outcomes(
     if outside.size:
         raise ValueError(f"uniform {outside[0]} is not in [0, 1)")
     rows, n = labels.shape
-    row = np.arange(rows)
-    left = np.ones((rows, 2 * n), dtype=bool)  # the qubits the schedule leaves
-    left[row[:, None], order] = False
-    qubits = np.concatenate([order, np.nonzero(left)[1].reshape(rows, 2 * (n - steps))], axis=1)
+    schedules = len(order)
+    left = np.ones((schedules, 2 * n), dtype=bool)  # the qubits each schedule leaves
+    left[np.arange(schedules)[:, None], order] = False
+    qubits = np.concatenate(
+        [order, np.nonzero(left)[1].reshape(schedules, 2 * (n - steps))], axis=1)
     # int8 signs (entries 0, +-1) unless no step collapses them to float64:
     # then the float64 product, whose zeros carry prepare_states' signs
     bell = _BELL_MATRIX.astype(np.int8) if steps else _BELL_MATRIX
-    amps = _pair_products(labels, bell)[row[:, None], _transpose_index(qubits)]
+    amps = _gather(_pair_products(labels, bell), qubits)
     _require_normalized(amps)
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
+    row = np.arange(rows)
     for k in range(steps):
         coeffs = _bell_coefficients(amps.reshape(rows, 4, -1))
         outcomes[:, k] = outcome = _outcomes_of(_born_of(coeffs), uniforms[:, k])

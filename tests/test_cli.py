@@ -483,6 +483,38 @@ class TestErrors:
         with pytest.raises(Started):
             main(["cheat", "--n-pairs", str(n), "--trials", str(trials)])
 
+    @pytest.mark.parametrize("option, limit", [("samples", 10**9), ("sequences", 10**5)])
+    def test_verify_above_its_limits_exits_two_before_any_work(self, capsys, monkeypatch,
+                                                               tmp_path, option, limit):
+        def no_work(**kwargs):
+            raise AssertionError("an oversized run started")
+
+        monkeypatch.setattr(cli, "run_all", no_work)
+        assert cli._MAX_VERIFY[option] == limit
+        out_path = tmp_path / "verify.txt"
+        for value in (limit + 1, 10**18):
+            code, out, err = _run_inproc(
+                ["verify", f"--{option}", str(value), "--out", str(out_path)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: verify takes at most {limit} {option}, not {value}\n"
+        assert not out_path.exists()
+        # the limit is stated in --help
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"(1..{limit:,})" in " ".join(capsys.readouterr().out.split())
+
+    def test_verify_at_its_limits_starts_the_run(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(**kwargs):
+            assert (kwargs["samples"], kwargs["sequences"]) == (10**9, 10**5)
+            raise Started
+
+        monkeypatch.setattr(cli, "run_all", started)
+        with pytest.raises(Started):
+            main(["verify", "--samples", str(10**9), "--sequences", str(10**5)])
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--n-pairs", "7"], ["verify", "--gamma", "5"], ["analyze", "--gamma", "0.5"]],

@@ -85,8 +85,9 @@ def test_residual_cases_equal_the_scalar_collapse(monkeypatch):
     calls = recorded_passes(monkeypatch, crosscheck.check_residual_rule)
     assert [name for name, _, _ in calls] == ["oracle_schedule_outcomes", "bell_distributions"]
     (_, (labels, order, uniforms), (outcomes, left)), residuals = calls[0], calls[1][2]
-    # one swap of qubits (1, 2) per case; the qubits left are (0, 3), in order
-    assert order.tolist() == [[1, 2]] * 64 and calls[1][1][1:] == (0, 1)
+    # one swap of qubits (1, 2), one schedule row that every case shares;
+    # the qubits left are (0, 3), in order
+    assert order.tolist() == [[1, 2]] and calls[1][1][1:] == (0, 1)
     assert outcomes.shape == (64, 1) and left.shape == (64, 4)
     for case in range(64):
         b1, b2, outcome = BellLabel(case >> 4), BellLabel((case >> 2) & 3), case & 3
