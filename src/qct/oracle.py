@@ -31,10 +31,9 @@ The batched entry points hold many states as the rows of one ``(rows,
 (of `bell_distribution`) and `schedule_outcomes`, the one batched
 collapse, which runs a measurement schedule per row on the outcomes its
 uniforms pick and refuses the schedules the scalar functions refuse, with
-their messages. The Bell measurements share one copy of each rule: one
-reordering of qubits (`_transpose_halves`; `bell_distributions` gathers
-every row through one shared `_transpose_index`, `schedule_outcomes`
-through flat indices built a block at a time by `_gather`), one Bell
+their messages. They share one copy of each rule: every one that
+reorders qubits does it by `_gather`, to the order `_qubit_order` makes
+of the qubits it acts on first, and the Bell measurements share one Bell
 transform (`_bell_coefficients`), one Born rule (`_born_of`), one outcome
 rule (`_outcomes_of`, the scalar samplers' too) and one collapse
 (`_collapse`). They give the scalar functions' amplitudes, probabilities
@@ -153,7 +152,9 @@ def prepare_pairs(labels: list[BellLabel]) -> QuantumState:
 
 
 def _check_pair(n: int, q1: int, q2: int) -> None:
-    validate_labels((q1, q2), "qubit", n)
+    # one qubit at a time: numpy would promote a bool beside an int to int
+    validate_labels(q1, "qubit", n)
+    validate_labels(q2, "qubit", n)
     if q1 == q2:
         raise ValueError("measurement qubits must be distinct")
 
@@ -264,30 +265,33 @@ def _bits(width: int) -> np.ndarray:
 
 def _transpose_halves(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two intp tables ``(..., 2**(n // 2))`` and ``(..., 2**(n - n //
-    2))`` whose outer sum is `_transpose_index`: each weighs one half of
-    the new qubits' bits by their places in the old index."""
+    2))`` whose outer sum holds the old basis index of each new one, for
+    the qubit order `qubits`: each weighs one half of the new qubits' bits
+    by their places in the old index."""
     n = qubits.shape[-1]
     weight = 1 << (n - 1 - qubits.astype(np.intp))  # new qubit t's place in the old index
     return weight[..., : n // 2] @ _bits(n // 2).T, weight[..., n // 2 :] @ _bits(n - n // 2).T
 
 
-def _transpose_index(qubits: np.ndarray) -> np.ndarray:
-    """Basis indices ``(..., 2**n)`` that reorder the n qubits of a state:
-    gathering a state through row r of the index, built from the
-    permutation ``qubits[r]`` of 0..n-1, is np.transpose of its ``(2,) *
-    n`` tensor to those axes, so qubit t of the result is qubit
-    ``qubits[r, t]`` of the state. The indices are uint16, 2 bytes each,
-    which holds every index of MAX_QUBITS = 16 qubits."""
-    high, low = (half.astype(np.uint16) for half in _transpose_halves(qubits))
-    return (high[..., :, None] + low[..., None, :]).reshape(*qubits.shape[:-1], -1)
+def _qubit_order(front: np.ndarray, n: int) -> np.ndarray:
+    """Row r of `front`, distinct qubits of an n-qubit state, followed by
+    the qubits it leaves out in ascending order: a full qubit order
+    ``(rows, n)`` of intp for `_gather`."""
+    rows, k = front.shape
+    left = np.ones((rows, n), dtype=bool)
+    left[np.arange(rows)[:, None], front] = False
+    rest = np.nonzero(left)[1].reshape(rows, n - k)
+    return np.concatenate([front, rest], axis=1, dtype=np.intp)
 
 
 def _gather(amps: np.ndarray, qubits: np.ndarray) -> np.ndarray:
     """Row r of ``(rows, 2**n)`` `amps` with its qubits reordered by row r
-    of ``qubits``, as gathering it through `_transpose_index` does; one
-    row of ``qubits`` serves every row. The flat indices are built
-    _GATHER_SIZE at a time in one reused intp buffer and read by one
-    `np.take` each, so the whole index is never held."""
+    of ``qubits``, a permutation of 0..n-1: np.transpose of the row's
+    ``(2,) * n`` tensor to those axes, so qubit t of the result is qubit
+    ``qubits[r, t]`` of the row. One row of ``qubits`` serves every row.
+    The flat indices are built _GATHER_SIZE at a time in one reused intp
+    buffer and read by one `np.take` each, so the whole index is never
+    held."""
     rows, size = amps.shape
     high, low = _transpose_halves(qubits)
     high = high + (np.arange(rows) * size)[:, None]  # row r starts at r * size
@@ -339,19 +343,14 @@ def _qubits(amps: np.ndarray) -> int:
     raise ValueError(f"amplitudes must have shape (rows, 2**n) with n in 1..{MAX_QUBITS}")
 
 
-def _pair_index(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """The ``(4, rest)`` basis indices of `_pair_view` on (q1, q2), which
-    every row of the batch shares, after checking its shape and the qubits."""
-    qubits = _qubits(amps)
-    _check_pair(qubits, q1, q2)
-    others = [q for q in range(qubits) if q not in (q1, q2)]
-    return _transpose_index(np.array([q1, q2, *others])).reshape(4, -1)
-
-
 def bell_distributions(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Batched `bell_distribution`: Born probabilities ``(rows, 4)``, indexed
     by BellLabel value, of a Bell measurement on (q1, q2) of every row."""
-    return _born_of(_bell_coefficients(amps[:, _pair_index(amps, q1, q2)]))
+    n = _qubits(amps)
+    _check_pair(n, q1, q2)
+    # every row's `_pair_view`, through one shared qubit order
+    pair = _gather(amps, _qubit_order(np.array([[q1, q2]], dtype=np.intp), n))
+    return _born_of(_bell_coefficients(pair.reshape(len(amps), 4, -1)))
 
 
 def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) -> np.ndarray:
@@ -364,12 +363,13 @@ def apply_pauli_gates(amps: np.ndarray, paulis: np.ndarray, qubits: np.ndarray) 
         raise ValueError("one Pauli and one qubit per row are required")
     validate_labels(paulis, "Pauli")
     validate_labels(qubits, "qubit", n)
-    # row r's view with qubits[r] moved to the front, as in `apply_pauli_gate`
-    others = np.arange(n - 1) + (np.arange(n - 1) >= qubits[:, None])
-    where = _transpose_index(np.column_stack([qubits, others])).reshape(rows, 2, -1)
-    row = np.arange(rows)[:, None, None]
-    out = np.empty_like(amps)
-    out[row, where] = _PAULI_MATRICES[paulis] @ amps[row, where]
+    # row r with qubits[r] moved to the front, as in `apply_pauli_gate`,
+    # and back through the inverse order
+    front = _qubit_order(qubits[:, None], n)
+    back = np.empty_like(front)
+    back[np.arange(rows)[:, None], front] = np.arange(n)
+    moved = _PAULI_MATRICES[paulis] @ _gather(amps, front).reshape(rows, 2, -1)
+    out = _gather(moved.reshape(rows, -1), back)
     _require_normalized(out)
     return out
 
@@ -431,15 +431,10 @@ def schedule_outcomes(
     if outside.size:
         raise ValueError(f"uniform {outside[0]} is not in [0, 1)")
     rows, n = labels.shape
-    schedules = len(order)
-    left = np.ones((schedules, 2 * n), dtype=bool)  # the qubits each schedule leaves
-    left[np.arange(schedules)[:, None], order] = False
-    qubits = np.concatenate(
-        [order, np.nonzero(left)[1].reshape(schedules, 2 * (n - steps))], axis=1)
     # int8 signs (entries 0, +-1) unless no step collapses them to float64:
     # then the float64 product, whose zeros carry prepare_states' signs
     bell = _BELL_MATRIX.astype(np.int8) if steps else _BELL_MATRIX
-    amps = _gather(_pair_products(labels, bell), qubits)
+    amps = _gather(_pair_products(labels, bell), _qubit_order(order, 2 * n))
     _require_normalized(amps)
     outcomes = np.empty((rows, steps), dtype=labels.dtype)
     row = np.arange(rows)

@@ -232,26 +232,55 @@ def pair_indices(qubits, q1, q2):
 
 
 @pytest.mark.parametrize("qubits", range(1, MAX_QUBITS + 1))
-def test_transpose_index_is_np_transpose(qubits):
+def test_gather_is_np_transpose(qubits):
+    # the basis indices themselves, gathered: each row is the basis index
+    # np.transpose puts at each place
     rng = np.random.default_rng(qubits)
     perms = np.array([rng.permutation(qubits) for _ in range(3)])
-    basis = np.arange(2**qubits).reshape([2] * qubits)
-    got = oracle._transpose_index(perms)
-    assert got.shape == (3, 2**qubits)
+    basis = np.arange(2**qubits)
+    amps = np.tile(basis, (3, 1))
+    got = oracle._gather(amps, perms)
+    assert got.shape == (3, 2**qubits) and got.dtype == basis.dtype
     for perm, row in zip(perms, got):
-        assert np.array_equal(row, np.transpose(basis, perm).reshape(-1))
-    # one permutation, without a batch axis, is one index
-    assert np.array_equal(oracle._transpose_index(perms[0]), got[0])
+        assert np.array_equal(row, np.transpose(basis.reshape([2] * qubits), perm).reshape(-1))
+    # one row of qubits serves every row
+    shared = oracle._gather(amps, perms[:1])
+    assert np.array_equal(shared, np.tile(got[0], (3, 1)))
 
 
 @pytest.mark.parametrize("qubits", range(2, MAX_QUBITS + 1))
-def test_pair_index_matches_the_bit_arithmetic(qubits):
-    amps = np.zeros((1, 2**qubits))
+def test_distributions_gather_the_pair_view(monkeypatch, qubits):
+    # what `bell_distributions` gathers from the basis indices is the
+    # (q1, q2) view of the bit arithmetic, for every ordered qubit pair
+    gathered = []
+
+    def spy(amps, order):
+        gathered.append(gather(amps, order))
+        return gathered[-1]
+
+    gather = oracle._gather
+    monkeypatch.setattr(oracle, "_gather", spy)
+    amps = np.arange(2**qubits, dtype=np.float64)[None, :]
     for q1 in range(qubits):  # one first qubit at a time keeps the reference small
         q2 = np.array([q for q in range(qubits) if q != q1])
         want = pair_indices(qubits, np.full_like(q2, q1), q2)
         for second, index in zip(q2, want):
-            assert np.array_equal(oracle._pair_index(amps, q1, int(second)), index)
+            gathered.clear()
+            oracle.bell_distributions(amps, q1, int(second))
+            assert len(gathered) == 1
+            assert np.array_equal(gathered[0].reshape(4, -1), index)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 5, 16])
+def test_qubit_order_completes_the_front_in_ascending_order(qubits):
+    rng = np.random.default_rng(qubits)
+    for k in range(qubits + 1):  # an empty, a partial and a full front
+        front = np.array([rng.permutation(qubits)[:k] for _ in range(4)], dtype=np.int8)
+        got = oracle._qubit_order(front, qubits)
+        assert got.shape == (4, qubits) and got.dtype == np.intp
+        for row, lead in zip(got, front):
+            rest = [q for q in range(qubits) if q not in lead]
+            assert row.tolist() == lead.tolist() + rest
 
 
 def label_tuples(n):
@@ -394,11 +423,33 @@ class TestBatched:
             dists = oracle.bell_distributions(out[rows], 2 * pair, 2 * pair + 1)
             assert np.array_equal(dists, np.eye(4)[gated[rows]])
 
-    def test_one_pair_gathers_through_one_shared_index(self):
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_many_block_rows_equal_the_scalar_functions(self, n):
+        """At 14 and 16 qubits one row spans several of `_gather`'s blocks
+        of indices: random label rows, qubit pairs and Paulis still give the
+        scalar probabilities and amplitudes bit for bit."""
+        rng = np.random.default_rng(70 + n)
+        labels = rng.integers(4, size=(3, n))
+        amps = oracle.prepare_states(labels)
+        states = [prepare_pairs([BellLabel(int(v)) for v in row]) for row in labels]
+        pairs = [(0, 2 * n - 1), (2 * n - 1, 0), (n - 1, n), *rng.permutation(2 * n).reshape(-1, 2)]
+        for q1, q2 in pairs:
+            dists = oracle.bell_distributions(amps, int(q1), int(q2))
+            for state, p in zip(states, dists):
+                assert p.tobytes() == bell_distribution(state, int(q1), int(q2)).tobytes()
+        rows = np.repeat(np.arange(3), 4)
+        paulis, qubits = rng.integers(4, size=len(rows)), rng.integers(2 * n, size=len(rows))
+        qubits[:2] = 0, 2 * n - 1
+        out = oracle.apply_pauli_gates(amps[rows], paulis, qubits)
+        for got, row, pauli, qubit in zip(out, rows, paulis, qubits):
+            want = apply_pauli_gate(states[row], PauliLabel(int(pauli)), int(qubit)).amplitudes
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_pair_gathers_a_block_of_indices_at_a_time(self):
         # 256 states of 12 qubits are 8 MiB of amplitudes, as are the
-        # gathered pair views and their coefficients; an index of every
-        # row's pair view would be 8 MiB more, where the one index all rows
-        # share is 32 KiB
+        # gathered pair views and their coefficients; an intp index of
+        # every row's pair view would be 8 MiB more, where `_gather` holds
+        # one block of 8192 indices, 64 KiB, at a time
         amps = oracle.prepare_states(np.random.default_rng(6).integers(4, size=(256, 6)))
         oracle.bell_distributions(amps, 1, 2)  # the first call may build cached tables
         tracemalloc.start()
@@ -429,6 +480,14 @@ class TestBatched:
          "at least one pair is required"),
         (lambda a: oracle.bell_distributions(a, 0, 4), "qubit 4 out of range for 4-qubit state"),
         (lambda a: oracle.bell_distributions(a, 2, 2), "measurement qubits must be distinct"),
+        # a bool beside an int qubit is refused too, not promoted to 1 or 0
+        (lambda a: oracle.bell_distributions(a, True, 2), "qubits must be integers, not bool"),
+        (lambda a: oracle.bell_distributions(a, 2, np.False_), "qubits must be integers, not bool"),
+        (lambda a: bell_distribution(prepare_pairs([BellLabel.PHI_PLUS] * 2), True, 2),
+         "qubits must be integers, not bool"),
+        (lambda a: bell_measure_collapse(prepare_pairs([BellLabel.PHI_PLUS] * 2), 0, True,
+                                         np.random.default_rng(0)),
+         "qubits must be integers, not bool"),
         (lambda a: oracle.bell_distributions(a[:, :12], 0, 1), "amplitudes must have shape"),
         (lambda a: oracle.apply_pauli_gates(a, np.array([0, 4]), np.array([0, 1])),
          "Pauli 4 is not a Pauli label value 0..3"),

@@ -5,9 +5,9 @@ the form it replaced, which is kept here only: the parity checks' pair
 order (`np.sort` of each drawn pair) and XOR fold (`np.bitwise_xor.reduce`
 over each row), the outcome rule `oracle._outcomes_of` (Python's `sum` of
 its four column comparisons), the flat gather `oracle._gather` (2-D fancy
-indexing through `oracle._transpose_index`) and the count in
-`oracle._require_normalized` (a bool sum per row). A fault confined to a
-schedule's last column must still fail both parity checks.
+indexing through a whole uint16 index, `transpose_index` here) and the
+count in `oracle._require_normalized` (a bool sum per row). A fault
+confined to a schedule's last column must still fail both parity checks.
 """
 
 import tracemalloc
@@ -41,10 +41,18 @@ def sum_rule(probs, uniforms):
     return sum(cumulative[..., j] <= point for j in range(4))
 
 
+def transpose_index(qubits):
+    """The former index: basis indices ``(rows, 2**n)``, uint16, whose row r
+    reorders a state's qubits to ``qubits[r]``, built whole as the outer
+    sum of `oracle._transpose_halves`."""
+    high, low = (half.astype(np.uint16) for half in oracle._transpose_halves(qubits))
+    return (high[..., :, None] + low[..., None, :]).reshape(len(qubits), -1)
+
+
 def fancy_gather(amps, qubits):
     """The former gather: 2-D fancy indexing through the uint16 index, or
     one shared index for one row of qubits."""
-    index = oracle._transpose_index(qubits)
+    index = transpose_index(qubits)
     if len(qubits) == 1:
         return amps[:, index[0]]
     return amps[np.arange(len(amps))[:, None], index]
